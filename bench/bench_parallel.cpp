@@ -1,23 +1,11 @@
-//===- bench_parallel.cpp - parallel engine speedup ----------------------------===//
+//===- bench_parallel.cpp - file-level batch speedup ---------------------------===//
 //
-// The parallel fixed-point engine's payoff (docs/PARALLEL.md), measured
-// at both layers:
-//
-//   batch:      the 18-program corpus analyzed in-process, one file per
-//               work unit on a shared ThreadPool — the exact shape of
-//               `pta-tool --batch --analysis-threads=N`. File-level
-//               parallelism is embarrassingly parallel, so this is the
-//               near-linear axis.
-//   incrstress: the largest single program with --analysis-threads=N,
-//               which exercises the StmtInFolder offload path (the
-//               per-visit StmtIn folds move to the pool while the
-//               analysis itself stays on the calling thread).
-//
-// Each side is the median of three runs at T=1 and T=4. Before timing,
-// the parallel incrstress result is checked byte-identical to the
-// sequential one (the determinism bar ParallelDeterminismTest enforces
-// across the whole corpus) — a speedup number for a wrong answer would
-// be worthless.
+// The payoff of file-level parallelism (docs/PARALLEL.md): the
+// 18-program corpus analyzed in-process, one file per task on a shared
+// ThreadPool — the exact shape of `pta-tool --batch
+// --analysis-threads=N`. Each analysis runs start to finish on its own
+// thread, so files are independent and this is the near-linear axis.
+// Each side is the median of three runs at T=1 and T=4.
 //
 // --par-bench-json=FILE (or MCPTA_PAR_BENCH_JSON) exports an
 // `mcpta-par-bench-v1` document with a `cores` field from
@@ -30,7 +18,6 @@
 
 #include "BenchUtil.h"
 
-#include "serve/Serialize.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -60,17 +47,10 @@ double medianOf(std::vector<double> V) {
   return V[V.size() / 2];
 }
 
-pta::Analyzer::Options benchOptions(unsigned Threads) {
-  pta::Analyzer::Options Opts;
-  Opts.RecordStmtSets = true; // the fold-offload path needs the slots
-  Opts.AnalysisThreads = Threads;
-  return Opts;
-}
-
-/// One full single-file analysis at the given width; aborts on any
-/// frontend or analysis failure (corpus programs are known-good).
-Pipeline analyzeOne(const std::string &Source, unsigned Threads) {
-  Pipeline P = Pipeline::analyzeSource(Source, benchOptions(Threads));
+/// One full single-file analysis; aborts on any frontend or analysis
+/// failure (corpus programs are known-good).
+Pipeline analyzeOne(const std::string &Source) {
+  Pipeline P = Pipeline::analyzeSource(Source, pta::Analyzer::Options());
   if (P.Diags.hasErrors() || !P.Analysis.Analyzed) {
     std::fprintf(stderr, "FATAL: bench source failed to analyze:\n%s",
                  P.Diags.dump().c_str());
@@ -79,36 +59,19 @@ Pipeline analyzeOne(const std::string &Source, unsigned Threads) {
   return P;
 }
 
-/// Wall time for analyzing incrstress once at the given width.
-double incrstressRun(const std::string &Source, unsigned Threads) {
-  Clock::time_point T0 = Clock::now();
-  Pipeline P = analyzeOne(Source, Threads);
-  benchmark::DoNotOptimize(P.Analysis.Analyzed);
-  return msSince(T0);
-}
-
 /// Wall time for the whole corpus as an in-process batch: one analysis
-/// per program submitted to a shared pool, each file itself sequential
-/// — the runBatchParallel shape. Threads == 1 degrades to an inline
+/// per program submitted to a shared pool — the runBatchParallel shape. Threads == 1 degrades to an inline
 /// pool, i.e. a plain in-order loop.
 double batchRun(unsigned Threads) {
   support::ThreadPool Pool(Threads);
   Clock::time_point T0 = Clock::now();
   for (const corpus::CorpusProgram &C : corpus::corpus())
     Pool.submit([&C] {
-      Pipeline P = analyzeOne(C.Source, 1);
+      Pipeline P = analyzeOne(C.Source);
       benchmark::DoNotOptimize(P.Analysis.Analyzed);
     });
   Pool.wait();
   return msSince(T0);
-}
-
-/// mcpta-result-v3 blob for the byte-identity check.
-std::string resultBlob(const std::string &Source, unsigned Threads) {
-  pta::Analyzer::Options Opts = benchOptions(Threads);
-  Pipeline P = analyzeOne(Source, Threads);
-  return serve::serialize(serve::ResultSnapshot::capture(
-      *P.Prog, P.Analysis, serve::optionsFingerprint(Opts)));
 }
 
 /// Extracts `--par-bench-json=FILE` before google-benchmark sees it,
@@ -139,54 +102,24 @@ std::string parBenchJsonPath(int &argc, char **argv) {
 struct BenchReport {
   unsigned Cores = 0;
   unsigned Threads = kParThreads;
-  double IncrSeqMs = 0, IncrParMs = 0, IncrSpeedup = 0;
   unsigned BatchPrograms = 0;
   double BatchSeqMs = 0, BatchParMs = 0, BatchSpeedup = 0;
 };
 
-int runComparison(BenchReport &Report) {
-  const corpus::CorpusProgram *CP = corpus::find("incrstress");
-  if (!CP) {
-    std::fprintf(stderr, "FATAL: corpus program 'incrstress' missing\n");
-    return 1;
-  }
+void runComparison(BenchReport &Report) {
   Report.Cores = std::max(1u, std::thread::hardware_concurrency());
   for (const corpus::CorpusProgram &C : corpus::corpus()) {
     (void)C;
     ++Report.BatchPrograms;
   }
 
-  printHeader("Parallel engine speedup",
-              "in-process batch and single-file analysis at T=1 vs T=4");
+  printHeader("Batch parallelism speedup",
+              "in-process corpus batch at T=1 vs T=4");
   std::printf("host cores: %u (speedup floors apply only when cores >= "
               "threads)\n\n",
               Report.Cores);
 
-  // Correctness first: the parallel single-file result must be
-  // byte-identical to the sequential one before its time means
-  // anything.
-  {
-    std::string Seq = resultBlob(CP->Source, 1);
-    std::string Par = resultBlob(CP->Source, kParThreads);
-    if (Seq != Par) {
-      std::fprintf(stderr, "FATAL: incrstress result at %u threads is not "
-                           "byte-identical to sequential\n",
-                   kParThreads);
-      return 1;
-    }
-  }
-
   std::vector<double> Seq, Par;
-  for (int I = 0; I < 3; ++I) {
-    Seq.push_back(incrstressRun(CP->Source, 1));
-    Par.push_back(incrstressRun(CP->Source, kParThreads));
-  }
-  Report.IncrSeqMs = medianOf(Seq);
-  Report.IncrParMs = medianOf(Par);
-  Report.IncrSpeedup = Report.IncrSeqMs / std::max(Report.IncrParMs, 0.01);
-
-  Seq.clear();
-  Par.clear();
   for (int I = 0; I < 3; ++I) {
     Seq.push_back(batchRun(1));
     Par.push_back(batchRun(kParThreads));
@@ -197,12 +130,9 @@ int runComparison(BenchReport &Report) {
 
   std::printf("%-22s %10s %10s %9s\n", "workload", "T=1 (ms)", "T=4 (ms)",
               "speedup");
-  std::printf("%-22s %10.1f %10.1f %8.2fx\n", "incrstress (1 file)",
-              Report.IncrSeqMs, Report.IncrParMs, Report.IncrSpeedup);
   std::printf("%-22s %10.1f %10.1f %8.2fx\n", "batch (18 programs)",
               Report.BatchSeqMs, Report.BatchParMs, Report.BatchSpeedup);
   std::printf("\n");
-  return 0;
 }
 
 bool writeParBenchJson(const std::string &Path, const BenchReport &R) {
@@ -215,24 +145,11 @@ bool writeParBenchJson(const std::string &Path, const BenchReport &R) {
   OS << "{\"format\":\"mcpta-par-bench-v1\",\"tool_version\":\""
      << support::Telemetry::jsonEscape(version::kToolVersion)
      << "\",\"cores\":" << R.Cores << ",\"threads\":" << R.Threads
-     << ",\"incrstress\":{\"seq_ms\":" << R.IncrSeqMs
-     << ",\"par_ms\":" << R.IncrParMs << ",\"speedup\":" << R.IncrSpeedup
-     << "},\"batch\":{\"programs\":" << R.BatchPrograms
+     << ",\"batch\":{\"programs\":" << R.BatchPrograms
      << ",\"seq_ms\":" << R.BatchSeqMs << ",\"par_ms\":" << R.BatchParMs
      << ",\"speedup\":" << R.BatchSpeedup << "}}\n";
   return bool(OS);
 }
-
-void BM_IncrstressAnalyze(benchmark::State &State) {
-  const corpus::CorpusProgram *CP = corpus::find("incrstress");
-  const unsigned Threads = unsigned(State.range(0));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(incrstressRun(CP->Source, Threads));
-}
-BENCHMARK(BM_IncrstressAnalyze)
-    ->Arg(1)
-    ->Arg(kParThreads)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_CorpusBatch(benchmark::State &State) {
   const unsigned Threads = unsigned(State.range(0));
@@ -250,9 +167,7 @@ int main(int argc, char **argv) {
   std::string ParJson = parBenchJsonPath(argc, argv);
   std::string StatsJson = mcpta::benchutil::statsJsonPath(argc, argv);
   BenchReport Report;
-  int RC = runComparison(Report);
-  if (RC != 0)
-    return RC;
+  runComparison(Report);
   if (!ParJson.empty() && !writeParBenchJson(ParJson, Report))
     return 1;
   if (!StatsJson.empty() &&

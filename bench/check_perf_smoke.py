@@ -85,7 +85,7 @@ def demand_query_us(doc):
 
 def par_speedup(doc, program):
     """The measured speedup of one mcpta-par-bench-v1 section
-    ('incrstress' or 'batch')."""
+    ('batch')."""
     sec = doc.get(program)
     if not isinstance(sec, dict) or "speedup" not in sec:
         raise KeyError(f"section '{program}' missing from parallel bench "

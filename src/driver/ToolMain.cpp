@@ -25,15 +25,14 @@
 //   --trace-json FILE write Chrome trace_event JSON (chrome://tracing,
 //                     Perfetto)
 //
-// Parallel engine (docs/PARALLEL.md):
-//   --analysis-threads=N  width of the parallel fixed-point engine
-//                         (default 1 = classic sequential engine).
-//                         Single file: offloads the per-statement set
-//                         folding onto a work-stealing pool. --batch:
-//                         analyzes N files concurrently in-process
-//                         (replacing the fork-per-file isolation) with
-//                         output replayed in input order. Results are
-//                         byte-identical at any N.
+// Batch parallelism (docs/PARALLEL.md):
+//   --analysis-threads=N  --batch only: analyze N files concurrently
+//                         in-process (replacing the fork-per-file
+//                         isolation), with output replayed in input
+//                         order; default 1 = fork per file. Each file's
+//                         analysis runs on one thread, so results are
+//                         byte-identical at any N. Rejected without
+//                         --batch and with --incremental-baseline.
 //
 // Resource governance (docs/ROBUSTNESS.md):
 //   --timeout-ms=N        wall-clock deadline for the analysis
@@ -139,6 +138,8 @@ struct ToolConfig {
   bool Stats = false;
   bool Profile = false;
   bool Strict = false;
+  /// --analysis-threads: in-process --batch width (1 = fork per file).
+  unsigned BatchThreads = 1;
   pta::Analyzer::Options Opts;
   std::string StatsJsonPath, TraceJsonPath;
 };
@@ -151,7 +152,7 @@ int usage() {
       "                [--fnptr=precise|all|address-taken] "
       "[--context-insensitive]\n"
       "                [--profile] [--json FILE] [--trace-json FILE]\n"
-      "                [--analysis-threads=N]\n"
+      "                [--analysis-threads=N (with --batch)]\n"
       "                [--timeout-ms=N] [--max-stmt-visits=N] "
       "[--max-locations=N]\n"
       "                [--max-ig-nodes=N] [--max-rec-passes=N] [--strict]\n"
@@ -322,16 +323,16 @@ int runIncremental(const std::string &Source, const ToolConfig &Cfg,
                    const std::string &BaselinePath);
 
 /// In-process parallel batch (--analysis-threads=N with --batch): the
-/// files are dispatched as file-granularity tasks onto one shared
-/// work-stealing pool; each task analyzes sequentially (nesting pools
-/// would oversubscribe) into private memory streams, and the captured
-/// output is replayed in input order afterwards, so stdout/stderr are
-/// byte-identical to the sequential batch at any thread count. The
-/// summary cache is shared across workers (its locking makes concurrent
-/// lookup/store safe), and per-file telemetry folds into one batch
-/// aggregate via Telemetry::mergeFrom. Trade-off vs. the fork-per-file
-/// path: no process isolation — a crashing input takes the batch down —
-/// in exchange for near-linear throughput (docs/PARALLEL.md).
+/// files are dispatched as file-granularity tasks onto one work-stealing
+/// pool; each task analyzes on its own thread into private memory
+/// streams, and the captured output is replayed in input order
+/// afterwards, so stdout/stderr are byte-identical to the fork batch at
+/// any thread count. The summary cache is shared across workers (its
+/// locking makes concurrent lookup/store safe), and per-file telemetry
+/// folds into one batch aggregate via Telemetry::mergeFrom. Trade-off
+/// vs. the fork-per-file path: no process isolation — a crashing input
+/// takes the batch down — in exchange for near-linear throughput
+/// (docs/PARALLEL.md).
 int runBatchParallel(const std::vector<std::string> &Files,
                      const ToolConfig &Cfg, serve::SummaryCache *Cache,
                      const std::string &FP) {
@@ -349,11 +350,7 @@ int runBatchParallel(const std::vector<std::string> &Files,
   support::Telemetry BatchTelem(WantTelemetry);
   std::mutex BatchTelemMu;
 
-  ToolConfig FileCfg = Cfg;
-  FileCfg.Opts.AnalysisThreads = 1; // file-granularity parallelism only
-  FileCfg.Opts.Pool = nullptr;
-
-  support::ThreadPool Pool(Cfg.Opts.AnalysisThreads);
+  support::ThreadPool Pool(Cfg.BatchThreads);
   for (size_t I = 0; I < Files.size(); ++I) {
     Pool.submit([&, I] {
       FileOutcome &O = Outcomes[I];
@@ -393,7 +390,7 @@ int runBatchParallel(const std::vector<std::string> &Files,
       }
       serve::ResultSnapshot Snap;
       try {
-        O.Code = runOne(Source, FileCfg, Cache ? &Snap : nullptr, OutF, ErrF,
+        O.Code = runOne(Source, Cfg, Cache ? &Snap : nullptr, OutF, ErrF,
                         WantTelemetry ? &BatchTelem : nullptr, &BatchTelemMu);
       } catch (const std::exception &E) {
         std::fprintf(ErrF, "error: %s\n", E.what());
@@ -415,12 +412,14 @@ int runBatchParallel(const std::vector<std::string> &Files,
   }
   Pool.wait();
 
-  // Replay in input order: same lines, same order, as the sequential
-  // fork-per-file batch.
+  // Replay in input order: same lines, same order, as the fork-per-file
+  // batch. Flushing stdout before a file's stderr keeps the two streams
+  // in that order when they share one pipe (2>&1).
   bool AnyError = false, AnyDegraded = false;
   uint64_t CacheHits = 0;
   for (size_t I = 0; I < Files.size(); ++I) {
     const FileOutcome &O = Outcomes[I];
+    std::fflush(stdout);
     if (!O.Err.empty())
       std::fwrite(O.Err.data(), 1, O.Err.size(), stderr);
     if (O.OpenFailed) {
@@ -526,7 +525,7 @@ int runBatch(const std::string &Dir, const ToolConfig &Cfg,
   // Parallel in-process batch. Incremental batch keeps the sequential
   // fork path: each file mutates its own baseline snapshot and the
   // engine's output interleaves with the parent's prefix lines.
-  if (Cfg.Opts.AnalysisThreads > 1 && !Incremental)
+  if (Cfg.BatchThreads > 1 && !Incremental)
     return runBatchParallel(Files, Cfg, Cache.get(), FP);
 
   // Worst outcome across the batch: error (1) beats degraded-under-
@@ -847,7 +846,8 @@ int main(int argc, char **argv) {
   // (flag or environment), never through the silent default.
   bool CacheDirRequested = EnvCacheDir != nullptr;
   bool BadNumber = false;
-  uint64_t AnalysisThreads = 0;
+  uint64_t BatchThreads = 0;
+  bool BatchThreadsGiven = false;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -905,13 +905,14 @@ int main(int argc, char **argv) {
       Cfg.Opts.FnPtr = pta::FnPtrMode::AddressTaken;
     else if (Arg == "--context-insensitive")
       Cfg.Opts.ContextSensitive = false;
-    else if (parseU64Flag(Arg, "--analysis-threads", AnalysisThreads,
+    else if (parseU64Flag(Arg, "--analysis-threads", BatchThreads,
                           BadNumber)) {
       if (BadNumber)
         return 1;
-      // 0 and 1 both mean the sequential engine.
-      Cfg.Opts.AnalysisThreads =
-          static_cast<unsigned>(std::min<uint64_t>(AnalysisThreads, 256));
+      // 0 and 1 both mean the fork-per-file batch.
+      Cfg.BatchThreads =
+          static_cast<unsigned>(std::min<uint64_t>(BatchThreads, 256));
+      BatchThreadsGiven = true;
     } else if (parseU64Flag(Arg, "--timeout-ms", Cfg.Opts.Limits.TimeoutMs,
                           BadNumber) ||
              parseU64Flag(Arg, "--max-stmt-visits",
@@ -988,6 +989,12 @@ int main(int argc, char **argv) {
                  !ServeCfg.FaultSpec.empty())) {
     std::fprintf(stderr, "error: --serve-* and --fault-inject flags apply "
                          "only to --serve\n");
+    return 1;
+  }
+  if (BatchThreadsGiven &&
+      (BatchDir.empty() || Serve || !IncrBaselinePath.empty())) {
+    std::fprintf(stderr, "error: --analysis-threads applies only to --batch "
+                         "without --incremental-baseline\n");
     return 1;
   }
   if (Serve)

@@ -129,62 +129,41 @@ void InvocationGraph::expandDirectCalls(IGNode *Node) {
 
 IGNode *InvocationGraph::getOrCreateChild(IGNode *Parent, unsigned CallSiteId,
                                           const FunctionDecl *Callee) {
-  IGNode *Child = nullptr;
-  {
-    // Insert-if-absent under the parent's stripe: a sequential run (or
-    // the scheduler's disjoint-subtree dispatch) never contends, so the
-    // uncontended try_lock is the whole cost; a contended acquisition
-    // is recorded as a memo race.
-    std::unique_lock<std::mutex> Lock(memoStripe(Parent), std::try_to_lock);
-    if (!Lock.owns_lock()) {
-      Ctrs.MemoRaces.fetch_add(1, std::memory_order_relaxed);
-      Lock.lock();
-    }
-
-    if (IGNode *Hit = Parent->findChild(CallSiteId, Callee)) {
-      Ctrs.ChildCacheHits.fetch_add(1, std::memory_order_relaxed);
-      return Hit;
-    }
-
-    // Budget tripped: no new contexts. Hand out one shared canonical
-    // node per callee; the analyzer evaluates it with merged summaries,
-    // so sharing across call sites only merges contexts (sound).
-    if (Meter && Meter->tripped()) {
-      std::lock_guard<std::mutex> GLock(GrowthMu);
-      ++Ctrs.CanonicalFallbacks;
-      IGNode *&Canon = CanonicalNodes[Callee];
-      if (!Canon) {
-        Canon = makeNode(Callee, Root, CallSiteId);
-        Root->Children.push_back(Canon);
-      }
-      return Canon;
-    }
-
-    {
-      std::lock_guard<std::mutex> GLock(GrowthMu); // node ownership
-      Child = makeNode(Callee, Parent, CallSiteId);
-    }
-    Parent->Children.push_back(Child);
-    Parent->indexChild(CallSiteId, Callee, Child);
-
-    // Recursion: the callee already appears on the invocation chain.
-    // The new node is Approximate; its matching ancestor becomes
-    // Recursive and the pair is connected by a back edge. The ancestor
-    // chain (function, parent) is immutable after creation, so the walk
-    // needs no locks.
-    IGNode *Anc = const_cast<IGNode *>(
-        Parent->F == Callee ? Parent : Parent->findAncestor(Callee));
-    if (Anc) {
-      Child->K = IGNode::Kind::Approximate;
-      Child->RecEdge = Anc;
-      if (!Anc->isRecursive())
-        Ctrs.RecursivePromotions.fetch_add(1, std::memory_order_relaxed);
-      Anc->markRecursive();
-      return Child;
-    }
+  if (IGNode *Hit = Parent->findChild(CallSiteId, Callee)) {
+    ++Ctrs.ChildCacheHits;
+    return Hit;
   }
-  // Eager direct-call expansion outside the stripe: the child's own
-  // subtree acquires its own stripes (possibly this very one again).
+
+  // Budget tripped: no new contexts. Hand out one shared canonical
+  // node per callee; the analyzer evaluates it with merged summaries,
+  // so sharing across call sites only merges contexts (sound).
+  if (Meter && Meter->tripped()) {
+    ++Ctrs.CanonicalFallbacks;
+    IGNode *&Canon = CanonicalNodes[Callee];
+    if (!Canon) {
+      Canon = makeNode(Callee, Root, CallSiteId);
+      Root->Children.push_back(Canon);
+    }
+    return Canon;
+  }
+
+  IGNode *Child = makeNode(Callee, Parent, CallSiteId);
+  Parent->Children.push_back(Child);
+  Parent->indexChild(CallSiteId, Callee, Child);
+
+  // Recursion: the callee already appears on the invocation chain.
+  // The new node is Approximate; its matching ancestor becomes
+  // Recursive and the pair is connected by a back edge.
+  IGNode *Anc = const_cast<IGNode *>(
+      Parent->F == Callee ? Parent : Parent->findAncestor(Callee));
+  if (Anc) {
+    Child->K = IGNode::Kind::Approximate;
+    Child->RecEdge = Anc;
+    if (!Anc->isRecursive())
+      ++Ctrs.RecursivePromotions;
+    Anc->markRecursive();
+    return Child;
+  }
   expandDirectCalls(Child);
   return Child;
 }

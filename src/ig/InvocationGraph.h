@@ -32,11 +32,8 @@
 #include "support/Limits.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -208,19 +205,12 @@ public:
   /// a getOrCreateChild call answered from the child index — i.e. a
   /// re-visited (call site, callee) context.
   struct BuildCounters {
-    uint64_t NodesCreated = 0; ///< guarded by GrowthMu on concurrent paths
-    /// Atomic: bumped under per-parent stripes, which do not serialize
-    /// accesses to one shared counter across different parents.
-    std::atomic<uint64_t> ChildCacheHits{0};
-    std::atomic<uint64_t> RecursivePromotions{0};
+    uint64_t NodesCreated = 0;
+    uint64_t ChildCacheHits = 0;
+    uint64_t RecursivePromotions = 0;
     /// getOrCreateChild calls answered with a shared canonical node
     /// because the node budget (or deadline) had tripped.
     uint64_t CanonicalFallbacks = 0;
-    /// Contended stripe acquisitions of the memo table: two threads
-    /// raced on the same parent's child index (pta.par.memo_races).
-    /// Expected 0 in a sequential run, and 0 under the scheduler's
-    /// disjoint-subtree dispatch discipline (docs/PARALLEL.md).
-    std::atomic<uint64_t> MemoRaces{0};
   };
   const BuildCounters &buildCounters() const { return Ctrs; }
 
@@ -268,24 +258,6 @@ private:
   support::BudgetMeter *Meter = nullptr;
   /// Shared per-function nodes handed out after the budget tripped.
   std::map<const cfront::FunctionDecl *, IGNode *> CanonicalNodes;
-
-  /// The memoized IN/OUT table's concurrency envelope: insert-if-absent
-  /// on a parent's (call site, callee) child index is serialized by a
-  /// lock stripe keyed on the parent node, so concurrent evaluations of
-  /// disjoint subtrees may look up and grow the graph safely. Node
-  /// ownership and the canonical-fallback map are guarded separately by
-  /// GrowthMu (always acquired after a stripe, never the reverse).
-  /// Contended stripe acquisitions are counted in Ctrs.MemoRaces.
-  static constexpr unsigned NumMemoStripes = 16;
-  std::mutex &memoStripe(const IGNode *Parent) {
-    size_t H = reinterpret_cast<uintptr_t>(Parent) / alignof(IGNode);
-    return MemoStripes[H % NumMemoStripes].Mu;
-  }
-  struct AlignedMutex {
-    alignas(64) std::mutex Mu; ///< one cache line per stripe
-  };
-  std::array<AlignedMutex, NumMemoStripes> MemoStripes;
-  std::mutex GrowthMu;
 };
 
 /// Collects the call sites appearing in a statement tree, in program

@@ -4,16 +4,14 @@
 // unmap; recursion via pending-list fixed points) and Figure 5
 // (function-pointer invocation-graph growth). The intraprocedural
 // compositional rules live in the extracted body-transfer kernel
-// (BodyKernel.cpp); the parallel engine's scheduler and StmtIn folder
-// live in Scheduler.cpp (see docs/PARALLEL.md).
+// (BodyKernel.cpp). A run executes start to finish on its calling
+// thread.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pointsto/Analyzer.h"
 
 #include "pointsto/BodyKernel.h"
-#include "pointsto/Scheduler.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -61,18 +59,6 @@ public:
         PointsToSet::stats().HeapBytes.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
     SetStatsBegin = PointsToSet::stats().snapshot();
-
-    // Parallel engine wiring: an external pool (batch/serve provide a
-    // shared one) or a private pool for this run. The analysis itself
-    // stays on the calling thread; the pool carries the StmtIn folding
-    // (docs/PARALLEL.md). An inline pool means the classic sequential
-    // engine, untouched.
-    Pool = Opts.Pool;
-    if (!Pool && Opts.AnalysisThreads > 1) {
-      PoolStorage = std::make_unique<support::ThreadPool>(Opts.AnalysisThreads);
-      Pool = PoolStorage.get();
-    }
-    PoolStatsBegin = Pool ? Pool->stats() : support::ThreadPool::Stats();
   }
 
   void run();
@@ -192,15 +178,6 @@ private:
 
   /// The extracted intraprocedural kernel (Figure 1 rules).
   BodyKernel Kernel;
-
-  /// Parallel engine (docs/PARALLEL.md): the pool carrying offloaded
-  /// work, the StmtIn folder feeding it, and the pta.par.* counters.
-  /// All null/inert for the sequential engine.
-  std::unique_ptr<support::ThreadPool> PoolStorage; ///< owned iff private
-  support::ThreadPool *Pool = nullptr;
-  support::ThreadPool::Stats PoolStatsBegin;
-  std::unique_ptr<StmtInFolder> Folder;
-  ParCounters Par;
 };
 
 //===----------------------------------------------------------------------===//
@@ -302,14 +279,6 @@ void AnalyzerImpl::recordStmtIn(const Stmt *S, const OptSet &In) {
     return;
   if (Res.StmtIn.size() <= S->id())
     Res.StmtIn.resize(Prog.numStmts());
-  // Parallel engine: the fold is the dominant per-visit cost; route it
-  // to the pool. Order per slot is preserved by the folder's exclusive
-  // shard drains (and Merge is a commutative join besides), so the
-  // accumulated sets are identical to the sequential engine's.
-  if (Folder && In) {
-    Folder->record(S->id(), *In);
-    return;
-  }
   mergeInto(Res.StmtIn[S->id()], In);
 }
 
@@ -800,16 +769,8 @@ void AnalyzerImpl::run() {
   if (Opts.Seeder)
     Opts.Seeder->begin(Prog, *Res.IG, Locs);
   support::Telemetry::Span PtaSpan(Telem, "pointsto");
-  if (Opts.RecordStmtSets) {
+  if (Opts.RecordStmtSets)
     Res.StmtIn.resize(Prog.numStmts());
-    // The folder engages only now: StmtIn must be at its final size
-    // before worker threads hold references into it. A seeded
-    // (incremental) run keeps the sequential fold — the seeder grafts
-    // baseline StmtIn rows directly into Res.StmtIn from the analysis
-    // thread, which must not race with worker-side merges.
-    if (Pool && Pool->parallel() && !Opts.Seeder)
-      Folder = std::make_unique<StmtInFolder>(*Pool, Res.StmtIn, Par);
-  }
 
   // Startup state: globals' pointer components are NULL unless
   // initialized; then the lowered global initializers run.
@@ -833,8 +794,6 @@ void AnalyzerImpl::run() {
   if (!MainIR) {
     Res.Warnings.push_back(
         "invocation-graph root has no analyzable body; nothing to do");
-    if (Folder)
-      Folder->finish();
     return;
   }
   PointsToSet S2 = std::move(*MainIn);
@@ -851,10 +810,6 @@ void AnalyzerImpl::run() {
   mergeInto(Out, FS.Ret);
   Res.MainOut = std::move(Out);
   Res.Analyzed = true;
-  // The parallel barrier: every offloaded StmtIn fold lands before the
-  // Result is read (or serialized).
-  if (Folder)
-    Folder->finish();
 }
 
 void AnalyzerImpl::publishTelemetry() {
@@ -893,22 +848,6 @@ void AnalyzerImpl::publishTelemetry() {
              SS.CowDetaches - SetStatsBegin.CowDetaches);
   Telem->add("pta.set.kernel_calls",
              SS.KernelCalls - SetStatsBegin.KernelCalls);
-
-  // The parallel engine's observability surface (docs/PARALLEL.md):
-  // published only when a pool actually carried work, so sequential
-  // stats exports are unchanged.
-  if (Pool && Pool->parallel()) {
-    support::ThreadPool::Stats PS = Pool->stats();
-    Telem->add("pta.par.tasks", PS.TasksExecuted - PoolStatsBegin.TasksExecuted);
-    Telem->add("pta.par.steals", PS.Steals - PoolStatsBegin.Steals);
-    Telem->add("pta.par.fold_records",
-               Par.FoldRecords.load(std::memory_order_relaxed));
-    Telem->add("pta.par.barrier_waits",
-               Par.BarrierWaits.load(std::memory_order_relaxed));
-    if (Res.IG)
-      Telem->add("pta.par.memo_races", Res.IG->buildCounters().MemoRaces);
-    Telem->gauge("pta.par.threads", Pool->width());
-  }
 
   const MapUnmap::Counters &MC = MU.counters();
   Telem->add("mu.map_calls", MC.MapCalls);

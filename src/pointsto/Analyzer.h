@@ -42,9 +42,6 @@
 #include <vector>
 
 namespace mcpta {
-namespace support {
-class ThreadPool;
-} // namespace support
 namespace pta {
 
 /// Per-function warning attribution, keyed by the owning FunctionDecl
@@ -170,18 +167,6 @@ public:
     /// projection of the result it intends to read (see docs/DEMAND.md
     /// for the exactness argument the demand engine relies on).
     const std::vector<uint8_t> *LiveStmts = nullptr;
-    /// Width of the parallel fixed-point engine (docs/PARALLEL.md).
-    /// 1 (the default) is the classic sequential engine. N>1 offloads
-    /// the per-statement StmtIn folding onto a work-stealing pool while
-    /// the analysis itself — interning, invocation-graph growth, memo
-    /// decisions — stays on the calling thread, so the result is
-    /// byte-identical to the sequential engine's at any width.
-    unsigned AnalysisThreads = 1;
-    /// Optional externally owned pool to run on (shared by the batch
-    /// driver and the serve daemon). When set it overrides
-    /// AnalysisThreads; when null and AnalysisThreads>1 the analyzer
-    /// creates a private pool for the run.
-    support::ThreadPool *Pool = nullptr;
   };
 
   struct Result {

@@ -8,9 +8,8 @@
 /// The body-transfer kernel: the compositional intraprocedural rules of
 /// Figure 1 (kill / change-to-possible / gen, if-merge, loop fixed
 /// points, switch fall-through, and the abrupt-completion channels of
-/// [13]), factored out of the interprocedural driver so the scheduler
-/// layer (Scheduler.h) can treat "IN map + body → OUT map" as a pure
-/// unit of work.
+/// [13]), factored out of the interprocedural driver so "IN map +
+/// body → OUT map" is one self-contained unit of work.
 ///
 /// Purity contract: the kernel holds no global mutable state. Every
 /// effect beyond the returned FlowState goes through one of
@@ -19,11 +18,10 @@
 ///    seam the driver plugs its memo tables and telemetry into;
 ///  - the HotCounters block the caller passes in (plain counters, owned
 ///    by the caller, one block per analysis run);
-///  - the LocationTable (interning is append-only and confined to the
-///    analysis thread; see docs/PARALLEL.md).
+///  - the LocationTable (interning is append-only and owned by the
+///    run).
 /// Given the same IN map, body, and Env answers, the kernel computes
-/// the same OUT map — which is the determinism argument the parallel
-/// engine rests on.
+/// the same OUT map.
 ///
 /// The assignment-rule helpers (applyAssignRule, applyStructCopy,
 /// pointerSuffixPaths, applyPath) are public: the driver reuses them
@@ -83,8 +81,7 @@ struct FlowState {
 /// Unified hot-path counters. One plain struct replaces the old ad-hoc
 /// ++Res.X plumbing; Result's legacy fields and the telemetry counters
 /// are both published from here once, in publishTelemetry(). Mutated
-/// only from the analysis thread (the kernel and the driver); the
-/// parallel engine's worker threads never touch it.
+/// only by the run that owns it (the kernel and the driver).
 struct HotCounters {
   uint64_t BodyAnalyses = 0;
   uint64_t MemoHits = 0;

@@ -104,8 +104,9 @@ public:
   /// Process-wide representation traffic, published per analysis run as
   /// the pta.set.* telemetry counters (the analyzer snapshots them at
   /// run start and reports the deltas; PeakPairs is reset per run).
-  /// Relaxed atomics: sets are shared and mutated across the scheduler's
-  /// worker threads, and these counters only need to count — no
+  /// Relaxed atomics: concurrent analyses in one process (in-process
+  /// --batch tasks, serve workers) all update them, and these counters
+  /// only need to count — no
   /// cross-counter consistency, no ordering with the set data itself
   /// (the CoW shared_ptr control block provides that).
   struct Stats {
@@ -269,9 +270,10 @@ private:
     /// read, which cannot order an in-place mutation after another
     /// thread's reads of the shared block — the CoW unique-owner check
     /// needs an acquire load paired with the release half of the last
-    /// other owner's decrement (the parallel engine ships CoW shares
-    /// across threads, docs/PARALLEL.md). RepPtr spells those orders
-    /// out.
+    /// other owner's decrement. Each analysis run keeps its sets on its
+    /// own thread, but several runs share one process under in-process
+    /// --batch and the serve pool (docs/PARALLEL.md), so the count stays
+    /// atomic. RepPtr spells those orders out.
     std::atomic<uint32_t> RC{1};
 
     Rep() = default;

@@ -23,10 +23,8 @@ namespace cf = mcpta::cfront;
 
 std::string serve::optionsFingerprint(const pta::Analyzer::Options &Opts) {
   // Deliberately an explicit field list: per-run plumbing that cannot
-  // change the result — Telem, Seeder, LiveStmts, and the parallel
-  // engine's AnalysisThreads/Pool (byte-identical at any width, see
-  // docs/PARALLEL.md) — is not identity, so cached results are shared
-  // across thread counts.
+  // change the result — Telem, Seeder, LiveStmts — is not identity, so
+  // cached results are shared across runs that differ only in it.
   const support::AnalysisLimits &L = Opts.Limits;
   std::string FP = "fnptr=";
   FP += std::to_string(static_cast<int>(Opts.FnPtr));

@@ -8,7 +8,6 @@
 #include "incr/IncrementalEngine.h"
 #include "serve/Json.h"
 #include "serve/RequestQueue.h"
-#include "support/ThreadPool.h"
 #include "support/Version.h"
 
 #include <chrono>
@@ -257,11 +256,6 @@ Server::Server(Config C)
       Cache(std::make_unique<SummaryCache>(Cfg.Cache, Telem.get())),
       StartTime(std::chrono::steady_clock::now()) {
   Cache->setFlightRecorder(Recorder.get());
-  // One shared analysis pool for the whole daemon: per-request private
-  // pools would multiply threads by in-flight requests.
-  if (Cfg.DefaultOpts.AnalysisThreads > 1)
-    AnalysisPool =
-        std::make_unique<support::ThreadPool>(Cfg.DefaultOpts.AnalysisThreads);
   if (!Cfg.FaultSpec.empty()) {
     auto FI = std::make_unique<FaultInjection>();
     std::string Err;
@@ -776,12 +770,6 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
         getU64(*O, "symbolic_level_limit", Opts.SymbolicLevelLimit));
     Opts.MaxLoopIterations = static_cast<unsigned>(
         getU64(*O, "max_loop_iterations", Opts.MaxLoopIterations));
-    // Capped at the daemon's configured width: the shared pool is sized
-    // once at startup and a request cannot grow it.
-    Opts.AnalysisThreads = static_cast<unsigned>(
-        std::min<uint64_t>(getU64(*O, "analysis_threads",
-                                  Opts.AnalysisThreads),
-                           std::max(1u, Cfg.DefaultOpts.AnalysisThreads)));
   }
   if (const JsonValue *L = Req.find("limits")) {
     support::AnalysisLimits &Lim = Opts.Limits;
@@ -831,24 +819,6 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
                          " timeout_ms=" +
                          std::to_string(Opts.Limits.TimeoutMs));
     Resp.member("ladder_level", std::to_string(Ctx.LadderLevel));
-  }
-
-  // Parallel engine budget, composed with the admission ladder exactly
-  // like the deadline: ladder level L halves the thread budget L times
-  // (min 1), so an overloaded daemon sheds parallelism before
-  // precision. A budget of 1 runs the classic sequential engine; above
-  // 1 the request submits its fold work to the daemon's shared pool.
-  // Neither field is identity: the result is byte-identical at any
-  // width, and optionsFingerprint excludes both (docs/PARALLEL.md).
-  if (Opts.AnalysisThreads > 1) {
-    unsigned Eff =
-        std::max(1u, Opts.AnalysisThreads >> std::min(Ctx.LadderLevel, 31u));
-    Opts.AnalysisThreads = Eff;
-    Opts.Pool = (Eff > 1 && AnalysisPool) ? AnalysisPool.get() : nullptr;
-    if (Opts.Pool)
-      Telem->add("serve.par.requests", 1);
-    else if (Ctx.LadderLevel)
-      Telem->add("serve.par.shed_to_sequential", 1);
   }
 
   const std::string FP = optionsFingerprint(Opts);

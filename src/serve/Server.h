@@ -77,9 +77,6 @@
 #include <string>
 
 namespace mcpta {
-namespace support {
-class ThreadPool;
-} // namespace support
 namespace serve {
 
 class JsonValue;
@@ -89,12 +86,7 @@ public:
   struct Config {
     SummaryCache::Config Cache;
     /// Defaults for analyze requests; per-request "options"/"limits"
-    /// members override individual fields. DefaultOpts.AnalysisThreads
-    /// > 1 makes the daemon own one shared analysis pool
-    /// (docs/PARALLEL.md); each analyze request's effective thread
-    /// budget composes with the admission ladder — level L gets
-    /// max(1, N >> L) threads, so an overloaded daemon sheds
-    /// parallelism before it sheds precision.
+    /// members override individual fields.
     pta::Analyzer::Options DefaultOpts;
     /// Flight-recorder ring capacity (most recent events retained).
     size_t FlightRecorderCapacity = support::FlightRecorder::kDefaultCapacity;
@@ -236,13 +228,6 @@ private:
   void deregisterInFlight(uint64_t Seq);
 
   Config Cfg;
-  /// The daemon's shared analysis pool (null when
-  /// DefaultOpts.AnalysisThreads <= 1). All concurrent analyze requests
-  /// with a parallel thread budget submit their fold work here; the
-  /// pool's own synchronization makes that safe, and per-request
-  /// barriers (StmtInFolder::finish) are request-local, so requests
-  /// never wait on each other's work.
-  std::unique_ptr<support::ThreadPool> AnalysisPool;
   std::unique_ptr<support::Telemetry> Telem;
   std::unique_ptr<support::FlightRecorder> Recorder;
   std::unique_ptr<SummaryCache> Cache;

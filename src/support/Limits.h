@@ -122,11 +122,10 @@ public:
   const AnalysisLimits &limits() const { return Limits; }
 
   /// Per-statement-visit tick. Returns false once any budget is
-  /// tripped. Deadline is re-checked every 64 visits. Thread-safe: the
-  /// visit counter is a single atomic shared by every worker thread, so
-  /// MaxStmtVisits is a per-run budget counted once — not once per
-  /// thread — and the amortized deadline check keys off the returned
-  /// (unique) count so exactly one thread performs each check.
+  /// tripped. Deadline is re-checked every 64 visits. A run ticks from
+  /// its own thread; the counter stays atomic (docs/PARALLEL.md), and
+  /// the amortized deadline check keys off the returned (unique) count
+  /// so each check happens exactly once.
   bool tick() {
     uint64_t N = StmtVisits.fetch_add(1, std::memory_order_relaxed) + 1;
     if (Limits.MaxStmtVisits && N > Limits.MaxStmtVisits)
@@ -223,8 +222,8 @@ private:
 
   AnalysisLimits Limits;
   std::chrono::steady_clock::time_point Start;
-  /// Shared across worker threads (see tick()); relaxed is enough — the
-  /// budgets are quantity caps, not synchronization points.
+  /// Relaxed atomics (see tick()): the budgets are quantity caps, not
+  /// synchronization points.
   std::atomic<uint64_t> StmtVisits{0};
   std::atomic<uint8_t> TrippedMask{0};
 };

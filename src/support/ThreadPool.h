@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing pool for the parallel fixed-point engine (see
-/// docs/PARALLEL.md). Each worker owns a deque: it pushes and pops its
+/// A small work-stealing pool for file-level parallelism: the in-process
+/// `--batch` driver runs one task per file on it (see docs/PARALLEL.md).
+/// Each worker owns a deque: it pushes and pops its
 /// own tasks LIFO (cache-warm, depth-first), and steals from the other
 /// end of a victim's deque FIFO when its own runs dry — the classic
-/// Blumofe/Leiserson discipline, sized down to what the analyzer needs:
+/// Blumofe/Leiserson discipline, sized down to what the driver needs:
 ///
 ///  - submit() from any thread (external submissions round-robin onto
 ///    worker deques; a worker submits onto its own deque);
@@ -17,15 +18,15 @@
 ///    rethrows the first task exception, if any (subsequent ones are
 ///    swallowed — one failure is enough to fail the run);
 ///  - no task-to-task return plumbing: tasks communicate through
-///    whatever shared state the caller synchronizes (the scheduler's
-///    memo table, the StmtIn folder's shards).
+///    whatever shared state the caller synchronizes (the batch driver's
+///    per-file output slots).
 ///
 /// A pool constructed with 0 or 1 threads spawns no workers at all:
 /// submit() runs the task inline and wait() only rethrows. This is the
-/// sequential engine, byte-for-byte — callers never special-case it.
+/// sequential run, byte-for-byte — callers never special-case it.
 ///
-/// Stats are relaxed atomics mirrored into `pta.par.*` telemetry by the
-/// scheduler layer; reading them mid-run gives a torn-but-harmless view.
+/// Stats are relaxed atomics; reading them mid-run gives a
+/// torn-but-harmless view.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,35 +1,68 @@
-//===- ParallelDeterminismTest.cpp - threads-N byte equivalence ----------------===//
+//===- ParallelDeterminismTest.cpp - concurrent-run byte equivalence -----------===//
 //
-// The parallel engine's core contract (docs/PARALLEL.md): the analysis
-// result is byte-identical at any --analysis-threads width. Every
-// corpus program is analyzed at widths 1, 2, and 8 with statement-set
-// recording on, captured to a ResultSnapshot, and serialized; the
-// mcpta-result-v3 blobs must match the sequential baseline exactly.
+// Each analysis runs start to finish on one thread, but in-process
+// --batch tasks and serve workers run several analyses at once in one
+// process, sharing the process-wide PointsToSet statistics and the
+// allocator (docs/PARALLEL.md). Every corpus program is analyzed alone,
+// then as two concurrent copies on a ThreadPool; each copy's
+// mcpta-result-v3 blob must match the lone run's exactly.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
 #include "driver/Pipeline.h"
 #include "serve/Serialize.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 using namespace mcpta;
 
 namespace {
 
-std::string analyzeToBlob(const std::string &Source, unsigned Threads) {
-  pta::Analyzer::Options Opts;
-  Opts.RecordStmtSets = true;
-  Opts.AnalysisThreads = Threads;
+std::string analyzeToBlob(const std::string &Source,
+                          const pta::Analyzer::Options &Opts) {
   Pipeline P = Pipeline::analyzeSource(Source, Opts);
-  EXPECT_FALSE(P.Diags.hasErrors()) << P.Diags.dump();
-  EXPECT_TRUE(P.Analysis.Analyzed);
+  if (P.Diags.hasErrors() || !P.Analysis.Analyzed)
+    return "";
   serve::ResultSnapshot Snap = serve::ResultSnapshot::capture(
       *P.Prog, P.Analysis, serve::optionsFingerprint(Opts));
   return serve::serialize(Snap);
+}
+
+/// Analyzes \p Source as \p Copies concurrent tasks on a pool of that
+/// width — the runBatchParallel shape — and returns every copy's blob.
+std::vector<std::string> analyzeConcurrently(const std::string &Source,
+                                             const pta::Analyzer::Options &Opts,
+                                             unsigned Copies) {
+  std::vector<std::string> Blobs(Copies);
+  support::ThreadPool Pool(Copies);
+  for (unsigned I = 0; I < Copies; ++I)
+    Pool.submit([&, I] { Blobs[I] = analyzeToBlob(Source, Opts); });
+  Pool.wait();
+  return Blobs;
+}
+
+/// Reports every copy whose blob differs from \p Lone. EXPECT_EQ on
+/// the blobs would dump megabytes on failure, so only the verdict and
+/// the first divergence offset are printed.
+void expectAllEqual(const std::string &Lone,
+                    const std::vector<std::string> &Blobs,
+                    const std::string &What) {
+  for (size_t I = 0; I < Blobs.size(); ++I) {
+    const std::string &B = Blobs[I];
+    if (B == Lone)
+      continue;
+    size_t Off = 0;
+    while (Off < B.size() && Off < Lone.size() && B[Off] == Lone[Off])
+      ++Off;
+    ADD_FAILURE() << What << ": copy " << I << " of " << Blobs.size()
+                  << " diverges from the lone run at byte " << Off
+                  << " (sizes " << B.size() << " vs " << Lone.size() << ")";
+  }
 }
 
 class ParallelDeterminism : public ::testing::TestWithParam<const char *> {};
@@ -37,23 +70,11 @@ class ParallelDeterminism : public ::testing::TestWithParam<const char *> {};
 TEST_P(ParallelDeterminism, ByteIdenticalAcrossThreadCounts) {
   const corpus::CorpusProgram *CP = corpus::find(GetParam());
   ASSERT_NE(CP, nullptr);
-  std::string Sequential = analyzeToBlob(CP->Source, 1);
-  ASSERT_FALSE(Sequential.empty());
-  for (unsigned Threads : {2u, 8u}) {
-    std::string Parallel = analyzeToBlob(CP->Source, Threads);
-    // EXPECT_EQ on the blobs would dump megabytes on failure; compare
-    // and report only the verdict plus the first divergence offset.
-    if (Parallel == Sequential)
-      continue;
-    size_t Off = 0;
-    while (Off < Parallel.size() && Off < Sequential.size() &&
-           Parallel[Off] == Sequential[Off])
-      ++Off;
-    ADD_FAILURE() << GetParam() << ": threads=" << Threads
-                  << " blob diverges from sequential at byte " << Off
-                  << " (sizes " << Parallel.size() << " vs "
-                  << Sequential.size() << ")";
-  }
+  pta::Analyzer::Options Opts;
+  std::string Lone = analyzeToBlob(CP->Source, Opts);
+  ASSERT_FALSE(Lone.empty());
+  expectAllEqual(Lone, analyzeConcurrently(CP->Source, Opts, 2),
+                 GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -66,27 +87,20 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(Info.param);
     });
 
-// The fnptr resolution policies drive different IG growth; the
-// determinism bar holds under each of them.
+// The fnptr resolution policies drive different IG growth; concurrent
+// runs agree with a lone run under each of them.
 TEST(ParallelDeterminism, HoldsAcrossFnptrPolicies) {
   const corpus::CorpusProgram *CP = corpus::find("toplev");
   ASSERT_NE(CP, nullptr);
   for (pta::FnPtrMode Mode :
        {pta::FnPtrMode::Precise, pta::FnPtrMode::AllFunctions,
         pta::FnPtrMode::AddressTaken}) {
-    pta::Analyzer::Options Seq, Par;
-    Seq.FnPtr = Mode;
-    Par.FnPtr = Mode;
-    Par.AnalysisThreads = 4;
-    Pipeline PS = Pipeline::analyzeSource(CP->Source, Seq);
-    Pipeline PP = Pipeline::analyzeSource(CP->Source, Par);
-    ASSERT_FALSE(PS.Diags.hasErrors());
-    ASSERT_FALSE(PP.Diags.hasErrors());
-    std::string BS = serve::serialize(serve::ResultSnapshot::capture(
-        *PS.Prog, PS.Analysis, serve::optionsFingerprint(Seq)));
-    std::string BP = serve::serialize(serve::ResultSnapshot::capture(
-        *PP.Prog, PP.Analysis, serve::optionsFingerprint(Par)));
-    EXPECT_TRUE(BS == BP) << "fnptr mode " << int(Mode);
+    pta::Analyzer::Options Opts;
+    Opts.FnPtr = Mode;
+    std::string Lone = analyzeToBlob(CP->Source, Opts);
+    ASSERT_FALSE(Lone.empty());
+    expectAllEqual(Lone, analyzeConcurrently(CP->Source, Opts, 4),
+                   "fnptr mode " + std::to_string(int(Mode)));
   }
 }
 

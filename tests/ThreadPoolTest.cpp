@@ -1,6 +1,6 @@
 //===- ThreadPoolTest.cpp - work-stealing pool unit tests ----------------------===//
 //
-// The pool under the parallel fixed-point engine (docs/PARALLEL.md):
+// The pool behind the in-process --batch (docs/PARALLEL.md):
 // inline degradation at width <= 1, completion of nested submissions,
 // exception capture and single rethrow from wait(), and reuse of the
 // pool across wait() barriers.

@@ -444,4 +444,87 @@ TEST(ToolTest, BatchStrictReportsDegraded) {
   std::filesystem::remove_all(Dir);
 }
 
+TEST(ToolTest, BatchOutputSameAtEveryWidth) {
+  // The fork batch (width 1) and the in-process batch (width 4) print
+  // the same merged stdout+stderr: every file's diagnostics land after
+  // the earlier files' status lines, cold and warm alike.
+  std::string Dir = ::testing::TempDir() + "/pta_tool_batch_width";
+  std::string CacheRoot = ::testing::TempDir() + "/pta_tool_batch_width_cache";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::remove_all(CacheRoot);
+  std::filesystem::create_directories(Dir);
+  ToolRun Gen = runTool("--gen-stress=4");
+  ASSERT_EQ(Gen.ExitCode, 0);
+  {
+    std::ofstream(Dir + "/clean.c")
+        << "int main(void) { int x; int *p; p = &x; return 0; }";
+    std::ofstream(Dir + "/fnptr.c")
+        << "int g;\n"
+           "void set(int **out, int *value) { *out = value; }\n"
+           "int apply(void (*fn)(int **, int *), int **o, int *v) "
+           "{ fn(o, v); return 0; }\n"
+           "int main(void) { int *p; apply(set, &p, &g); return *p; }\n";
+    std::ofstream(Dir + "/parse_error.c") << "int main(void) { return y; }";
+    std::ofstream(Dir + "/stress.c") << Gen.Output;
+  }
+  const std::string Base =
+      "--batch " + Dir + " --stats --max-ig-nodes=20 --strict";
+  for (const char *Phase : {"cold", "warm"}) {
+    ToolRun Runs[2];
+    unsigned Widths[2] = {1, 4};
+    for (int I = 0; I < 2; ++I)
+      Runs[I] = runTool(Base + " --analysis-threads=" +
+                        std::to_string(Widths[I]) + " --cache-dir=" +
+                        CacheRoot + "/w" + std::to_string(Widths[I]));
+    EXPECT_EQ(Runs[0].ExitCode, 1) << Phase << "\n" << Runs[0].Output;
+    EXPECT_EQ(Runs[1].ExitCode, Runs[0].ExitCode) << Phase;
+    EXPECT_EQ(Runs[1].Output, Runs[0].Output) << Phase;
+    EXPECT_NE(Runs[0].Output.find("error: use of undeclared identifier"),
+              std::string::npos)
+        << Runs[0].Output;
+    EXPECT_NE(Runs[0].Output.find("stress.c: degraded"), std::string::npos)
+        << Runs[0].Output;
+  }
+  std::filesystem::remove_all(Dir);
+  std::filesystem::remove_all(CacheRoot);
+}
+
+TEST(ToolTest, BatchWidthFlagRejectedWithoutBatch) {
+  std::string Path =
+      writeTemp("int main(void) { int x; int *p; p = &x; return 0; }");
+  ToolRun R = runTool("--analysis-threads=2 " + Path);
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("--analysis-threads applies only to --batch"),
+            std::string::npos)
+      << R.Output;
+  std::remove(Path.c_str());
+}
+
+TEST(ToolTest, BatchWidthFlagRejectedWithServe) {
+  ToolRun R = runTool("--serve --analysis-threads=2 < /dev/null");
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("--analysis-threads applies only to --batch"),
+            std::string::npos)
+      << R.Output;
+}
+
+TEST(ToolTest, BatchWidthFlagRejectedWithIncrementalBatch) {
+  std::string Dir = ::testing::TempDir() + "/pta_tool_batch_incr_threads";
+  std::string BaseDir =
+      ::testing::TempDir() + "/pta_tool_batch_incr_threads_base";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::remove_all(BaseDir);
+  std::filesystem::create_directories(Dir);
+  std::ofstream(Dir + "/one.c")
+      << "int main(void) { int x; int *p; p = &x; return 0; }";
+  ToolRun R = runTool("--batch " + Dir + " --incremental-baseline=" + BaseDir +
+                      " --analysis-threads=2");
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("--analysis-threads applies only to --batch"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_FALSE(std::filesystem::exists(BaseDir)) << R.Output;
+  std::filesystem::remove_all(Dir);
+}
+
 } // namespace
