@@ -107,8 +107,9 @@ void BodyKernel::applyStructCopy(PointsToSet &S,
     }
     for (const LocDef &R : RhsStorage) {
       const Location *RL = applyPath(Locs, R.Loc, P);
-      for (const LocDef &T : S.targetsOf(RL, Locs))
-        Rlocs.push_back({T.Loc, meet(R.D, T.D)});
+      S.forEachTarget(RL, Locs, [&](const Location *T, Def D) {
+        Rlocs.push_back({T, meet(R.D, D)});
+      });
     }
     applyAssignRule(S, normalizeLocDefs(std::move(Llocs)),
                     normalizeLocDefs(std::move(Rlocs)));

@@ -11,21 +11,23 @@ using namespace mcpta::simple;
 using namespace mcpta::cfront;
 
 std::vector<LocDef> mcpta::pta::normalizeLocDefs(std::vector<LocDef> Set) {
+  if (Set.size() <= 1)
+    return Set;
   std::sort(Set.begin(), Set.end(), [](const LocDef &A, const LocDef &B) {
     if (A.Loc != B.Loc)
       return A.Loc->id() < B.Loc->id();
     return A.D < B.D; // D before P
   });
-  std::vector<LocDef> Out;
-  for (const LocDef &LD : Set) {
-    if (!Out.empty() && Out.back().Loc == LD.Loc)
-      continue; // keep the stronger (D sorts first)
-    Out.push_back(LD);
-  }
-  if (Out.size() > 1)
-    for (LocDef &LD : Out)
+  // Keep the first of each run: the stronger flag (D sorts first).
+  Set.erase(std::unique(Set.begin(), Set.end(),
+                        [](const LocDef &A, const LocDef &B) {
+                          return A.Loc == B.Loc;
+                        }),
+            Set.end());
+  if (Set.size() > 1)
+    for (LocDef &LD : Set)
       LD.D = Def::P;
-  return Out;
+  return Set;
 }
 
 void LREvaluator::applyIndexToTarget(const Location *L, IndexKind IK, Def D,
@@ -95,12 +97,13 @@ void LREvaluator::selectElement(const Location *L, IndexKind IK, Def D,
 }
 
 void LREvaluator::applyAccessor(std::vector<LocDef> &Set, const Accessor &A) {
+  if (A.K == Accessor::Kind::Field) {
+    for (LocDef &LD : Set)
+      LD.Loc = Locs.withField(LD.Loc, A.Field);
+    return;
+  }
   std::vector<LocDef> Next;
   for (const LocDef &LD : Set) {
-    if (A.K == Accessor::Kind::Field) {
-      Next.push_back({Locs.withField(LD.Loc, A.Field), LD.D});
-      continue;
-    }
     if (A.IsShift)
       applyIndexToTarget(LD.Loc, A.Index, LD.D, Next);
     else
@@ -119,11 +122,10 @@ std::vector<LocDef> LREvaluator::refLocations(const Reference &Ref,
     // are skipped: execution dereferencing NULL does not reach the
     // statement's continuation (the paper makes the same assumption in
     // Sec. 6).
-    for (const LocDef &T : S.targetsOf(Base, Locs)) {
-      if (T.Loc->isNull())
-        continue;
-      Set.push_back(T);
-    }
+    S.forEachTarget(Base, Locs, [&](const Location *T, Def D) {
+      if (!T->isNull())
+        Set.push_back({T, D});
+    });
   } else {
     Set.push_back({Base, Def::D});
   }
@@ -153,8 +155,9 @@ std::vector<LocDef> LREvaluator::rvalLocations(const Reference &Ref,
   // Read the pointer stored at each location: one more hop through S.
   std::vector<LocDef> Out;
   for (const LocDef &LD : Set)
-    for (const LocDef &T : S.targetsOf(LD.Loc, Locs))
-      Out.push_back({T.Loc, meet(LD.D, T.D)});
+    S.forEachTarget(LD.Loc, Locs, [&](const Location *T, Def D) {
+      Out.push_back({T, meet(LD.D, D)});
+    });
   return normalizeLocDefs(std::move(Out));
 }
 

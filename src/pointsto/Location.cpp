@@ -8,17 +8,6 @@ using namespace mcpta;
 using namespace mcpta::pta;
 using namespace mcpta::cfront;
 
-bool Location::isSummary() const {
-  if (Root->isHeap())
-    return true;
-  if (Root->isSymbolic() && Root->isCollapsed())
-    return true;
-  for (const PathElem &E : Path)
-    if (E.K == PathElem::Kind::Tail)
-      return true;
-  return false;
-}
-
 std::string Location::str() const {
   std::string S = Root->name();
   for (const PathElem &E : Path) {
@@ -181,13 +170,8 @@ const Entity *LocationTable::symbolic(const FunctionDecl *Frame,
   return E;
 }
 
-const Location *LocationTable::get(const Entity *Root,
-                                   std::vector<PathElem> Path) {
-  auto Key = std::make_pair(Root, Path);
-  auto It = LocationMap.find(Key);
-  if (It != LocationMap.end())
-    return It->second;
-
+Location *LocationTable::create(const Entity *Root,
+                                std::vector<PathElem> Path) {
   Locations.push_back(std::unique_ptr<Location>(new Location()));
   Location *L = Locations.back().get();
   L->Id = static_cast<uint32_t>(LocationsById.size());
@@ -197,8 +181,9 @@ const Location *LocationTable::get(const Entity *Root,
   // Compute the location's type by walking the path from the root type.
   const Type *Ty = Root->type();
   for (const PathElem &E : L->Path) {
+    L->HasTail |= E.K == PathElem::Kind::Tail;
     if (!Ty)
-      break;
+      continue;
     switch (E.K) {
     case PathElem::Kind::Field:
       Ty = E.Field->type();
@@ -215,33 +200,66 @@ const Location *LocationTable::get(const Entity *Root,
   L->Ty = Ty;
 
   LocationsById.push_back(L);
-  LocationMap[Key] = L;
   return L;
+}
+
+const Location *LocationTable::rootLoc(const Entity *E) {
+  if (!E->RootLoc)
+    E->RootLoc = create(E, {});
+  return E->RootLoc;
+}
+
+const Location *LocationTable::get(const Entity *Root,
+                                   std::vector<PathElem> Path) {
+  if (Path.empty())
+    return rootLoc(Root);
+  auto [It, New] =
+      LocationMap.try_emplace(std::make_pair(Root, std::move(Path)), nullptr);
+  if (New)
+    It->second = create(Root, It->first.second);
+  return It->second;
+}
+
+const Location *LocationTable::varLoc(const VarDecl *V) {
+  auto [It, New] = VarLocs.try_emplace(V, nullptr);
+  if (New)
+    It->second = rootLoc(variable(V));
+  return It->second;
+}
+
+const Location *LocationTable::successor(const Location *L, PathElem PE) {
+  for (const auto &[E, S] : L->Succ)
+    if (E == PE)
+      return S;
+  std::vector<PathElem> Path = L->path();
+  Path.push_back(PE);
+  const Location *S = get(L->root(), std::move(Path));
+  L->Succ.push_back({PE, S});
+  return S;
 }
 
 const Location *LocationTable::withField(const Location *L,
                                          const FieldDecl *F) {
   if (L->isHeap() || L->isNull())
     return L; // heap and NULL absorb field selections
-  std::vector<PathElem> Path = L->path();
-  Path.push_back(PathElem::field(F));
-  return get(L->root(), std::move(Path));
+  return successor(L, PathElem::field(F));
 }
 
 const Location *LocationTable::withElem(const Location *L, bool Head) {
   if (L->isHeap() || L->isNull())
     return L;
-  std::vector<PathElem> Path = L->path();
-  Path.push_back(Head ? PathElem::head() : PathElem::tail());
-  return get(L->root(), std::move(Path));
+  return successor(L, Head ? PathElem::head() : PathElem::tail());
 }
 
 const Location *LocationTable::headToTail(const Location *L) {
   if (L->path().empty() || L->path().back().K != PathElem::Kind::Head)
     return L;
-  std::vector<PathElem> Path = L->path();
-  Path.back() = PathElem::tail();
-  return get(L->root(), std::move(Path));
+  if (!L->TailSibling) {
+    std::vector<PathElem> Path = L->path();
+    Path.back() = PathElem::tail();
+    L->TailSibling = get(L->root(), std::move(Path));
+  }
+  return L->TailSibling;
 }
 
 void LocationTable::pointerSubLocations(const Location *L,

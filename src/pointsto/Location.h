@@ -25,6 +25,14 @@
 /// paper's a_head abstracts a[0] and a_tail abstracts a[1..n] (Sec. 3.2),
 /// generalized here to nested aggregates (e.g. s.f[tail].g).
 ///
+/// Interning resolves the hot lookups without building a path: each
+/// Entity caches its path-less Location, each Location keeps a small
+/// successor table for withField/withElem (and its tail sibling for
+/// headToTail), and varLoc is one hash lookup from the VarDecl. The
+/// (root, path) map remains for the cold multi-element get() calls.
+/// The caches only memoize: a location is still created, and given its
+/// dense id, exactly when get() first sees it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MCPTA_POINTSTO_LOCATION_H
@@ -36,6 +44,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace mcpta {
@@ -108,6 +118,8 @@ private:
   /// Set when the k-limit folded deeper levels into this entity, making
   /// it a summary of arbitrarily many invisible locations.
   bool Collapsed = false;
+  /// Interning cache: the path-less location of this entity, once made.
+  mutable const Location *RootLoc = nullptr;
 
 public:
   bool isCollapsed() const { return Collapsed; }
@@ -147,8 +159,12 @@ public:
 
   /// A summary location abstracts more than one real stack location, so
   /// it can never be strongly updated and pairs to it are never definite
-  /// when it matters (a_tail, heap).
-  bool isSummary() const;
+  /// when it matters (a_tail, heap). Collapse is read live: symbolic()
+  /// may fold an entity after its locations exist.
+  bool isSummary() const {
+    return HasTail || Root->isHeap() ||
+           (Root->isSymbolic() && Root->isCollapsed());
+  }
 
   bool isHeap() const { return Root->isHeap(); }
   bool isNull() const { return Root->isNull(); }
@@ -165,6 +181,13 @@ private:
   const Entity *Root = nullptr;
   std::vector<PathElem> Path;
   const cfront::Type *Ty = nullptr;
+  /// Some path element is an array tail (fixed at creation).
+  bool HasTail = false;
+  /// Interning caches, filled by LocationTable as lookups happen: the
+  /// one-element extensions of this location (withField/withElem), and
+  /// for a trailing-head location its tail sibling (headToTail).
+  mutable std::vector<std::pair<PathElem, const Location *>> Succ;
+  mutable const Location *TailSibling = nullptr;
 };
 
 /// Creates and interns entities and locations for a whole program run.
@@ -197,12 +220,14 @@ public:
   //===--------------------------------------------------------------------===//
   // Locations
   //===--------------------------------------------------------------------===//
+  /// The location (Root, Path), created on first request. A multi-element
+  /// path creates only the location itself, never its prefixes.
   const Location *get(const Entity *Root, std::vector<PathElem> Path = {});
-  const Location *heap() { return get(heapEntity()); }
-  const Location *null() { return get(nullEntity()); }
-  const Location *varLoc(const cfront::VarDecl *V) { return get(variable(V)); }
+  const Location *heap() { return rootLoc(heapEntity()); }
+  const Location *null() { return rootLoc(nullEntity()); }
+  const Location *varLoc(const cfront::VarDecl *V);
   const Location *fnLoc(const cfront::FunctionDecl *F) {
-    return get(function(F));
+    return rootLoc(function(F));
   }
   const Location *byId(uint32_t Id) const { return LocationsById[Id]; }
   uint32_t numLocations() const {
@@ -232,12 +257,18 @@ public:
 
 private:
   Entity *makeEntity();
+  /// Allocates the next dense id for (Root, Path).
+  Location *create(const Entity *Root, std::vector<PathElem> Path);
+  const Location *rootLoc(const Entity *E);
+  /// L extended by one path element, through L's successor table.
+  const Location *successor(const Location *L, PathElem PE);
 
   std::vector<std::unique_ptr<Entity>> Entities;
   std::vector<std::unique_ptr<Location>> Locations;
   std::vector<const Location *> LocationsById;
 
   std::map<const cfront::VarDecl *, const Entity *> VarEntities;
+  std::unordered_map<const cfront::VarDecl *, const Location *> VarLocs;
   std::map<const cfront::FunctionDecl *, const Entity *> RetvalEntities;
   std::map<const cfront::FunctionDecl *, const Entity *> FnEntities;
   std::map<unsigned, const Entity *> StringEntities;
@@ -247,6 +278,9 @@ private:
   std::map<std::pair<const cfront::FunctionDecl *, const Location *>,
            const Entity *>
       Symbolics;
+  /// Locations with a non-empty path (path-less ones hang off their
+  /// entity). Hot lookups hit the successor tables; only cold
+  /// multi-element get() calls search here.
   std::map<std::pair<const Entity *, std::vector<PathElem>>, const Location *>
       LocationMap;
 };

@@ -206,14 +206,8 @@ std::optional<Def> PointsToSet::lookup(const Location *Src,
 std::vector<LocDef> PointsToSet::targetsOf(const Location *Src,
                                            const LocationTable &Locs) const {
   std::vector<LocDef> Out;
-  PairKey Lo = static_cast<uint64_t>(Src->id()) << 32;
-  PairKey Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
-  const Entry *B = entries();
-  const Entry *E = B + size();
-  for (const Entry *It = std::lower_bound(B, E, Lo, entryLess);
-       It != E && It->K < Hi; ++It)
-    Out.push_back(
-        {Locs.byId(static_cast<LocationId>(It->K & 0xffffffffu)), It->D});
+  forEachTarget(Src, Locs,
+                [&](const Location *Dst, Def D) { Out.push_back({Dst, D}); });
   return Out;
 }
 
@@ -232,48 +226,87 @@ bool PointsToSet::mergeWith(const PointsToSet &Other) {
   // nothing changes.
   if (Heap && Heap == Other.Heap)
     return false;
-  if (empty() && Other.empty())
-    return false;
 
   const Entry *A = entries();
   const Entry *AE = A + size();
   const Entry *B = Other.entries();
   const Entry *BE = B + Other.size();
 
-  // Linear merge of the two sorted runs: union of pairs, definite iff
-  // definite in both (Figure 1 / Definition 3.3).
-  std::vector<Entry> Out;
-  Out.reserve(size() + Other.size());
-  bool Changed = false;
+  // Allocation-free change scan: count the pairs only Other has and look
+  // for a definite pair that weakens (definite iff definite in both,
+  // Figure 1 / Definition 3.3). Most folds change nothing and stop here.
+  size_t Extra = 0;
+  bool Weakens = false;
   const Entry *I = A;
   const Entry *J = B;
   while (I != AE && J != BE) {
     if (I->K < J->K) {
-      Out.push_back({I->K, Def::P});
-      Changed |= I->D == Def::D;
+      Weakens |= I->D == Def::D;
       ++I;
     } else if (J->K < I->K) {
-      Out.push_back({J->K, Def::P});
-      Changed = true;
+      ++Extra;
       ++J;
     } else {
-      Def D = meet(I->D, J->D);
-      Out.push_back({I->K, D});
-      Changed |= D != I->D;
+      Weakens |= I->D == Def::D && J->D == Def::P;
       ++I;
       ++J;
     }
   }
-  Changed |= J != BE;
-  for (; I != AE; ++I) {
-    Out.push_back({I->K, Def::P});
-    Changed |= I->D == Def::D;
-  }
-  for (; J != BE; ++J)
-    Out.push_back({J->K, Def::P});
-
-  if (!Changed)
+  Extra += static_cast<size_t>(BE - J);
+  for (; I != AE && !Weakens; ++I)
+    Weakens = I->D == Def::D;
+  if (Extra == 0 && !Weakens)
     return false;
+
+  size_t N = size();
+  size_t NewN = N + Extra;
+  notePeak(NewN);
+
+  // Writes the merged run to Out[0, NewN), walking both inputs from the
+  // back. Out may be this set's own run (From), already grown to NewN:
+  // each write lands above every still-unread entry of From.
+  auto fill = [&](Entry *Out, const Entry *From) {
+    const Entry *P = From + N;
+    const Entry *Q = BE;
+    Entry *W = Out + NewN;
+    while (Q != B) {
+      if (P != From && (P - 1)->K > (Q - 1)->K) {
+        --P;
+        *--W = {P->K, Def::P};
+      } else if (P != From && (P - 1)->K == (Q - 1)->K) {
+        --P;
+        --Q;
+        *--W = {P->K, meet(P->D, Q->D)};
+      } else {
+        --Q;
+        *--W = {Q->K, Def::P};
+      }
+    }
+    while (P != From) {
+      --P;
+      *--W = {P->K, Def::P};
+    }
+  };
+
+  if (!Heap && NewN <= InlineCap) {
+    fill(InlineBuf, InlineBuf);
+    InlineN = static_cast<uint32_t>(NewN);
+    return true;
+  }
+  if (Heap && Heap.unique()) {
+    std::vector<Entry> &Run = Heap->E;
+    if (Run.capacity() < NewN)
+      Run.reserve(NewN); // exact: no geometric slack in StmtIn blocks
+    Run.resize(NewN);
+    fill(Run.data(), Run.data());
+    Heap->sync();
+    return true;
+  }
+  // Shared block, or an inline set outgrowing the inline tier: adopt one
+  // private block of exactly the merged size. That is a rebuild, not a
+  // CoW detach, and is not counted as one.
+  std::vector<Entry> Out(NewN);
+  fill(Out.data(), A);
   adopt(std::move(Out));
   return true;
 }

@@ -28,8 +28,15 @@
 ///     one side is later mutated.
 /// The batch kernels (mergeWith/mergeAll/subsetOf/killFromAll/
 /// demoteFromAll) are linear merges and scans over the sorted entries
-/// instead of per-element ordered-map operations. Process-wide traffic
-/// counters (PointsToSet::stats) surface as the pta.set.* telemetry.
+/// instead of per-element ordered-map operations. mergeWith — the
+/// per-statement IN fold, most of whose calls change nothing — first
+/// scans both runs without writing; it allocates only when the set
+/// changes, and then merges in place (from the back, growing the block
+/// to exactly the merged size) when it owns its block or the result
+/// fits inline. A shared block is replaced by one private block of the
+/// merged contents, which is not counted as a CoW detach. Process-wide
+/// traffic counters (PointsToSet::stats) surface as the pta.set.*
+/// telemetry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -216,11 +223,26 @@ public:
   /// All (target, def) pairs for a source.
   std::vector<LocDef> targetsOf(const Location *Src,
                                 const LocationTable &Locs) const;
+  /// Calls F(target, def) for each pair of Src in target-id order,
+  /// straight off the entry run — targetsOf without the vector.
+  template <typename Fn>
+  void forEachTarget(const Location *Src, const LocationTable &Locs,
+                     Fn F) const {
+    PairKey Lo = static_cast<uint64_t>(Src->id()) << 32;
+    PairKey Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
+    const Entry *B = entries();
+    const Entry *E = B + size();
+    for (const Entry *It = std::lower_bound(
+             B, E, Lo, [](const Entry &X, PairKey K) { return X.K < K; });
+         It != E && It->K < Hi; ++It)
+      F(Locs.byId(static_cast<LocationId>(It->K & 0xffffffffu)), It->D);
+  }
   bool hasTargets(const Location *Src) const;
 
   /// Merge per Figure 1: definite iff definite in both operands.
-  /// Returns true if this set changed. A single linear merge of the two
-  /// sorted entry runs.
+  /// Returns true if this set changed. A read-only scan of the two
+  /// sorted entry runs decides that first; only a change writes, in
+  /// place when this set owns its block.
   bool mergeWith(const PointsToSet &Other);
 
   /// Batch kernel: the simultaneous merge of every set in \p Sets — the

@@ -153,4 +153,105 @@ TEST_F(LocationTest, IdsAreDense) {
   EXPECT_EQ(LB->id(), LA->id() + 1);
 }
 
+TEST_F(LocationTest, CachedLookupsMatchGet) {
+  RecordDecl RD("S", SourceLoc(), false);
+  FieldDecl F("f", SourceLoc(), IntPtr, &RD, 0);
+  RD.addField(&F);
+  RD.setComplete();
+  VarDecl S("s", SourceLoc(), Types.recordType(&RD), VarDecl::Storage::Local);
+  VarDecl A("a", SourceLoc(), Arr, VarDecl::Storage::Local);
+  const Entity *SE = Locs.variable(&S);
+  const Entity *AE = Locs.variable(&A);
+
+  // Each cached path answers what get() answers, whichever runs first.
+  EXPECT_EQ(Locs.varLoc(&S), Locs.get(SE));
+  EXPECT_EQ(Locs.get(AE), Locs.varLoc(&A));
+  const Location *SF = Locs.withField(Locs.varLoc(&S), &F);
+  EXPECT_EQ(SF, Locs.get(SE, {PathElem::field(&F)}));
+  EXPECT_EQ(SF, Locs.withField(Locs.varLoc(&S), &F));
+  const Location *Tail = Locs.get(AE, {PathElem::tail()});
+  EXPECT_EQ(Locs.withElem(Locs.varLoc(&A), false), Tail);
+  const Location *Head = Locs.withElem(Locs.varLoc(&A), true);
+  EXPECT_EQ(Head, Locs.get(AE, {PathElem::head()}));
+  EXPECT_EQ(Locs.headToTail(Head), Tail);
+  EXPECT_EQ(Locs.headToTail(Head), Tail) << "cached sibling";
+  EXPECT_EQ(Locs.heap(), Locs.get(Locs.heapEntity()));
+  EXPECT_EQ(Locs.null(), Locs.get(Locs.nullEntity()));
+}
+
+TEST_F(LocationTest, IdsFollowFirstRequestOrder) {
+  RecordDecl RD("S", SourceLoc(), false);
+  FieldDecl P("p", SourceLoc(), IntPtr, &RD, 0);
+  FieldDecl Q("q", SourceLoc(), IntPtr, &RD, 1);
+  RD.addField(&P);
+  RD.addField(&Q);
+  RD.setComplete();
+  VarDecl A("a", SourceLoc(), Types.recordType(&RD), VarDecl::Storage::Local);
+  VarDecl B("b", SourceLoc(), Arr, VarDecl::Storage::Local);
+
+  const Location *LA = Locs.varLoc(&A);
+  const Location *LAP = Locs.withField(LA, &P);
+  const Location *BTail = Locs.get(Locs.variable(&B), {PathElem::tail()});
+  const Location *LB = Locs.varLoc(&B); // not made by the get above
+  const Location *BHead = Locs.withElem(LB, true);
+  EXPECT_EQ(Locs.headToTail(BHead), BTail);
+  EXPECT_EQ(Locs.withElem(LB, false), BTail);
+  EXPECT_EQ(Locs.withField(LA, &P), LAP);
+  const Location *H = Locs.heap();
+  const Location *N = Locs.null();
+  const Location *LAQ = Locs.get(Locs.variable(&A), {PathElem::field(&Q)});
+  EXPECT_EQ(Locs.withField(LA, &Q), LAQ);
+
+  std::vector<uint32_t> Ids;
+  for (const Location *L : {LA, LAP, BTail, LB, BHead, H, N, LAQ})
+    Ids.push_back(L->id());
+  EXPECT_EQ(Ids, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(Locs.numLocations(), 8u);
+}
+
+TEST_F(LocationTest, MultiElementGetCreatesNoPrefix) {
+  RecordDecl Inner("I", SourceLoc(), false);
+  FieldDecl G("g", SourceLoc(), IntPtr, &Inner, 0);
+  Inner.addField(&G);
+  Inner.setComplete();
+  RecordDecl Outer("O", SourceLoc(), false);
+  FieldDecl F("f", SourceLoc(), Types.recordType(&Inner), &Outer, 0);
+  Outer.addField(&F);
+  Outer.setComplete();
+  VarDecl X("x", SourceLoc(), Types.recordType(&Outer),
+            VarDecl::Storage::Local);
+
+  const Location *XL = Locs.varLoc(&X);
+  uint32_t Before = Locs.numLocations();
+  const Location *XFG =
+      Locs.get(Locs.variable(&X), {PathElem::field(&F), PathElem::field(&G)});
+  EXPECT_EQ(XFG->str(), "x.f.g");
+  EXPECT_EQ(XFG->type(), IntPtr);
+  EXPECT_EQ(Locs.numLocations(), Before + 1) << "x.f was not created";
+
+  const Location *XF = Locs.withField(XL, &F);
+  EXPECT_EQ(XF->id(), XFG->id() + 1) << "x.f is made only when asked for";
+  EXPECT_EQ(Locs.withField(XF, &G), XFG);
+  EXPECT_EQ(Locs.numLocations(), Before + 2);
+}
+
+TEST_F(LocationTest, SummaryFollowsLateCollapse) {
+  Locs.setSymbolicLevelLimit(2);
+  VarDecl X("x", SourceLoc(), IntPtrPtr, VarDecl::Storage::Param);
+  FunctionDecl F("f", SourceLoc(),
+                 Types.functionType(IntTy, {IntPtrPtr}, false));
+  const Entity *S1 = Locs.symbolic(&F, Locs.varLoc(&X));
+  const Entity *S2 = Locs.symbolic(&F, Locs.get(S1));
+  const Location *S2Loc = Locs.get(S2);
+  const Location *S2Head = Locs.withElem(S2Loc, true);
+  EXPECT_FALSE(S2Loc->isSummary());
+  EXPECT_FALSE(S2Head->isSummary());
+
+  // Past the limit the chain folds into 2_x, after its locations exist.
+  EXPECT_EQ(Locs.symbolic(&F, S2Loc), S2);
+  EXPECT_TRUE(S2Loc->isSummary());
+  EXPECT_TRUE(S2Head->isSummary());
+  EXPECT_FALSE(Locs.get(S1)->isSummary()) << "1_x is still one location";
+}
+
 } // namespace

@@ -328,6 +328,82 @@ TEST_F(PointsToSetTest, RandomizedOpsMatchNaiveReference) {
   }
 }
 
+/// mergeWith's write paths, one case per path: a block owned outright
+/// (merged in place), a block shared with a live copy (rebuilt
+/// privately), a self-merge, a change of definiteness only, and no
+/// change at all — each with a receiving set that is inline or on the
+/// heap tier and sized on both sides of InlineCap (4).
+TEST_F(PointsToSetTest, MergeWithWritePathsMatchNaiveReference) {
+  // Grows Flat by N random pairs (sources v0..v4). With Heap set, five
+  // v5 pairs first push it past the inline tier and are then killed, so
+  // a set of any size lives on the heap tier.
+  auto Build = [&](Rng &R, uint32_t N, bool Heap, PointsToSet &Flat,
+                   NaiveSet &Ref) {
+    if (Heap)
+      for (int I = 0; I < 5; ++I)
+        Flat.insertKey(PointsToSet::keyIds(L[5]->id(), L[I]->id()), Def::D);
+    for (uint32_t I = 0; I < N; ++I) {
+      PointsToSet::PairKey K =
+          PointsToSet::keyIds(L[R.next(5)]->id(), L[R.next(6)]->id());
+      Def D = R.next(2) ? Def::D : Def::P;
+      Flat.insertKey(K, D);
+      Ref.insert(K, D);
+    }
+    if (Heap)
+      Flat.killFrom(L[5]);
+  };
+  enum Case { Owned, Shared, Self, WeakenOnly, NoChange };
+  const std::atomic<uint64_t> &Detaches = PointsToSet::stats().CowDetaches;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed)
+    for (Case C : {Owned, Shared, Self, WeakenOnly, NoChange})
+      for (bool Heap : {false, true}) {
+        Rng R(Seed * 8 + C);
+        PointsToSet A, B;
+        NaiveSet RA, RB;
+        Build(R, R.next(7), Heap, A, RA);
+        switch (C) {
+        case Owned:
+        case Shared:
+          Build(R, R.next(7), R.next(2), B, RB);
+          break;
+        case Self:
+          break;
+        case WeakenOnly: // A's pairs, some definite ones now possible
+          for (const auto &[K, D] : RA.M) {
+            Def BD = R.next(2) ? Def::P : D;
+            B.insertKey(K, BD);
+            RB.insert(K, BD);
+          }
+          break;
+        case NoChange: // A's definite pairs, and some possible ones
+          for (const auto &[K, D] : RA.M)
+            if (D == Def::D || R.next(2)) {
+              Def BD = R.next(2) ? Def::D : D;
+              B.insertKey(K, BD);
+              RB.insert(K, BD);
+            }
+          break;
+        }
+        PointsToSet Copy;
+        if (C == Shared)
+          Copy = A;
+        std::vector<PointsToSet::Entry> CopyBefore = entriesOf(Copy);
+
+        uint64_t DetachesBefore = Detaches.load();
+        bool Changed = C == Self ? A.mergeWith(A) : A.mergeWith(B);
+        EXPECT_EQ(Detaches.load(), DetachesBefore)
+            << "a merge rebuilds, it never detaches";
+        bool RefChanged = C == Self ? RA.mergeWith(RA) : RA.mergeWith(RB);
+        EXPECT_EQ(Changed, RefChanged) << "seed " << Seed << " case " << C;
+        if (C == Self || C == NoChange)
+          EXPECT_FALSE(Changed);
+        ASSERT_EQ(entriesOf(A), entriesOf(RA))
+            << "seed " << Seed << " case " << C << " heap " << Heap;
+        EXPECT_EQ(entriesOf(Copy), CopyBefore)
+            << "the live copy keeps its entries";
+      }
+}
+
 TEST_F(PointsToSetTest, RandomizedMergeAllMatchesSequentialFold) {
   for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
     Rng R(Seed);
