@@ -1,11 +1,13 @@
-//===- bench_parallel.cpp - file-level batch speedup ---------------------------===//
+//===- bench_parallel.cpp - in-process concurrent-analysis speedup -------------===//
 //
-// The payoff of file-level parallelism (docs/PARALLEL.md): the
-// 18-program corpus analyzed in-process, one file per task on a shared
-// ThreadPool — the exact shape of `pta-tool --batch
-// --analysis-threads=N`. Each analysis runs start to finish on its own
-// thread, so files are independent and this is the near-linear axis.
-// Each side is the median of three runs at T=1 and T=4.
+// The payoff of running whole analyses side by side in one process
+// (docs/PARALLEL.md): the 18-program corpus analyzed in-process, one
+// file per task on a shared ThreadPool — the shape of the serve worker
+// pool and of mcptabench's paper-corpus workload. (`pta-tool --batch`
+// forks one child per file instead, and is not timed here.) Each
+// analysis runs start to finish on its own thread, so files are
+// independent and this is the near-linear axis. Each side is the
+// median of three runs at T=1 and T=4.
 //
 // --par-bench-json=FILE (or MCPTA_PAR_BENCH_JSON) exports an
 // `mcpta-par-bench-v1` document with a `cores` field from
@@ -59,9 +61,9 @@ Pipeline analyzeOne(const std::string &Source) {
   return P;
 }
 
-/// Wall time for the whole corpus as an in-process batch: one analysis
-/// per program submitted to a shared pool — the runBatchParallel shape. Threads == 1 degrades to an inline
-/// pool, i.e. a plain in-order loop.
+/// Wall time for the whole corpus as in-process concurrent analyses: one
+/// analysis per program submitted to a shared pool. Threads == 1
+/// degrades to an inline pool, i.e. a plain in-order loop.
 double batchRun(unsigned Threads) {
   support::ThreadPool Pool(Threads);
   Clock::time_point T0 = Clock::now();

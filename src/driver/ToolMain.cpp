@@ -26,13 +26,14 @@
 //                     Perfetto)
 //
 // Batch parallelism (docs/PARALLEL.md):
-//   --analysis-threads=N  --batch only: analyze N files concurrently
-//                         in-process (replacing the fork-per-file
-//                         isolation), with output replayed in input
-//                         order; default 1 = fork per file. Each file's
-//                         analysis runs on one thread, so results are
+//   --analysis-threads=N  --batch only: keep up to N forked children
+//                         analyzing files at once (default 1). Every
+//                         file keeps its own process, and its output is
+//                         replayed in input order, so the output is
 //                         byte-identical at any N. Rejected without
-//                         --batch and with --incremental-baseline.
+//                         --batch. --json and --trace-json are rejected
+//                         with --batch; --profile prints each file's
+//                         own phase table.
 //
 // Resource governance (docs/ROBUSTNESS.md):
 //   --timeout-ms=N        wall-clock deadline for the analysis
@@ -76,11 +77,12 @@
 //                         each file re-analyzes against and updates its
 //                         own baseline. In both modes a baseline
 //                         recorded under a different options
-//                         fingerprint (or an older format version) is
-//                         never reused: the run falls back to a full
-//                         analysis with the reason printed and recorded
-//                         as an incr.fallback.* counter. Not applicable
-//                         to --serve.
+//                         fingerprint is never reused: the run falls
+//                         back to a full analysis with the reason
+//                         printed and recorded as an incr.fallback.*
+//                         counter. A baseline in an older format version
+//                         is ignored as unreadable and recreated. Not
+//                         applicable to --serve.
 //
 // One-shot demand queries (docs/DEMAND.md):
 //   --points-to=NAME      print the points-to targets of location NAME
@@ -106,7 +108,6 @@
 #include "serve/Serialize.h"
 #include "serve/Server.h"
 #include "serve/SummaryCache.h"
-#include "support/ThreadPool.h"
 #include "support/Version.h"
 #include "wlgen/WorkloadGen.h"
 
@@ -114,10 +115,12 @@
 
 #include <algorithm>
 #include <iostream>
-#include <mutex>
+#include <map>
 #include <set>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -138,7 +141,8 @@ struct ToolConfig {
   bool Stats = false;
   bool Profile = false;
   bool Strict = false;
-  /// --analysis-threads: in-process --batch width (1 = fork per file).
+  /// --analysis-threads: --batch width, the number of forked children
+  /// analyzing files at once.
   unsigned BatchThreads = 1;
   pta::Analyzer::Options Opts;
   std::string StatsJsonPath, TraceJsonPath;
@@ -191,17 +195,8 @@ bool parseU64Flag(const std::string &Arg, const char *Name, uint64_t &Out,
 /// exit code (0 clean, 1 error, 2 degraded under --strict). When
 /// \p CaptureOut is non-null and the analysis ran, the result snapshot
 /// is captured into it (for the batch-mode summary cache).
-///
-/// Output goes to \p OutF / \p ErrF rather than stdout/stderr directly:
-/// the parallel batch runs several of these concurrently, each writing
-/// into a private memory stream that is replayed in input order. When
-/// \p BatchTelem is set (parallel batch with an observability flag),
-/// the per-file telemetry is folded into it under \p BatchTelemMu via
-/// Telemetry::mergeFrom instead of being written per file.
 int runOne(const std::string &Source, const ToolConfig &Cfg,
-           serve::ResultSnapshot *CaptureOut = nullptr, FILE *OutF = stdout,
-           FILE *ErrF = stderr, support::Telemetry *BatchTelem = nullptr,
-           std::mutex *BatchTelemMu = nullptr) {
+           serve::ResultSnapshot *CaptureOut = nullptr) {
   pta::Analyzer::Options Opts = Cfg.Opts;
   // Any observability flag turns on the instrumented pipeline; the
   // default path stays uninstrumented (no telemetry overhead at all).
@@ -210,7 +205,7 @@ int runOne(const std::string &Source, const ToolConfig &Cfg,
   Pipeline P = WantTelemetry ? Pipeline::analyzeSourceTraced(Source, Opts)
                              : Pipeline::analyzeSource(Source, Opts);
   if (P.Diags.hasErrors()) {
-    std::fputs(P.Diags.dump().c_str(), ErrF);
+    std::fputs(P.Diags.dump().c_str(), stderr);
     return 1;
   }
   // Analysis warnings (e.g. a MaxLoopIterations safety-valve trip or an
@@ -218,7 +213,7 @@ int runOne(const std::string &Source, const ToolConfig &Cfg,
   // engine; never drop them silently.
   for (const Diagnostic &D : P.Diags.diagnostics())
     if (D.Level == DiagLevel::Warning)
-      std::fprintf(ErrF, "warning: %s\n", D.Message.c_str());
+      std::fprintf(stderr, "warning: %s\n", D.Message.c_str());
 
   // Budget degradations: one structured line per distinct (kind,
   // context category), plus a headline so batch logs stay greppable.
@@ -236,72 +231,62 @@ int runOne(const std::string &Source, const ToolConfig &Cfg,
         ++Suppressed;
         continue;
       }
-      std::fprintf(ErrF, "degraded: [%s] %s: %s\n",
+      std::fprintf(stderr, "degraded: [%s] %s: %s\n",
                    support::limitKindName(D.Kind), D.Context.c_str(),
                    D.Action.c_str());
     }
     if (Suppressed)
-      std::fprintf(ErrF,
+      std::fprintf(stderr,
                    "note: %u similar degradation line(s) suppressed (see "
                    "pta.degraded.* counters for full counts)\n",
                    Suppressed);
-    std::fprintf(ErrF,
+    std::fprintf(stderr,
                  "note: analysis degraded (%zu fallback(s)); results are "
                  "conservative but less precise\n",
                  P.Analysis.Degradations.size());
   }
 
   if (Cfg.DumpSimple)
-    std::fputs(P.Prog->str().c_str(), OutF);
+    std::fputs(P.Prog->str().c_str(), stdout);
   if (Cfg.DumpIG && P.Analysis.IG)
-    std::fputs(P.Analysis.IG->str().c_str(), OutF);
+    std::fputs(P.Analysis.IG->str().c_str(), stdout);
   if (Cfg.DumpPointsTo && P.Analysis.MainOut)
-    std::fprintf(OutF, "%s\n",
-                 P.Analysis.MainOut->str(*P.Analysis.Locs).c_str());
+    std::printf("%s\n", P.Analysis.MainOut->str(*P.Analysis.Locs).c_str());
 
   if (Cfg.Stats) {
     support::Telemetry::Span ClientsSpan(P.Telem.get(), "clients");
     auto IR = clients::IndirectRefAnalysis::compute(*P.Prog, P.Analysis);
     auto GS = clients::GeneralStats::compute(*P.Prog, P.Analysis);
     auto IS = clients::IGStats::compute(*P.Prog, P.Analysis);
-    std::fprintf(OutF, "SIMPLE stmts:        %u\n", P.Prog->numBasicStmts());
-    std::fprintf(OutF, "indirect refs:       %u (avg targets %.2f)\n",
-                 IR.Stats.IndirectRefs, IR.Stats.average());
-    std::fprintf(OutF, "  1D=%u 1P=%u 2=%u 3=%u 4+=%u replaceable=%u\n",
-                 IR.Stats.OneD.total(), IR.Stats.OneP.total(),
-                 IR.Stats.TwoP.total(), IR.Stats.ThreeP.total(),
-                 IR.Stats.FourPlusP.total(), IR.Stats.ScalarReplaceable);
-    std::fprintf(OutF,
-                 "pairs: SS=%llu SH=%llu HH=%llu HS=%llu avg=%.1f max=%u\n",
-                 GS.StackToStack, GS.StackToHeap, GS.HeapToHeap,
-                 GS.HeapToStack, GS.average(), GS.MaxPerStmt);
-    std::fprintf(OutF,
-                 "IG: nodes=%u callsites=%u fns=%u R=%u A=%u "
-                 "avgc=%.2f avgf=%.2f\n",
-                 IS.Nodes, IS.CallSites, IS.Functions, IS.Recursive,
-                 IS.Approximate, IS.avgPerCallSite(), IS.avgPerFunction());
+    std::printf("SIMPLE stmts:        %u\n", P.Prog->numBasicStmts());
+    std::printf("indirect refs:       %u (avg targets %.2f)\n",
+                IR.Stats.IndirectRefs, IR.Stats.average());
+    std::printf("  1D=%u 1P=%u 2=%u 3=%u 4+=%u replaceable=%u\n",
+                IR.Stats.OneD.total(), IR.Stats.OneP.total(),
+                IR.Stats.TwoP.total(), IR.Stats.ThreeP.total(),
+                IR.Stats.FourPlusP.total(), IR.Stats.ScalarReplaceable);
+    std::printf("pairs: SS=%llu SH=%llu HH=%llu HS=%llu avg=%.1f max=%u\n",
+                GS.StackToStack, GS.StackToHeap, GS.HeapToHeap,
+                GS.HeapToStack, GS.average(), GS.MaxPerStmt);
+    std::printf("IG: nodes=%u callsites=%u fns=%u R=%u A=%u "
+                "avgc=%.2f avgf=%.2f\n",
+                IS.Nodes, IS.CallSites, IS.Functions, IS.Recursive,
+                IS.Approximate, IS.avgPerCallSite(), IS.avgPerFunction());
   }
 
-  if (BatchTelem && P.Telem) {
-    // Parallel batch: fold this file's quiescent telemetry into the
-    // batch aggregate; the batch writes the profile/JSON exports once.
-    std::lock_guard<std::mutex> Lock(*BatchTelemMu);
-    BatchTelem->mergeFrom(*P.Telem);
-  } else {
-    if (Cfg.Profile && P.Telem)
-      std::fputs(P.Telem->profileTable().c_str(), OutF);
-    if (!Cfg.StatsJsonPath.empty() && P.Telem &&
-        !P.Telem->writeStatsJsonFile(Cfg.StatsJsonPath)) {
-      std::fprintf(ErrF, "error: cannot write stats JSON to '%s'\n",
-                   Cfg.StatsJsonPath.c_str());
-      return 1;
-    }
-    if (!Cfg.TraceJsonPath.empty() && P.Telem &&
-        !P.Telem->writeTraceJsonFile(Cfg.TraceJsonPath)) {
-      std::fprintf(ErrF, "error: cannot write trace JSON to '%s'\n",
-                   Cfg.TraceJsonPath.c_str());
-      return 1;
-    }
+  if (Cfg.Profile && P.Telem)
+    std::fputs(P.Telem->profileTable().c_str(), stdout);
+  if (!Cfg.StatsJsonPath.empty() && P.Telem &&
+      !P.Telem->writeStatsJsonFile(Cfg.StatsJsonPath)) {
+    std::fprintf(stderr, "error: cannot write stats JSON to '%s'\n",
+                 Cfg.StatsJsonPath.c_str());
+    return 1;
+  }
+  if (!Cfg.TraceJsonPath.empty() && P.Telem &&
+      !P.Telem->writeTraceJsonFile(Cfg.TraceJsonPath)) {
+    std::fprintf(stderr, "error: cannot write trace JSON to '%s'\n",
+                 Cfg.TraceJsonPath.c_str());
+    return 1;
   }
   if (CaptureOut)
     *CaptureOut = serve::ResultSnapshot::capture(
@@ -322,168 +307,41 @@ bool readFile(const std::string &Path, std::string &Out) {
 int runIncremental(const std::string &Source, const ToolConfig &Cfg,
                    const std::string &BaselinePath);
 
-/// In-process parallel batch (--analysis-threads=N with --batch): the
-/// files are dispatched as file-granularity tasks onto one work-stealing
-/// pool; each task analyzes on its own thread into private memory
-/// streams, and the captured output is replayed in input order
-/// afterwards, so stdout/stderr are byte-identical to the fork batch at
-/// any thread count. The summary cache is shared across workers (its
-/// locking makes concurrent lookup/store safe), and per-file telemetry
-/// folds into one batch aggregate via Telemetry::mergeFrom. Trade-off
-/// vs. the fork-per-file path: no process isolation — a crashing input
-/// takes the batch down — in exchange for near-linear throughput
-/// (docs/PARALLEL.md).
-int runBatchParallel(const std::vector<std::string> &Files,
-                     const ToolConfig &Cfg, serve::SummaryCache *Cache,
-                     const std::string &FP) {
-  struct FileOutcome {
-    int Code = 1;
-    bool Cached = false;
-    bool CachedDegraded = false;
-    bool OpenFailed = false;
-    std::string Out, Err;
-  };
-  std::vector<FileOutcome> Outcomes(Files.size());
+struct FileCloser {
+  void operator()(FILE *F) const { std::fclose(F); }
+};
+using FilePtr = std::unique_ptr<FILE, FileCloser>;
 
-  const bool WantTelemetry = Cfg.Profile || !Cfg.StatsJsonPath.empty() ||
-                             !Cfg.TraceJsonPath.empty();
-  support::Telemetry BatchTelem(WantTelemetry);
-  std::mutex BatchTelemMu;
-
-  support::ThreadPool Pool(Cfg.BatchThreads);
-  for (size_t I = 0; I < Files.size(); ++I) {
-    Pool.submit([&, I] {
-      FileOutcome &O = Outcomes[I];
-      std::string Source;
-      if (!readFile(Files[I], Source)) {
-        O.OpenFailed = true;
-        O.Code = 1;
-        return;
-      }
-      std::string Key;
-      if (Cache) {
-        Key = serve::SummaryCache::key(Source, FP);
-        std::string Warning;
-        if (auto Snap = Cache->lookup(Key, &Warning)) {
-          O.Cached = true;
-          O.CachedDegraded = Snap->degraded();
-          O.Code = (Cfg.Strict && O.CachedDegraded) ? 2 : 0;
-          return;
-        }
-        if (!Warning.empty())
-          O.Err += "warning: " + Warning + "\n";
-      }
-      char *OutBuf = nullptr, *ErrBuf = nullptr;
-      size_t OutLen = 0, ErrLen = 0;
-      FILE *OutF = open_memstream(&OutBuf, &OutLen);
-      FILE *ErrF = open_memstream(&ErrBuf, &ErrLen);
-      if (!OutF || !ErrF) {
-        if (OutF)
-          std::fclose(OutF);
-        if (ErrF)
-          std::fclose(ErrF);
-        std::free(OutBuf);
-        std::free(ErrBuf);
-        O.Err += "error: cannot allocate output buffer\n";
-        O.Code = 1;
-        return;
-      }
-      serve::ResultSnapshot Snap;
-      try {
-        O.Code = runOne(Source, Cfg, Cache ? &Snap : nullptr, OutF, ErrF,
-                        WantTelemetry ? &BatchTelem : nullptr, &BatchTelemMu);
-      } catch (const std::exception &E) {
-        std::fprintf(ErrF, "error: %s\n", E.what());
-        O.Code = 1;
-      }
-      std::fclose(OutF);
-      std::fclose(ErrF);
-      O.Out.assign(OutBuf, OutLen);
-      O.Err.append(ErrBuf, ErrLen);
-      std::free(OutBuf);
-      std::free(ErrBuf);
-      if (Cache && O.Code != 1) {
-        std::string StoreWarning;
-        Cache->store(Key, std::move(Snap), &StoreWarning);
-        if (!StoreWarning.empty())
-          O.Err += "warning: " + StoreWarning + "\n";
-      }
-    });
-  }
-  Pool.wait();
-
-  // Replay in input order: same lines, same order, as the fork-per-file
-  // batch. Flushing stdout before a file's stderr keeps the two streams
-  // in that order when they share one pipe (2>&1).
-  bool AnyError = false, AnyDegraded = false;
-  uint64_t CacheHits = 0;
-  for (size_t I = 0; I < Files.size(); ++I) {
-    const FileOutcome &O = Outcomes[I];
-    std::fflush(stdout);
-    if (!O.Err.empty())
-      std::fwrite(O.Err.data(), 1, O.Err.size(), stderr);
-    if (O.OpenFailed) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", Files[I].c_str());
-      std::printf("%s: error\n", Files[I].c_str());
-      AnyError = true;
-      continue;
-    }
-    if (!O.Out.empty())
-      std::fwrite(O.Out.data(), 1, O.Out.size(), stdout);
-    if (O.Cached) {
-      ++CacheHits;
-      if (Cfg.Strict && O.CachedDegraded) {
-        std::printf("%s: degraded (cached)\n", Files[I].c_str());
-        AnyDegraded = true;
-      } else {
-        std::printf("%s: ok (cached)\n", Files[I].c_str());
-      }
-      continue;
-    }
-    if (O.Code == 0)
-      std::printf("%s: ok\n", Files[I].c_str());
-    else if (O.Code == 2) {
-      std::printf("%s: degraded\n", Files[I].c_str());
-      AnyDegraded = true;
-    } else {
-      std::printf("%s: error\n", Files[I].c_str());
-      AnyError = true;
-    }
-  }
-  std::printf("batch: %zu file(s), %llu cache hit(s)\n", Files.size(),
-              static_cast<unsigned long long>(CacheHits));
-
-  if (WantTelemetry) {
-    if (Cfg.Profile)
-      std::fputs(BatchTelem.profileTable().c_str(), stdout);
-    if (!Cfg.StatsJsonPath.empty() &&
-        !BatchTelem.writeStatsJsonFile(Cfg.StatsJsonPath)) {
-      std::fprintf(stderr, "error: cannot write stats JSON to '%s'\n",
-                   Cfg.StatsJsonPath.c_str());
-      return 1;
-    }
-    if (!Cfg.TraceJsonPath.empty() &&
-        !BatchTelem.writeTraceJsonFile(Cfg.TraceJsonPath)) {
-      std::fprintf(stderr, "error: cannot write trace JSON to '%s'\n",
-                   Cfg.TraceJsonPath.c_str());
-      return 1;
-    }
-  }
-  if (AnyError)
-    return 1;
-  return AnyDegraded ? 2 : 0;
+/// Reads back and closes one of a batch child's capture files.
+std::string slurp(FilePtr F) {
+  std::string S;
+  std::rewind(F.get());
+  char Buf[65536];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), F.get()))
+    S.append(Buf, N);
+  return S;
 }
 
 /// Batch mode: analyzes every *.c file under \p Dir, each in a forked
 /// child so one pathological or crashing input cannot take down the
-/// rest of the batch. Prints one status line per file and a final
-/// summary line. When \p CacheDir is non-empty, results are read from
-/// and written to the summary cache there: cached files skip the fork
-/// and the analysis entirely. When \p IncrDir is non-empty, every file
-/// runs through the incremental engine against its own baseline
-/// snapshot at IncrDir/<stem>.snapshot (created on the first run,
-/// updated on every run); baseline reuse supersedes the content cache,
-/// so the summary cache is not consulted in that mode.
+/// rest of the batch. Up to Cfg.BatchThreads children run at once. Each
+/// child's stdout and stderr go to two unlinked temp files (a pipe would
+/// block a child whose output outgrows the pipe buffer while the parent
+/// is still replaying an earlier file). The parent replays each file's
+/// stderr, then its stdout, then its status line, strictly in input
+/// order, so the output is the same at every width; a summary line
+/// closes the batch.
+///
+/// When \p CacheDir is non-empty, the parent looks every file up in the
+/// summary cache there before forking: a hit skips the fork and the
+/// analysis entirely, and children store their results into the shared
+/// disk tier. A file whose content matches one still being analyzed
+/// waits for it, so it hits the cache exactly as it would at width 1.
+/// When \p IncrDir is non-empty, every file runs through the incremental
+/// engine against its own baseline snapshot at IncrDir/<stem>.snapshot
+/// (created on the first run, updated on every run); baseline reuse
+/// supersedes the content cache, so the summary cache is not consulted
+/// in that mode.
 int runBatch(const std::string &Dir, const ToolConfig &Cfg,
              const std::string &CacheDir, const std::string &IncrDir) {
   namespace fs = std::filesystem;
@@ -522,126 +380,170 @@ int runBatch(const std::string &Dir, const ToolConfig &Cfg,
   }
   const std::string FP = serve::optionsFingerprint(Cfg.Opts);
 
-  // Parallel in-process batch. Incremental batch keeps the sequential
-  // fork path: each file mutates its own baseline snapshot and the
-  // engine's output interleaves with the parent's prefix lines.
-  if (Cfg.BatchThreads > 1 && !Incremental)
-    return runBatchParallel(Files, Cfg, Cache.get(), FP);
+  struct FileRun {
+    std::string Key;
+    std::string Err, Out; // parent warnings + child stderr; child stdout
+    FilePtr ErrF, OutF; // the child's capture files while it runs
+    bool Running = false, OpenFailed = false, Cached = false;
+    bool CachedDegraded = false;
+    int Code = 1, Signal = 0; // child exit code, or its fatal signal
+  };
+  std::vector<FileRun> Runs(Files.size());
+  std::map<pid_t, size_t> Children;
+
+  // Forks file I's child; a failed start is recorded as the file's error.
+  auto Launch = [&](size_t I, const std::string &Source) {
+    FileRun &R = Runs[I];
+    R.OutF.reset(std::tmpfile());
+    R.ErrF.reset(std::tmpfile());
+    // The child inherits stdio buffers; flush so nothing is emitted
+    // twice (parent) or dropped at _exit (child flushes explicitly).
+    std::fflush(stdout);
+    std::fflush(stderr);
+    pid_t Pid = R.OutF && R.ErrF ? fork() : -1;
+    if (Pid < 0) {
+      R.Err += "error: cannot start the analysis of '" + Files[I] +
+               "': " + std::strerror(errno) + "\n";
+      R.OutF.reset();
+      R.ErrF.reset();
+      return;
+    }
+    if (Pid == 0) {
+      dup2(fileno(R.OutF.get()), STDOUT_FILENO);
+      dup2(fileno(R.ErrF.get()), STDERR_FILENO);
+      int Code;
+      if (Incremental) {
+        Code = runIncremental(
+            Source, Cfg,
+            (fs::path(IncrDir) / (fs::path(Files[I]).stem().string() +
+                                  ".snapshot"))
+                .string());
+      } else {
+        serve::ResultSnapshot Snap;
+        Code = runOne(Source, Cfg, Cache ? &Snap : nullptr);
+        if (Cache && Code != 1) {
+          // The disk tier is shared with the parent and the other
+          // children: files analyzed here are hits for identical inputs
+          // later in this batch and in the next run. Blob temp names
+          // carry the pid, so concurrent stores do not collide.
+          serve::SummaryCache ChildCache(CacheCfg, nullptr);
+          std::string StoreWarning;
+          ChildCache.store(R.Key, std::move(Snap), &StoreWarning);
+          if (!StoreWarning.empty())
+            std::fprintf(stderr, "warning: %s\n", StoreWarning.c_str());
+        }
+      }
+      std::fflush(stdout);
+      std::fflush(stderr);
+      _exit(Code);
+    }
+    R.Running = true;
+    Children[Pid] = I;
+  };
 
   // Worst outcome across the batch: error (1) beats degraded-under-
   // strict (2) beats clean (0).
   bool AnyError = false, AnyDegraded = false;
   uint64_t CacheHits = 0;
-  for (const std::string &F : Files) {
-    std::string Source;
-    if (!readFile(F, Source)) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", F.c_str());
-      std::printf("%s: error\n", F.c_str());
-      AnyError = true;
-      continue;
-    }
-    std::string Key;
-    if (Cache) {
-      Key = serve::SummaryCache::key(Source, FP);
-      std::string Warning;
-      if (auto Snap = Cache->lookup(Key, &Warning)) {
-        ++CacheHits;
-        if (Cfg.Strict && Snap->degraded()) {
-          std::printf("%s: degraded (cached)\n", F.c_str());
-          AnyDegraded = true;
-        } else {
-          std::printf("%s: ok (cached)\n", F.c_str());
-        }
-        continue;
-      }
-      if (!Warning.empty())
-        std::fprintf(stderr, "warning: %s\n", Warning.c_str());
-    }
-    if (Incremental) {
-      // The child completes this line with the engine's status (e.g.
-      // "incremental: dirty_functions=0 ..." or "incremental: full
-      // re-analysis (options-mismatch)").
-      std::printf("%s: ", F.c_str());
-    }
-    // The child inherits stdio buffers; flush so nothing is emitted
-    // twice (parent) or dropped at _exit (child flushes explicitly).
+  auto Replay = [&](size_t I) {
+    const FileRun &R = Runs[I];
+    const char *F = Files[I].c_str();
+    // Flushing stdout before a file's stderr keeps the two streams in
+    // order when they share one pipe (2>&1).
     std::fflush(stdout);
-    std::fflush(stderr);
-    pid_t Pid = fork();
-    if (Pid < 0) {
-      std::fprintf(stderr, "error: fork failed for '%s'\n", F.c_str());
-      return 1;
+    std::fwrite(R.Err.data(), 1, R.Err.size(), stderr);
+    if (R.OpenFailed) {
+      std::fprintf(stderr, "error: cannot open '%s'\n", F);
+      std::printf("%s: error\n", F);
+      AnyError = true;
+      return;
     }
-    if (Pid == 0) {
-      if (Incremental) {
-        std::string BaselinePath =
-            (fs::path(IncrDir) / (fs::path(F).stem().string() + ".snapshot"))
-                .string();
-        int Code = runIncremental(Source, Cfg, BaselinePath);
-        if (Code == 1)
-          std::printf("error\n"); // finish the parent's prefix line
-        std::fflush(stdout);
-        std::fflush(stderr);
-        _exit(Code);
-      }
-      if (Cache) {
-        // The disk tier is shared with the parent: files analyzed here
-        // are hits for identical inputs later in this batch and in the
-        // next run. Children run sequentially, so writes do not race.
-        serve::ResultSnapshot Snap;
-        int Code = runOne(Source, Cfg, &Snap);
-        if (Code != 1) {
-          serve::SummaryCache ChildCache(CacheCfg, nullptr);
-          std::string StoreWarning;
-          ChildCache.store(Key, std::move(Snap), &StoreWarning);
-          if (!StoreWarning.empty())
-            std::fprintf(stderr, "warning: %s\n", StoreWarning.c_str());
+    if (R.Cached) {
+      AnyDegraded |= R.CachedDegraded;
+      std::printf("%s: %s (cached)\n", F, R.CachedDegraded ? "degraded" : "ok");
+      return;
+    }
+    // An incremental child prints the engine's status (e.g.
+    // "incremental: dirty_functions=0 ...") as the rest of this line;
+    // the parent completes it only when the child could not.
+    if (Incremental)
+      std::printf("%s: ", F);
+    std::fwrite(R.Out.data(), 1, R.Out.size(), stdout);
+    const bool Failed = R.Signal || (R.Code != 0 && R.Code != 2);
+    AnyError |= Failed;
+    AnyDegraded |= !Failed && R.Code == 2;
+    if (!Incremental)
+      std::printf("%s: ", F);
+    if (R.Signal)
+      std::printf("CRASHED (signal %d)\n", R.Signal);
+    else if (Failed)
+      std::fputs("error\n", stdout);
+    else if (!Incremental)
+      std::fputs(R.Code == 2 ? "degraded\n" : "ok\n", stdout);
+  };
+
+  const size_t Width = std::max(1u, Cfg.BatchThreads);
+  size_t Next = 0, Replayed = 0;
+  std::string Source; // Files[Next]'s text, once read
+  bool HaveSource = false;
+  while (Replayed < Files.size()) {
+    while (Next < Files.size() && Children.size() < Width) {
+      FileRun &R = Runs[Next];
+      if (!HaveSource) {
+        if (!readFile(Files[Next], Source)) {
+          R.OpenFailed = true;
+          ++Next;
+          continue;
         }
-        // _exit skips stdio teardown; flush or the child's dump/stats
-        // output is silently dropped whenever stdout is not a tty.
-        std::fflush(stdout);
-        std::fflush(stderr);
-        _exit(Code);
+        HaveSource = true;
+        if (Cache)
+          R.Key = serve::SummaryCache::key(Source, FP);
       }
-      {
-        int Code = runOne(Source, Cfg);
-        std::fflush(stdout);
-        std::fflush(stderr);
-        _exit(Code);
+      if (Cache && std::any_of(Children.begin(), Children.end(),
+                               [&](const auto &C) {
+                                 return Runs[C.second].Key == R.Key;
+                               }))
+        break; // same content still running: wait for its stored result
+      HaveSource = false;
+      if (Cache) {
+        std::string Warning;
+        if (auto Snap = Cache->lookup(R.Key, &Warning)) {
+          ++CacheHits;
+          R.Cached = true;
+          R.CachedDegraded = Cfg.Strict && Snap->degraded();
+          ++Next;
+          continue;
+        }
+        if (!Warning.empty())
+          R.Err += "warning: " + Warning + "\n";
       }
+      Launch(Next++, Source);
     }
+    while (Replayed < Next && !Runs[Replayed].Running)
+      Replay(Replayed++);
+    if (Children.empty())
+      continue;
     int Status = 0;
-    if (waitpid(Pid, &Status, 0) < 0) {
-      std::fprintf(stderr, "error: waitpid failed for '%s'\n", F.c_str());
+    pid_t Pid = waitpid(-1, &Status, 0);
+    if (Pid < 0) {
+      if (errno == EINTR)
+        continue;
+      std::fprintf(stderr, "error: waitpid failed: %s\n",
+                   std::strerror(errno));
       return 1;
     }
-    if (WIFSIGNALED(Status)) {
-      if (Incremental) // the file prefix is already on the line
-        std::printf("CRASHED (signal %d)\n", WTERMSIG(Status));
-      else
-        std::printf("%s: CRASHED (signal %d)\n", F.c_str(),
-                    WTERMSIG(Status));
-      AnyError = true;
+    auto It = Children.find(Pid);
+    if (It == Children.end())
       continue;
-    }
-    int Code = WIFEXITED(Status) ? WEXITSTATUS(Status) : 1;
-    if (Incremental) {
-      // The child already completed the status line.
-      if (Code == 2)
-        AnyDegraded = true;
-      else if (Code != 0)
-        AnyError = true;
-      continue;
-    }
-    if (Code == 0)
-      std::printf("%s: ok\n", F.c_str());
-    else if (Code == 2) {
-      std::printf("%s: degraded\n", F.c_str());
-      AnyDegraded = true;
-    } else {
-      std::printf("%s: error\n", F.c_str());
-      AnyError = true;
-    }
+    FileRun &R = Runs[It->second];
+    Children.erase(It);
+    R.Running = false;
+    if (WIFSIGNALED(Status))
+      R.Signal = WTERMSIG(Status);
+    else
+      R.Code = WIFEXITED(Status) ? WEXITSTATUS(Status) : 1;
+    R.Err += slurp(std::move(R.ErrF));
+    R.Out = slurp(std::move(R.OutF));
   }
   std::printf("batch: %zu file(s), %llu cache hit(s)\n", Files.size(),
               static_cast<unsigned long long>(CacheHits));
@@ -909,7 +811,7 @@ int main(int argc, char **argv) {
                           BadNumber)) {
       if (BadNumber)
         return 1;
-      // 0 and 1 both mean the fork-per-file batch.
+      // 0 and 1 both mean one child at a time.
       Cfg.BatchThreads =
           static_cast<unsigned>(std::min<uint64_t>(BatchThreads, 256));
       BatchThreadsGiven = true;
@@ -991,10 +893,15 @@ int main(int argc, char **argv) {
                          "only to --serve\n");
     return 1;
   }
-  if (BatchThreadsGiven &&
-      (BatchDir.empty() || Serve || !IncrBaselinePath.empty())) {
-    std::fprintf(stderr, "error: --analysis-threads applies only to --batch "
-                         "without --incremental-baseline\n");
+  if (BatchThreadsGiven && (BatchDir.empty() || Serve)) {
+    std::fprintf(stderr, "error: --analysis-threads applies only to --batch\n");
+    return 1;
+  }
+  if (!BatchDir.empty() &&
+      (!Cfg.StatsJsonPath.empty() || !Cfg.TraceJsonPath.empty())) {
+    // Every file's child would write the same path concurrently.
+    std::fprintf(stderr, "error: --json and --trace-json do not apply to "
+                         "--batch (use --profile for per-file phases)\n");
     return 1;
   }
   if (Serve)

@@ -41,7 +41,6 @@
 #include "driver/Pipeline.h"
 #include "ig/InvocationGraph.h"
 #include "pointsto/Location.h"
-#include "support/Version.h"
 
 #include <algorithm>
 #include <map>
@@ -993,8 +992,6 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot &Baseline,
     return O;
   };
 
-  if (Baseline.FormatVersion != version::kResultFormatVersion)
-    return FullRun("baseline-version");
   if (OptsFP != Baseline.OptionsFingerprint)
     return FullRun("options-mismatch");
   if (!Opts.ContextSensitive || Opts.FnPtr != pta::FnPtrMode::Precise ||

@@ -55,7 +55,6 @@ struct IncrStats {
   /// from-scratch analysis was performed instead.
   bool UsedIncremental = false;
   /// Why the engine fell back ("" when UsedIncremental). One of:
-  /// baseline-version (blob from an older format revision),
   /// options-mismatch (baseline produced under a different options
   /// fingerprint), options-unsupported, baseline-unanalyzed,
   /// baseline-degraded, frontend-error, types-changed, no-main,

@@ -52,8 +52,8 @@ public:
     Locs.setSymbolicLevelLimit(Opts.SymbolicLevelLimit);
     // pta.set.* counters are process-wide; publishTelemetry() reports
     // this run's deltas. The peaks are per-run high-water marks (and,
-    // under in-process batch parallelism, per-process approximations —
-    // see docs/PARALLEL.md).
+    // when analyses run side by side in one process, per-process
+    // approximations — see docs/PARALLEL.md).
     PointsToSet::stats().PeakPairs.store(0, std::memory_order_relaxed);
     PointsToSet::stats().HeapBytesPeak.store(
         PointsToSet::stats().HeapBytes.load(std::memory_order_relaxed),

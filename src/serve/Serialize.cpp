@@ -143,7 +143,6 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
                                        const pta::Analyzer::Result &Res,
                                        std::string OptionsFingerprint) {
   ResultSnapshot S;
-  S.FormatVersion = version::kResultFormatVersion;
   S.OptionsFingerprint = std::move(OptionsFingerprint);
   S.Analyzed = Res.Analyzed ? 1 : 0;
   S.NumStmts = Prog.numStmts();
@@ -351,8 +350,7 @@ bool ResultSnapshot::aliased(const std::string &A, const std::string &B) const {
 }
 
 bool ResultSnapshot::operator==(const ResultSnapshot &O) const {
-  return FormatVersion == O.FormatVersion &&
-         OptionsFingerprint == O.OptionsFingerprint && Analyzed == O.Analyzed &&
+  return OptionsFingerprint == O.OptionsFingerprint && Analyzed == O.Analyzed &&
          NumStmts == O.NumStmts && Locations == O.Locations &&
          HasMainOut == O.HasMainOut && MainOut == O.MainOut &&
          StmtIn == O.StmtIn && IG == O.IG && Degradations == O.Degradations &&
@@ -653,29 +651,11 @@ private:
   std::string Err;
 };
 
-/// Reads a points-to set into the snapshot's (Src, Dst)-sorted triple
-/// vector. v1/v2 blobs carry flat (src, dst, definite) triples; v3
-/// carries per-source runs (see writeTriples), whose sortedness the
-/// reader enforces so a v3 round trip is exactly order-preserving.
-bool readTriples(ByteReader &R, std::vector<Triple> &Out, size_t NumLocs,
-                 bool RunFormat) {
-  if (!RunFormat) {
-    uint32_t N = R.count(9);
-    Out.reserve(N);
-    for (uint32_t I = 0; I < N && R.ok(); ++I) {
-      Triple T;
-      T.Src = R.u32();
-      T.Dst = R.u32();
-      T.Definite = R.u8();
-      if (R.ok() && (T.Src >= NumLocs || T.Dst >= NumLocs || T.Definite > 1)) {
-        R.fail("triple references out-of-range location id");
-        return false;
-      }
-      Out.push_back(T);
-    }
-    return R.ok();
-  }
-
+/// Reads a points-to set, encoded as per-source runs (see writeTriples),
+/// into the snapshot's (Src, Dst)-sorted triple vector. The reader
+/// enforces the runs' sortedness, so a round trip is exactly
+/// order-preserving.
+bool readTriples(ByteReader &R, std::vector<Triple> &Out, size_t NumLocs) {
   // Min run size: src id + pair count + one 5-byte pair.
   uint32_t NumRuns = R.count(13);
   int64_t PrevSrc = -1;
@@ -748,13 +728,10 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
   if (R.ok() && std::memcmp(Head.data(), Magic, 4) != 0)
     R.fail("bad magic (not an mcpta-result blob)");
   uint32_t Version = R.u32();
-  if (R.ok() && (Version < 1 || Version > version::kResultFormatVersion))
+  if (R.ok() && Version != version::kResultFormatVersion)
     R.fail("unsupported format version " + std::to_string(Version) +
-           " (this build reads versions 1.." +
+           " (this build reads version " +
            std::to_string(version::kResultFormatVersion) + ")");
-  const bool V1 = Version == 1;
-  const bool Runs = Version >= 3; // v3 set encoding: per-source runs
-  Out.FormatVersion = Version;
   Out.OptionsFingerprint = R.str(R.u32());
 
   std::vector<std::string> Strings;
@@ -765,14 +742,8 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
 
   Out.Analyzed = R.u8();
   Out.NumStmts = R.u32();
-  if (V1) {
-    // v1 carried three run-history counters; v2 dropped them.
-    R.u64();
-    R.u64();
-    R.u64();
-  }
 
-  uint32_t NumLocs = R.count(V1 ? 15 : 35);
+  uint32_t NumLocs = R.count(35);
   Out.Locations.reserve(NumLocs);
   for (uint32_t I = 0; I < NumLocs && R.ok(); ++I) {
     LocationRecord L;
@@ -783,32 +754,29 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
     L.SymbolicLevel = R.u32();
     L.Name = tableRef(R, Strings, R.u32());
     L.Owner = tableRef(R, Strings, R.u32());
-    if (!V1) {
-      L.RootName = tableRef(R, Strings, R.u32());
-      L.LocalIndex = R.i32();
-      L.SymParent = R.i32();
-      L.StringId = R.u32();
-      uint32_t NumPath = R.count(1);
-      for (uint32_t J = 0; J < NumPath && R.ok(); ++J) {
-        uint8_t K = R.u8();
-        if (R.ok() && K > 2) {
-          R.fail("location path element kind out of range");
-          break;
-        }
-        L.PathKinds.push_back(K);
-        if (K == 0)
-          L.FieldNames.push_back(tableRef(R, Strings, R.u32()));
-      }
-      if (R.ok() &&
-          (L.EntityKind > 6 || L.LocalIndex < -1 || L.SymParent < -1 ||
-           (L.SymParent >= 0 &&
-            static_cast<uint32_t>(L.SymParent) >= NumLocs))) {
-        // SymParent may exceed the record's own id (canonical order is
-        // not topological); only the range is checkable here. The
-        // incremental engine's resolver cycle-guards.
-        R.fail("corrupt location record");
+    L.RootName = tableRef(R, Strings, R.u32());
+    L.LocalIndex = R.i32();
+    L.SymParent = R.i32();
+    L.StringId = R.u32();
+    uint32_t NumPath = R.count(1);
+    for (uint32_t J = 0; J < NumPath && R.ok(); ++J) {
+      uint8_t K = R.u8();
+      if (R.ok() && K > 2) {
+        R.fail("location path element kind out of range");
         break;
       }
+      L.PathKinds.push_back(K);
+      if (K == 0)
+        L.FieldNames.push_back(tableRef(R, Strings, R.u32()));
+    }
+    if (R.ok() &&
+        (L.EntityKind > 6 || L.LocalIndex < -1 || L.SymParent < -1 ||
+         (L.SymParent >= 0 && static_cast<uint32_t>(L.SymParent) >= NumLocs))) {
+      // SymParent may exceed the record's own id (canonical order is
+      // not topological); only the range is checkable here. The
+      // incremental engine's resolver cycle-guards.
+      R.fail("corrupt location record");
+      break;
     }
     if (R.ok() && L.Id != I)
       R.fail("location ids are not dense");
@@ -818,7 +786,7 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
   Out.HasMainOut = R.u8();
   if (R.ok() && Out.HasMainOut > 1)
     R.fail("corrupt MainOut flag");
-  readTriples(R, Out.MainOut, Out.Locations.size(), Runs);
+  readTriples(R, Out.MainOut, Out.Locations.size());
 
   uint32_t NumStmtSets = R.count(8);
   Out.StmtIn.reserve(NumStmtSets);
@@ -829,11 +797,11 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
       R.fail("statement id out of range");
       break;
     }
-    readTriples(R, Rec.Triples, Out.Locations.size(), Runs);
+    readTriples(R, Rec.Triples, Out.Locations.size());
     Out.StmtIn.push_back(std::move(Rec));
   }
 
-  uint32_t NumIG = R.count(V1 ? 23 : 27);
+  uint32_t NumIG = R.count(27);
   Out.IG.reserve(NumIG);
   for (uint32_t I = 0; I < NumIG && R.ok(); ++I) {
     IGNodeRecord N;
@@ -842,8 +810,7 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
     N.CallSiteId = R.u32();
     N.Parent = R.i32();
     N.RecEdge = R.i32();
-    if (!V1)
-      N.EvalCount = R.u32();
+    N.EvalCount = R.u32();
     N.HasInput = R.u8();
     N.HasOutput = R.u8();
     if (R.ok() && (N.Kind > 2 || N.HasInput > 1 || N.HasOutput > 1 ||
@@ -855,8 +822,8 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
       R.fail("corrupt invocation-graph node record");
       break;
     }
-    readTriples(R, N.Input, Out.Locations.size(), Runs);
-    readTriples(R, N.Output, Out.Locations.size(), Runs);
+    readTriples(R, N.Input, Out.Locations.size());
+    readTriples(R, N.Output, Out.Locations.size());
     Out.IG.push_back(std::move(N));
   }
 
@@ -876,47 +843,45 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
 
   Out.Warnings = readStrList(R, Strings);
 
-  if (!V1) {
-    uint32_t NumWarnFns = R.count(8);
-    for (uint32_t I = 0; I < NumWarnFns && R.ok(); ++I) {
-      const std::string &Fn = tableRef(R, Strings, R.u32());
-      std::vector<std::string> Msgs = readStrList(R, Strings);
-      if (R.ok())
-        Out.WarningsByFn[Fn] = std::move(Msgs);
-    }
+  uint32_t NumWarnFns = R.count(8);
+  for (uint32_t I = 0; I < NumWarnFns && R.ok(); ++I) {
+    const std::string &Fn = tableRef(R, Strings, R.u32());
+    std::vector<std::string> Msgs = readStrList(R, Strings);
+    if (R.ok())
+      Out.WarningsByFn[Fn] = std::move(Msgs);
+  }
 
-    Out.Meta.TypesFingerprint = R.u64();
-    Out.Meta.GlobalInitFingerprint = R.u64();
-    Out.Meta.GlobalInitStringIds = readU32List(R);
-    uint32_t NumFns = R.count(14);
-    Out.Meta.Functions.reserve(NumFns);
-    for (uint32_t I = 0; I < NumFns && R.ok(); ++I) {
-      incr::FunctionMeta F;
-      F.Name = tableRef(R, Strings, R.u32());
-      F.Defined = R.u8();
-      F.HasIndirectCalls = R.u8();
-      if (R.ok() && (F.Defined > 1 || F.HasIndirectCalls > 1)) {
-        R.fail("corrupt function-meta record");
-        break;
-      }
-      F.Fingerprint = R.u64();
-      F.ParamNames = readStrList(R, Strings);
-      F.LocalNames = readStrList(R, Strings);
-      F.CalleeNames = readStrList(R, Strings);
-      F.GlobalRefs = readStrList(R, Strings);
-      F.StmtIds = readU32List(R);
-      F.CallSiteIds = readU32List(R);
-      F.StringIds = readU32List(R);
-      Out.Meta.Functions.push_back(std::move(F));
+  Out.Meta.TypesFingerprint = R.u64();
+  Out.Meta.GlobalInitFingerprint = R.u64();
+  Out.Meta.GlobalInitStringIds = readU32List(R);
+  uint32_t NumFns = R.count(14);
+  Out.Meta.Functions.reserve(NumFns);
+  for (uint32_t I = 0; I < NumFns && R.ok(); ++I) {
+    incr::FunctionMeta F;
+    F.Name = tableRef(R, Strings, R.u32());
+    F.Defined = R.u8();
+    F.HasIndirectCalls = R.u8();
+    if (R.ok() && (F.Defined > 1 || F.HasIndirectCalls > 1)) {
+      R.fail("corrupt function-meta record");
+      break;
     }
-    uint32_t NumGlobals = R.count(12);
-    Out.Meta.Globals.reserve(NumGlobals);
-    for (uint32_t I = 0; I < NumGlobals && R.ok(); ++I) {
-      incr::GlobalMeta G;
-      G.Name = tableRef(R, Strings, R.u32());
-      G.Fingerprint = R.u64();
-      Out.Meta.Globals.push_back(std::move(G));
-    }
+    F.Fingerprint = R.u64();
+    F.ParamNames = readStrList(R, Strings);
+    F.LocalNames = readStrList(R, Strings);
+    F.CalleeNames = readStrList(R, Strings);
+    F.GlobalRefs = readStrList(R, Strings);
+    F.StmtIds = readU32List(R);
+    F.CallSiteIds = readU32List(R);
+    F.StringIds = readU32List(R);
+    Out.Meta.Functions.push_back(std::move(F));
+  }
+  uint32_t NumGlobals = R.count(12);
+  Out.Meta.Globals.reserve(NumGlobals);
+  for (uint32_t I = 0; I < NumGlobals && R.ok(); ++I) {
+    incr::GlobalMeta G;
+    G.Name = tableRef(R, Strings, R.u32());
+    G.Fingerprint = R.u64();
+    Out.Meta.Globals.push_back(std::move(G));
   }
 
   uint32_t NumAlias = R.count(8);

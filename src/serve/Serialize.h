@@ -48,8 +48,8 @@
 /// deserialize() is corruption-tolerant: truncated, oversized, or
 /// inconsistent input yields `false` and an error message, never a
 /// crash or an out-of-bounds read (the cache maps that to a miss).
-/// Version-1 blobs are still read (FormatVersion records which reader
-/// ran); version-1 snapshots lack the v2-only sections.
+/// Only the current version is read: a v1 or v2 blob fails with
+/// "unsupported format version".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,7 +80,7 @@ struct LocationRecord {
   std::string Name;  ///< display name, e.g. "x", "s.next", "2_x"
   std::string Owner; ///< owning function, "" for globals/program-wide
 
-  /// v2 structural identity (defaults for v1-loaded snapshots):
+  /// Structural identity:
   std::string RootName; ///< root entity display name
   /// For frame Variable roots: index into the owner's params+locals
   /// list; -1 for globals and non-variable roots. Disambiguates
@@ -138,9 +138,8 @@ struct IGNodeRecord {
   uint32_t CallSiteId = 0;
   int32_t Parent = -1;
   int32_t RecEdge = -1;
-  /// Body-evaluation episodes (v2; 0 in v1-loaded snapshots). The
-  /// incremental engine only trusts a node as a subtree-graft donor
-  /// when it evaluated exactly once.
+  /// Body-evaluation episodes. The incremental engine only trusts a
+  /// node as a subtree-graft donor when it evaluated exactly once.
   uint32_t EvalCount = 0;
   uint8_t HasInput = 0;
   uint8_t HasOutput = 0;
@@ -169,11 +168,6 @@ struct DegradationRecord {
 
 /// Everything one analysis run produced, self-contained.
 struct ResultSnapshot {
-  /// Which format revision this snapshot came from: the current
-  /// version for capture(), the blob's header version for
-  /// deserialize(). v1-loaded snapshots lack EvalCount, the structural
-  /// location fields, WarningsByFn, and Meta.
-  uint32_t FormatVersion = 0;
   /// Fingerprint of the Analyzer options + limits that produced this
   /// result (optionsFingerprint below); stored in the blob header so a
   /// loaded result is attributable.
@@ -187,8 +181,7 @@ struct ResultSnapshot {
   std::vector<StmtSetRecord> StmtIn;
   std::vector<IGNodeRecord> IG;
   std::vector<DegradationRecord> Degradations;
-  /// Sorted and deduplicated in v2 captures (v1 blobs preserved their
-  /// emission order).
+  /// Sorted and deduplicated.
   std::vector<std::string> Warnings;
   /// v2: every warning message keyed by the emitting function ("" for
   /// warnings raised outside any body). Values sorted, deduplicated.
@@ -272,7 +265,7 @@ std::string optionsFingerprint(const pta::Analyzer::Options &Opts);
 /// equal snapshots yield equal bytes.
 std::string serialize(const ResultSnapshot &S);
 
-/// Parses a blob produced by serialize(), current or version-1 format.
+/// Parses a blob produced by serialize() in the current format version.
 /// Returns false with an error message on any malformed input (wrong
 /// magic, unknown format version, truncation, out-of-range indices);
 /// never throws or crashes.

@@ -40,7 +40,8 @@ inline constexpr const char *kResultFormatName = "mcpta-result-v3";
 /// every points-to set as id-sorted per-source runs (one source id
 /// followed by its (dst, definite) pairs) instead of flat triples —
 /// the shape the flat-vector PointsToSet representation produces
-/// directly. deserialize() still reads version-1 and version-2 blobs.
+/// directly. deserialize() reads this version only: an older blob is
+/// rejected as unreadable (a cache miss, or a recreated baseline).
 inline constexpr uint32_t kResultFormatVersion = 3;
 
 } // namespace version

@@ -14,8 +14,14 @@
 #include "incr/Fingerprint.h"
 #include "incr/IncrementalEngine.h"
 #include "serve/Serialize.h"
-#include "support/Version.h"
 #include "wlgen/WorkloadGen.h"
+
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 using namespace mcpta;
 using namespace mcpta::incr;
@@ -215,132 +221,90 @@ TEST(DirtySetTest, ExternChangeDirtiesIndirectCallers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Old-format reader compatibility (v1 and v2 blobs)
+// Old format versions
 //===----------------------------------------------------------------------===//
 
-/// Hand-assembled minimal mcpta-result-v1 blob (empty analyzed result):
-/// the layout deserialize() documents for version-1 input.
-std::string minimalV1Blob() {
-  std::string B;
-  auto U32 = [&](uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  auto U64 = [&](uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  B += "MCPT";
-  U32(1);          // format version
-  U32(0);          // options fingerprint (empty)
-  U32(0);          // string table: no entries
-  B.push_back(1);  // Analyzed
-  U32(0);          // NumStmts
-  U64(0);          // v1 run-history counters
-  U64(0);
-  U64(0);
-  U32(0);          // locations
-  B.push_back(0);  // HasMainOut
-  U32(0);          // MainOut triples
-  U32(0);          // StmtIn records
-  U32(0);          // IG nodes
-  U32(0);          // degradations
-  U32(0);          // warnings
-  U32(0);          // alias pairs
-  U32(0);          // reads
-  U32(0);          // writes
-  return B;
+/// Returns a current-format blob with its version field set to \p Old.
+std::string withFormatVersion(std::string Blob, char Old) {
+  Blob[4] = Old; // little-endian u32 version after the 4-byte magic
+  return Blob;
 }
 
-/// Hand-assembled minimal mcpta-result-v2 blob (empty analyzed result):
-/// v1 minus the run-history counters, plus the empty per-function
-/// warning map and incremental meta sections, with flat (not run-
-/// encoded) triple sections.
-std::string minimalV2Blob() {
-  std::string B;
-  auto U32 = [&](uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  auto U64 = [&](uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  B += "MCPT";
-  U32(2);          // format version
-  U32(0);          // options fingerprint (empty)
-  U32(0);          // string table: no entries
-  B.push_back(1);  // Analyzed
-  U32(0);          // NumStmts
-  U32(0);          // locations
-  B.push_back(0);  // HasMainOut
-  U32(0);          // MainOut triples (v2: flat triples)
-  U32(0);          // StmtIn records
-  U32(0);          // IG nodes
-  U32(0);          // degradations
-  U32(0);          // warnings
-  U32(0);          // warnings-by-function entries
-  U64(0);          // types fingerprint
-  U64(0);          // global-init fingerprint
-  U32(0);          // global-init string ids
-  U32(0);          // function meta records
-  U32(0);          // global meta records
-  U32(0);          // alias pairs
-  U32(0);          // reads
-  U32(0);          // writes
-  return B;
-}
-
-TEST(IncrementalTest, V1BlobStillDeserializes) {
+/// Checks that deserialize() rejects a blob of format version \p Old up
+/// front, so an old baseline is never handed to the engine.
+void expectOldVersionRejected(char Old) {
+  std::string Blob = withFormatVersion(
+      scratchBlob("int main(void) { return 0; }\n"), Old);
   ResultSnapshot S;
   std::string Err;
-  ASSERT_TRUE(deserialize(minimalV1Blob(), S, Err)) << Err;
-  EXPECT_EQ(S.FormatVersion, 1u);
-  EXPECT_TRUE(S.Analyzed);
-  EXPECT_TRUE(S.Meta.Functions.empty()) << "v1 blobs carry no meta";
+  EXPECT_FALSE(deserialize(Blob, S, Err));
+  EXPECT_NE(Err.find("unsupported format version " + std::to_string(Old)),
+            std::string::npos)
+      << Err;
 }
 
-TEST(IncrementalTest, V2BlobStillDeserializes) {
-  ResultSnapshot S;
-  std::string Err;
-  ASSERT_TRUE(deserialize(minimalV2Blob(), S, Err)) << Err;
-  EXPECT_EQ(S.FormatVersion, 2u);
-  EXPECT_TRUE(S.Analyzed);
-  EXPECT_TRUE(S.WarningsByFn.empty());
+/// Runs `pta-tool --incremental-baseline=Baseline Src` and returns its
+/// merged stdout and stderr, setting \p ExitCode.
+std::string runIncrementalTool(const std::string &Baseline,
+                               const std::string &Src, int &ExitCode) {
+  std::string Cmd = std::string(PTA_TOOL_PATH) + " --incremental-baseline=" +
+                    Baseline + " " + Src + " 2>&1";
+  std::string Out;
+  ExitCode = -1;
+  FILE *Pipe = popen(Cmd.c_str(), "r");
+  if (!Pipe)
+    return Out;
+  char Buf[4096];
+  while (size_t N = fread(Buf, 1, sizeof(Buf), Pipe))
+    Out.append(Buf, N);
+  ExitCode = WEXITSTATUS(pclose(Pipe));
+  return Out;
 }
+
+/// An incremental run against a baseline of format version \p Old falls
+/// back to a full analysis, records why, and replaces the baseline with a
+/// current-format snapshot equal to a from-scratch run.
+void expectOldBaselineFallsBack(char Old) {
+  const char *Source = "int main(void) { int x; int *p; p = &x; return 0; }\n";
+  std::string Dir = ::testing::TempDir() + "/pta_incr_old_v" +
+                    std::to_string(Old);
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  std::string Src = Dir + "/prog.c";
+  std::string Baseline = Dir + "/prog.snapshot";
+  std::ofstream(Src) << Source;
+  std::ofstream(Baseline, std::ios::binary)
+      << withFormatVersion(scratchBlob(Source), Old);
+
+  int Exit = -1;
+  std::string Out = runIncrementalTool(Baseline, Src, Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  size_t Reason =
+      Out.find("unsupported format version " + std::to_string(Old));
+  size_t Created = Out.find("incremental: baseline created");
+  EXPECT_NE(Out.find("ignoring unreadable baseline"), std::string::npos)
+      << Out;
+  ASSERT_NE(Reason, std::string::npos) << Out;
+  ASSERT_NE(Created, std::string::npos) << Out;
+  EXPECT_LT(Reason, Created) << Out;
+
+  std::ifstream In(Baseline, std::ios::binary);
+  std::string Written((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(Written, scratchBlob(Source));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(IncrementalTest, V1BlobIsRejected) { expectOldVersionRejected(1); }
+
+TEST(IncrementalTest, V2BlobIsRejected) { expectOldVersionRejected(2); }
 
 TEST(IncrementalTest, V1BaselineFallsBackWithRecordedReason) {
-  ResultSnapshot V1;
-  std::string Err;
-  ASSERT_TRUE(deserialize(minimalV1Blob(), V1, Err)) << Err;
-
-  const char *Src = "int main(void) { return 0; }\n";
-  pta::Analyzer::Options Opts;
-  support::Telemetry Telem(true);
-  IncrOutput O = IncrementalEngine::reanalyze(V1, Src, Opts, &Telem);
-  ASSERT_TRUE(O.Ok) << O.Error;
-  EXPECT_FALSE(O.Stats.UsedIncremental);
-  EXPECT_EQ(O.Stats.FallbackReason, "baseline-version");
-  EXPECT_EQ(Telem.counter("incr.fallback.baseline-version").Value, 1u);
-  // The fallback still produces a correct, current-format snapshot.
-  EXPECT_EQ(O.Blob, scratchBlob(Src, Opts));
-  EXPECT_EQ(O.Snapshot.FormatVersion, version::kResultFormatVersion);
+  expectOldBaselineFallsBack(1);
 }
 
 TEST(IncrementalTest, V2BaselineFallsBackWithRecordedReason) {
-  ResultSnapshot V2;
-  std::string Err;
-  ASSERT_TRUE(deserialize(minimalV2Blob(), V2, Err)) << Err;
-
-  const char *Src = "int main(void) { return 0; }\n";
-  pta::Analyzer::Options Opts;
-  support::Telemetry Telem(true);
-  IncrOutput O = IncrementalEngine::reanalyze(V2, Src, Opts, &Telem);
-  ASSERT_TRUE(O.Ok) << O.Error;
-  EXPECT_FALSE(O.Stats.UsedIncremental);
-  EXPECT_EQ(O.Stats.FallbackReason, "baseline-version");
-  EXPECT_EQ(Telem.counter("incr.fallback.baseline-version").Value, 1u);
-  EXPECT_EQ(O.Snapshot.FormatVersion, version::kResultFormatVersion);
+  expectOldBaselineFallsBack(2);
 }
 
 //===----------------------------------------------------------------------===//

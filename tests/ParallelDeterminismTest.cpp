@@ -34,7 +34,7 @@ std::string analyzeToBlob(const std::string &Source,
 }
 
 /// Analyzes \p Source as \p Copies concurrent tasks on a pool of that
-/// width — the runBatchParallel shape — and returns every copy's blob.
+/// width — the serve worker pool's shape — and returns every copy's blob.
 std::vector<std::string> analyzeConcurrently(const std::string &Source,
                                              const pta::Analyzer::Options &Opts,
                                              unsigned Copies) {

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -21,9 +22,9 @@ struct ToolRun {
   std::string Output;
 };
 
-ToolRun runTool(const std::string &Args) {
+/// Runs a shell command line, capturing its stdout.
+ToolRun runShell(const std::string &Cmd) {
   ToolRun R;
-  std::string Cmd = std::string(PTA_TOOL_PATH) + " " + Args + " 2>&1";
   FILE *Pipe = popen(Cmd.c_str(), "r");
   if (!Pipe)
     return R;
@@ -33,6 +34,10 @@ ToolRun runTool(const std::string &Args) {
   int Status = pclose(Pipe);
   R.ExitCode = WEXITSTATUS(Status);
   return R;
+}
+
+ToolRun runTool(const std::string &Args) {
+  return runShell(std::string(PTA_TOOL_PATH) + " " + Args + " 2>&1");
 }
 
 std::string writeTemp(const std::string &Contents) {
@@ -445,9 +450,9 @@ TEST(ToolTest, BatchStrictReportsDegraded) {
 }
 
 TEST(ToolTest, BatchOutputSameAtEveryWidth) {
-  // The fork batch (width 1) and the in-process batch (width 4) print
-  // the same merged stdout+stderr: every file's diagnostics land after
-  // the earlier files' status lines, cold and warm alike.
+  // One child at a time (width 1) and four at once (width 4) print the
+  // same merged stdout+stderr: every file's diagnostics land after the
+  // earlier files' status lines, cold and warm alike.
   std::string Dir = ::testing::TempDir() + "/pta_tool_batch_width";
   std::string CacheRoot = ::testing::TempDir() + "/pta_tool_batch_width_cache";
   std::filesystem::remove_all(Dir);
@@ -508,22 +513,132 @@ TEST(ToolTest, BatchWidthFlagRejectedWithServe) {
       << R.Output;
 }
 
-TEST(ToolTest, BatchWidthFlagRejectedWithIncrementalBatch) {
-  std::string Dir = ::testing::TempDir() + "/pta_tool_batch_incr_threads";
-  std::string BaseDir =
-      ::testing::TempDir() + "/pta_tool_batch_incr_threads_base";
+TEST(ToolTest, BatchIncrementalSameAtEveryWidth) {
+  // The incremental batch prints the same output and writes the same
+  // baseline bytes at width 1 and width 4, cold and warm.
+  namespace fs = std::filesystem;
+  std::string Dir = ::testing::TempDir() + "/pta_tool_batch_incr_width";
+  std::string BaseRoot = ::testing::TempDir() + "/pta_tool_batch_incr_width_b";
+  fs::remove_all(Dir);
+  fs::remove_all(BaseRoot);
+  fs::create_directories(Dir);
+  {
+    std::ofstream(Dir + "/one.c")
+        << "int main(void) { int x; int *p; p = &x; return 0; }";
+    std::ofstream(Dir + "/two.c")
+        << "int g; int main(void) { g = 1; return g; }";
+    std::ofstream(Dir + "/fnptr.c")
+        << "int g;\n"
+           "void set(int **out, int *value) { *out = value; }\n"
+           "int apply(void (*fn)(int **, int *), int **o, int *v) "
+           "{ fn(o, v); return 0; }\n"
+           "int main(void) { int *p; apply(set, &p, &g); return *p; }\n";
+  }
+  auto Slurp = [](const std::string &Path) {
+    std::ifstream In(Path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(In), {});
+  };
+  for (const char *Phase : {"cold", "warm"}) {
+    ToolRun Runs[2];
+    for (int I = 0; I < 2; ++I)
+      Runs[I] = runTool("--batch " + Dir + " --analysis-threads=" +
+                        (I ? "4" : "1") + " --incremental-baseline=" +
+                        BaseRoot + "/w" + std::to_string(I));
+    EXPECT_EQ(Runs[0].ExitCode, 0) << Phase << "\n" << Runs[0].Output;
+    EXPECT_EQ(Runs[1].ExitCode, 0) << Phase;
+    EXPECT_EQ(Runs[1].Output, Runs[0].Output) << Phase;
+    EXPECT_NE(Runs[0].Output.find(std::string("two.c: incremental: ") +
+                                  (Phase[0] == 'c' ? "baseline created"
+                                                   : "dirty_functions=")),
+              std::string::npos)
+        << Runs[0].Output;
+    for (const char *Stem : {"one", "two", "fnptr"}) {
+      std::string B0 = Slurp(BaseRoot + "/w0/" + Stem + ".snapshot");
+      EXPECT_FALSE(B0.empty()) << Phase << " " << Stem;
+      EXPECT_EQ(Slurp(BaseRoot + "/w1/" + Stem + ".snapshot"), B0)
+          << Phase << " " << Stem;
+    }
+  }
+  fs::remove_all(Dir);
+  fs::remove_all(BaseRoot);
+}
+
+TEST(ToolTest, BatchIsolatesCrashAtEveryWidth) {
+  // A file that dies on a signal (here: the CPU-time limit) is reported
+  // as CRASHED and the rest of the batch still runs, at every width.
+  std::string Dir = ::testing::TempDir() + "/pta_tool_batch_crash";
   std::filesystem::remove_all(Dir);
-  std::filesystem::remove_all(BaseDir);
+  std::filesystem::create_directories(Dir);
+  ToolRun Gen = runTool("--gen-stress=8");
+  ASSERT_EQ(Gen.ExitCode, 0);
+  {
+    std::ofstream(Dir + "/stress.c") << Gen.Output;
+    std::ofstream(Dir + "/tiny.c")
+        << "int main(void) { int x; int *p; p = &x; return 0; }";
+  }
+  for (const char *Width : {"1", "4"}) {
+    ToolRun R = runShell("sh -c 'ulimit -t 1; " + std::string(PTA_TOOL_PATH) +
+                         " --batch " + Dir + " --analysis-threads=" + Width +
+                         "' 2>&1");
+    EXPECT_EQ(R.ExitCode, 1) << "width " << Width << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("stress.c: CRASHED (signal"), std::string::npos)
+        << "width " << Width << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("tiny.c: ok"), std::string::npos)
+        << "width " << Width << "\n" << R.Output;
+  }
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ToolTest, BatchProfilePrintsEachFilesTable) {
+  // --profile inside a batch prints each analyzed file's own phase
+  // table in that file's block, also when files run concurrently.
+  std::string Dir = ::testing::TempDir() + "/pta_tool_batch_profile";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  {
+    std::ofstream(Dir + "/a.c")
+        << "int main(void) { int x; int *p; p = &x; return 0; }";
+    std::ofstream(Dir + "/b.c") << "int g; int main(void) { g = 1; return g; }";
+    std::ofstream(Dir + "/c.c")
+        << "int *id(int *q) { return q; }\n"
+           "int main(void) { int x; int *p; p = id(&x); return *p; }\n";
+  }
+  ToolRun R = runTool("--batch " + Dir + " --profile --analysis-threads=4");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  unsigned Tables = 0;
+  std::istringstream Lines(R.Output);
+  for (std::string Line; std::getline(Lines, Line);) {
+    unsigned long long TotalUs = 0;
+    if (std::sscanf(Line.c_str(), "total %llu", &TotalUs) == 1) {
+      EXPECT_GT(TotalUs, 0u) << R.Output;
+      ++Tables;
+    }
+  }
+  EXPECT_EQ(Tables, 3u) << R.Output;
+  // Each table closes its own file's block, before that file's status.
+  EXPECT_LT(R.Output.find("total "), R.Output.find("a.c: ok")) << R.Output;
+  EXPECT_EQ(R.Output.find("\nphase", R.Output.find("c.c: ok")),
+            std::string::npos)
+      << R.Output;
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ToolTest, BatchRejectsJsonExports) {
+  // Every file's child would write the same path: a usage error.
+  std::string Dir = ::testing::TempDir() + "/pta_tool_batch_json";
+  std::string Json = ::testing::TempDir() + "/pta_tool_batch_json.json";
+  std::filesystem::remove_all(Dir);
   std::filesystem::create_directories(Dir);
   std::ofstream(Dir + "/one.c")
       << "int main(void) { int x; int *p; p = &x; return 0; }";
-  ToolRun R = runTool("--batch " + Dir + " --incremental-baseline=" + BaseDir +
-                      " --analysis-threads=2");
-  EXPECT_EQ(R.ExitCode, 1) << R.Output;
-  EXPECT_NE(R.Output.find("--analysis-threads applies only to --batch"),
-            std::string::npos)
-      << R.Output;
-  EXPECT_FALSE(std::filesystem::exists(BaseDir)) << R.Output;
+  for (const char *Flag : {"--json", "--trace-json"}) {
+    std::remove(Json.c_str());
+    ToolRun R = runTool("--batch " + Dir + " " + Flag + " " + Json);
+    EXPECT_EQ(R.ExitCode, 1) << Flag << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("do not apply to --batch"), std::string::npos)
+        << R.Output;
+    EXPECT_FALSE(std::filesystem::exists(Json)) << Flag;
+  }
   std::filesystem::remove_all(Dir);
 }
 
