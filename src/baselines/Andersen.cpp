@@ -1,435 +1,437 @@
-//===- Andersen.cpp - flow-insensitive inclusion baseline ---------------------===//
+//===- Andersen.cpp - flow-insensitive inclusion solver -----------------------===//
 
 #include "baselines/Andersen.h"
 
-#include "simple/Simplifier.h"
+#include "pointsto/Analyzer.h"
 
-#include <cassert>
+#include <algorithm>
+#include <deque>
+#include <optional>
 
 using namespace mcpta;
 using namespace mcpta::baselines;
 using namespace mcpta::simple;
 namespace cf = mcpta::cfront;
 
+using NodeId = AndersenSolver::NodeId;
+
 namespace {
 
-/// Abstract nodes: program variables (field-insensitive), one heap, one
-/// node per function, one per string literal.
-struct Node {
-  enum class Kind { Var, Heap, Function, String } K = Kind::Var;
-  const cf::VarDecl *Var = nullptr;
-  const cf::FunctionDecl *Fn = nullptr;
-  unsigned StringId = 0;
-  std::string Name;
+/// Inserts \p X into the sorted vector \p V; true when it was new.
+bool insertSorted(std::vector<NodeId> &V, NodeId X) {
+  auto It = std::lower_bound(V.begin(), V.end(), X);
+  if (It != V.end() && *It == X)
+    return false;
+  V.insert(It, X);
+  return true;
+}
+
+/// Dst |= Src over sorted vectors; true when Dst grew.
+bool unionInto(std::vector<NodeId> &Dst, const std::vector<NodeId> &Src) {
+  if (std::includes(Dst.begin(), Dst.end(), Src.begin(), Src.end()))
+    return false;
+  std::vector<NodeId> Out;
+  Out.reserve(Dst.size() + Src.size());
+  std::set_union(Dst.begin(), Dst.end(), Src.begin(), Src.end(),
+                 std::back_inserter(Out));
+  Dst.swap(Out);
+  return true;
+}
+
+/// Where a right-hand side's targets come from: the address of a node,
+/// a copy of a node's set, or a load through a node.
+struct Source {
+  enum class Kind { Addr, Copy, Load };
+  Kind K;
+  NodeId N;
 };
 
-class Solver {
-public:
-  explicit Solver(const Program &Prog) : Prog(Prog) {}
+/// The value source of a reference (fields and indices collapse onto
+/// the base variable).
+Source refSource(const Reference &R, NodeId Base) {
+  if (R.AddrOf) // &(*p).f and &p[i] are an offset of p's value.
+    return {R.Deref ? Source::Kind::Copy : Source::Kind::Addr, Base};
+  return {R.Deref ? Source::Kind::Load : Source::Kind::Copy, Base};
+}
 
-  AndersenResult solve();
+} // namespace
+
+/// Constraint generation and the worklist. The constraint graph lives
+/// only while the solver is being built; the solution stays in the
+/// AndersenSolver.
+class AndersenSolver::Builder {
+public:
+  Builder(AndersenSolver &S, const Program &Prog) : S(S), Prog(Prog) {}
+
+  void run();
 
 private:
-  unsigned varNode(const cf::VarDecl *V);
-  unsigned heapNode();
-  unsigned fnNode(const cf::FunctionDecl *F);
-  unsigned stringNode(unsigned Id);
-  unsigned retNode(const cf::FunctionDecl *F);
-
-  void addAddress(unsigned Lhs, unsigned Obj) {
-    AddrConstraints.push_back({Lhs, Obj});
-  }
-  void addCopy(unsigned Lhs, unsigned Rhs) {
-    CopyConstraints.push_back({Lhs, Rhs});
-  }
-  void addLoad(unsigned Lhs, unsigned Ptr) {
-    LoadConstraints.push_back({Lhs, Ptr});
-  }
-  void addStore(unsigned Ptr, unsigned Rhs) {
-    StoreConstraints.push_back({Ptr, Rhs});
-  }
-
-  /// The node holding a reference's *value source*. For `*p...` the
-  /// value is loaded through p; for `&x...` it is the address of x; a
-  /// plain `x...` is a copy of x (fields collapse onto the base).
-  void constrainRead(unsigned Lhs, const Reference &Ref);
-  void constrainReadOperand(unsigned Lhs, const Operand &O);
-  void constrainWrite(const Reference &Lhs, unsigned RhsTmp);
-  unsigned freshTmp(const std::string &Hint);
-
-  void genStmt(const Stmt *S);
-  void genCall(const CallInfo &CI, const Reference *LhsRef);
-  void bindCall(const CallInfo &CI, const cf::FunctionDecl *F,
-                const Reference *LhsRef);
-
-  const Program &Prog;
-  std::vector<Node> Nodes;
-  std::map<const cf::VarDecl *, unsigned> VarIds;
-  std::map<const cf::FunctionDecl *, unsigned> FnIds;
-  std::map<const cf::FunctionDecl *, unsigned> RetIds;
-  std::map<unsigned, unsigned> StringIds;
-  int Heap = -1;
-
-  std::vector<std::pair<unsigned, unsigned>> AddrConstraints;
-  std::vector<std::pair<unsigned, unsigned>> CopyConstraints;
-  std::vector<std::pair<unsigned, unsigned>> LoadConstraints;
-  std::vector<std::pair<unsigned, unsigned>> StoreConstraints;
-
-  /// Indirect call sites, re-bound as the solution grows.
-  struct IndirectSite {
-    const CallInfo *CI;
-    const Reference *LhsRef;
-    std::set<const cf::FunctionDecl *> Bound;
+  /// A constraint attached to pointer node P, applied to each target T
+  /// of P: Load `Other ⊇ T`, Store `T ⊇ Other`, StoreAddr `T ∋ Other`.
+  struct Complex {
+    enum class Kind { Load, Store, StoreAddr };
+    Kind K;
+    NodeId Other;
   };
-  std::vector<IndirectSite> IndirectSites;
+  /// An indirect call site and the callees bound to it so far.
+  struct Site {
+    const CallInfo *CI;
+    const Reference *Lhs;
+    std::vector<NodeId> Bound;
+  };
 
-  std::vector<std::set<unsigned>> Pts;
-  /// retval node of the function currently being constrained.
-  unsigned CurRet = ~0u;
+  NodeId newNode(Node N);
+  NodeId var(const cf::VarDecl *V);
+  NodeId function(const cf::FunctionDecl *F);
+  NodeId string(unsigned Id);
+
+  std::optional<Source> value(const Operand &O);
+  /// Dst ⊇ V.
+  void flow(NodeId Dst, Source V);
+  /// Lhs ⊇ V, storing through Lhs when it dereferences.
+  void assign(const Reference &Lhs, Source V);
+  void assignOperand(const Reference &Lhs, const Operand &O) {
+    if (std::optional<Source> V = value(O))
+      assign(Lhs, *V);
+  }
+
+  void genStmt(const Stmt *St, const cf::FunctionDecl *Owner);
+  void genCall(const CallInfo &CI, const Reference *Lhs);
+  void bindCall(const CallInfo &CI, const cf::FunctionDecl *F,
+                const Reference *Lhs);
+
+  void push(NodeId N) {
+    if (!Queued[N]) {
+      Queued[N] = 1;
+      Work.push_back(N);
+    }
+  }
+  void addPts(NodeId N, NodeId T) {
+    if (insertSorted(S.Pts[N], T))
+      push(N);
+  }
+  void addEdge(NodeId From, NodeId To) {
+    if (From != To && insertSorted(Succ[From], To) &&
+        unionInto(S.Pts[To], S.Pts[From]))
+      push(To);
+  }
+  void addComplex(NodeId P, Complex C) {
+    Cx[P].push_back(C);
+    if (!S.Pts[P].empty())
+      push(P);
+  }
+  void process(NodeId N);
+
+  AndersenSolver &S;
+  const Program &Prog;
+  /// Copy edges: pts(To) ⊇ pts(From) for every To in Succ[From].
+  std::vector<std::vector<NodeId>> Succ;
+  std::vector<std::vector<Complex>> Cx;
+  std::vector<Site> Sites;
+  /// Indirect call sites by the node of their function pointer.
+  std::vector<std::vector<unsigned>> SitesOf;
+  std::deque<NodeId> Work;
+  std::vector<uint8_t> Queued;
 };
 
-unsigned Solver::varNode(const cf::VarDecl *V) {
-  auto It = VarIds.find(V);
-  if (It != VarIds.end())
-    return It->second;
-  Node N;
-  N.K = Node::Kind::Var;
-  N.Var = V;
-  N.Name = (V->owner() ? V->owner()->name() + "::" : std::string()) +
-           V->name();
-  Nodes.push_back(N);
-  unsigned Id = Nodes.size() - 1;
-  VarIds[V] = Id;
-  return Id;
+NodeId AndersenSolver::Builder::newNode(Node N) {
+  S.Nodes.push_back(N);
+  S.Pts.emplace_back();
+  Succ.emplace_back();
+  Cx.emplace_back();
+  SitesOf.emplace_back();
+  Queued.push_back(0);
+  return static_cast<NodeId>(S.Nodes.size() - 1);
 }
 
-unsigned Solver::heapNode() {
-  if (Heap < 0) {
-    Node N;
-    N.K = Node::Kind::Heap;
-    N.Name = "heap";
-    Nodes.push_back(N);
-    Heap = static_cast<int>(Nodes.size() - 1);
-  }
-  return static_cast<unsigned>(Heap);
+NodeId AndersenSolver::Builder::var(const cf::VarDecl *V) {
+  auto [It, New] = S.VarIds.try_emplace(V, 0);
+  if (New)
+    It->second = newNode({Node::Kind::Var, V, nullptr, 0});
+  return It->second;
 }
 
-unsigned Solver::fnNode(const cf::FunctionDecl *F) {
-  auto It = FnIds.find(F);
-  if (It != FnIds.end())
-    return It->second;
-  Node N;
-  N.K = Node::Kind::Function;
-  N.Fn = F;
-  N.Name = F->name();
-  Nodes.push_back(N);
-  unsigned Id = Nodes.size() - 1;
-  FnIds[F] = Id;
-  return Id;
+NodeId AndersenSolver::Builder::function(const cf::FunctionDecl *F) {
+  auto [It, New] = S.FnIds.try_emplace(F, 0);
+  if (New)
+    It->second = newNode({Node::Kind::Function, nullptr, F, 0});
+  return It->second;
 }
 
-unsigned Solver::stringNode(unsigned SId) {
-  auto It = StringIds.find(SId);
-  if (It != StringIds.end())
-    return It->second;
-  Node N;
-  N.K = Node::Kind::String;
-  N.StringId = SId;
-  N.Name = "str$" + std::to_string(SId);
-  Nodes.push_back(N);
-  unsigned Id = Nodes.size() - 1;
-  StringIds[SId] = Id;
-  return Id;
+NodeId AndersenSolver::Builder::string(unsigned Id) {
+  auto [It, New] = S.StringIds.try_emplace(Id, 0);
+  if (New)
+    It->second = newNode({Node::Kind::String, nullptr, nullptr, Id});
+  return It->second;
 }
 
-unsigned Solver::retNode(const cf::FunctionDecl *F) {
-  auto It = RetIds.find(F);
-  if (It != RetIds.end())
-    return It->second;
-  Node N;
-  N.K = Node::Kind::Var;
-  N.Name = "retval$" + F->name();
-  Nodes.push_back(N);
-  unsigned Id = Nodes.size() - 1;
-  RetIds[F] = Id;
-  return Id;
-}
-
-unsigned Solver::freshTmp(const std::string &Hint) {
-  Node N;
-  N.K = Node::Kind::Var;
-  N.Name = "$andersen$" + Hint + std::to_string(Nodes.size());
-  Nodes.push_back(N);
-  return Nodes.size() - 1;
-}
-
-void Solver::constrainRead(unsigned Lhs, const Reference &Ref) {
-  unsigned Base = varNode(Ref.Base);
-  if (Ref.AddrOf) {
-    if (Ref.Deref) {
-      // &(*p).f and &p[i] copy (an offset of) p's value.
-      addCopy(Lhs, Base);
-      return;
-    }
-    addAddress(Lhs, Base);
-    return;
-  }
-  if (Ref.Deref) {
-    addLoad(Lhs, Base);
-    return;
-  }
-  addCopy(Lhs, Base);
-}
-
-void Solver::constrainReadOperand(unsigned Lhs, const Operand &O) {
+std::optional<Source> AndersenSolver::Builder::value(const Operand &O) {
   switch (O.K) {
   case Operand::Kind::Ref:
-    constrainRead(Lhs, O.Ref);
-    return;
+    if (!O.Ref.Base)
+      return std::nullopt;
+    return refSource(O.Ref, var(O.Ref.Base));
   case Operand::Kind::FunctionAddr:
-    addAddress(Lhs, fnNode(O.Fn));
-    return;
+    return Source{Source::Kind::Addr, function(O.Fn)};
   case Operand::Kind::StringConst:
-    addAddress(Lhs, stringNode(O.StringId));
-    return;
+    return Source{Source::Kind::Addr, string(O.StringId)};
   default:
-    return; // constants and NULL add no targets
+    return std::nullopt; // constants and NULL carry no targets
   }
 }
 
-void Solver::constrainWrite(const Reference &Lhs, unsigned RhsTmp) {
-  unsigned Base = varNode(Lhs.Base);
-  if (Lhs.Deref)
-    addStore(Base, RhsTmp);
-  else
-    addCopy(Base, RhsTmp);
+void AndersenSolver::Builder::flow(NodeId Dst, Source V) {
+  switch (V.K) {
+  case Source::Kind::Addr:
+    addPts(Dst, V.N);
+    return;
+  case Source::Kind::Copy:
+    addEdge(V.N, Dst);
+    return;
+  case Source::Kind::Load:
+    addComplex(V.N, {Complex::Kind::Load, Dst});
+    return;
+  }
 }
 
-void Solver::genCall(const CallInfo &CI, const Reference *LhsRef) {
-  if (!CI.isIndirect()) {
-    bindCall(CI, CI.Callee, LhsRef);
+void AndersenSolver::Builder::assign(const Reference &Lhs, Source V) {
+  if (!Lhs.Base)
+    return;
+  NodeId Base = var(Lhs.Base);
+  if (!Lhs.Deref) {
+    flow(Base, V);
     return;
   }
-  IndirectSites.push_back({&CI, LhsRef, {}});
+  switch (V.K) {
+  case Source::Kind::Addr:
+    addComplex(Base, {Complex::Kind::StoreAddr, V.N});
+    return;
+  case Source::Kind::Copy:
+    addComplex(Base, {Complex::Kind::Store, V.N});
+    return;
+  case Source::Kind::Load: {
+    // A store of a loaded value goes through one hidden temporary.
+    NodeId T = newNode({Node::Kind::Temp, nullptr, nullptr, 0});
+    flow(T, V);
+    addComplex(Base, {Complex::Kind::Store, T});
+    return;
+  }
+  }
 }
 
-void Solver::bindCall(const CallInfo &CI, const cf::FunctionDecl *F,
-                      const Reference *LhsRef) {
-  const FunctionIR *FIR = Prog.findFunction(F);
-  if (!FIR) {
-    // Extern: pointer results conservatively point to heap.
-    if (LhsRef && LhsRef->Ty && LhsRef->Ty->isPointerBearing()) {
-      unsigned T = freshTmp("ext");
-      addAddress(T, heapNode());
-      constrainWrite(*LhsRef, T);
-    }
-    return;
-  }
-  const auto &Params = F->params();
-  for (size_t I = 0; I < CI.Args.size() && I < Params.size(); ++I) {
-    unsigned P = varNode(Params[I]);
-    constrainReadOperand(P, CI.Args[I]);
-  }
-  if (LhsRef)
-    constrainWrite(*LhsRef, retNode(F));
-}
-
-void Solver::genStmt(const Stmt *S) {
-  if (!S)
-    return;
-  switch (S->kind()) {
-  case Stmt::Kind::Block:
-    for (const Stmt *C : castStmt<BlockStmt>(S)->Body)
-      genStmt(C);
-    return;
-  case Stmt::Kind::If: {
-    const auto *I = castStmt<IfStmt>(S);
-    genStmt(I->Then);
-    genStmt(I->Else);
-    return;
-  }
-  case Stmt::Kind::Loop: {
-    const auto *L = castStmt<LoopStmt>(S);
-    genStmt(L->Body);
-    genStmt(L->Trailer);
-    return;
-  }
-  case Stmt::Kind::Switch:
-    for (const SwitchStmt::Case &C : castStmt<SwitchStmt>(S)->Cases)
-      for (const Stmt *B : C.Body)
-        genStmt(B);
-    return;
-  case Stmt::Kind::Assign: {
-    const auto *A = castStmt<AssignStmt>(S);
+void AndersenSolver::Builder::genStmt(const Stmt *St,
+                                      const cf::FunctionDecl *Owner) {
+  if (const auto *A = dynCastStmt<AssignStmt>(St)) {
     switch (A->RK) {
-    case AssignStmt::RhsKind::Operand: {
-      unsigned T = freshTmp("op");
-      constrainReadOperand(T, A->A);
-      constrainWrite(A->Lhs, T);
+    case AssignStmt::RhsKind::Operand:
+      assignOperand(A->Lhs, A->A);
       return;
-    }
-    case AssignStmt::RhsKind::Binary: {
-      unsigned T = freshTmp("bin");
-      constrainReadOperand(T, A->A);
-      constrainReadOperand(T, A->B);
-      constrainWrite(A->Lhs, T);
+    case AssignStmt::RhsKind::Binary:
+      assignOperand(A->Lhs, A->A);
+      assignOperand(A->Lhs, A->B);
       return;
-    }
     case AssignStmt::RhsKind::Unary:
+      return; // arithmetic and logical results carry no targets
+    case AssignStmt::RhsKind::Alloc:
+      assign(A->Lhs, {Source::Kind::Addr, S.heap()});
       return;
-    case AssignStmt::RhsKind::Alloc: {
-      unsigned T = freshTmp("alloc");
-      addAddress(T, heapNode());
-      constrainWrite(A->Lhs, T);
-      return;
-    }
     case AssignStmt::RhsKind::Call:
       genCall(A->Call, &A->Lhs);
       return;
     }
     return;
   }
-  case Stmt::Kind::Call:
-    genCall(castStmt<CallStmt>(S)->Call, nullptr);
+  if (const auto *C = dynCastStmt<CallStmt>(St)) {
+    genCall(C->Call, nullptr);
     return;
-  case Stmt::Kind::Return: {
-    const auto *R = castStmt<ReturnStmt>(S);
-    // Attribute the return value to the enclosing function; the walk
-    // below passes it via CurFn.
-    if (R->Value && CurRet != ~0u)
-      constrainReadOperand(CurRet, *R->Value);
+  }
+  if (const auto *R = dynCastStmt<ReturnStmt>(St))
+    if (R->Value && Owner)
+      if (std::optional<Source> V = value(*R->Value))
+        flow(S.retval(Owner), *V);
+}
+
+void AndersenSolver::Builder::genCall(const CallInfo &CI,
+                                      const Reference *Lhs) {
+  if (!CI.isIndirect()) {
+    bindCall(CI, CI.Callee, Lhs);
     return;
+  }
+  if (!CI.FnPtr.Base)
+    return;
+  NodeId Fp = var(CI.FnPtr.Base);
+  SitesOf[Fp].push_back(static_cast<unsigned>(Sites.size()));
+  Sites.push_back({&CI, Lhs, {}});
+  if (!S.Pts[Fp].empty())
+    push(Fp);
+}
+
+void AndersenSolver::Builder::bindCall(const CallInfo &CI,
+                                       const cf::FunctionDecl *F,
+                                       const Reference *Lhs) {
+  if (!Prog.findFunction(F)) {
+    // Extern: the precise analyzer's model (Analyzer's applyExtern).
+    if (!Lhs || !Lhs->Ty || !Lhs->Ty->isPointerBearing())
+      return;
+    if (pta::externCallModel(F->name()) == pta::ExternModel::ReturnsArg0 &&
+        !CI.Args.empty())
+      assignOperand(*Lhs, CI.Args[0]);
+    else if (F->returnType()->isPointerBearing())
+      assign(*Lhs, {Source::Kind::Addr, S.heap()});
+    return;
+  }
+  const std::vector<cf::VarDecl *> &Params = F->params();
+  for (size_t I = 0; I < CI.Args.size() && I < Params.size(); ++I)
+    if (std::optional<Source> V = value(CI.Args[I]))
+      flow(var(Params[I]), *V);
+  if (Lhs)
+    assign(*Lhs, {Source::Kind::Copy, S.retval(F)});
+}
+
+void AndersenSolver::Builder::process(NodeId N) {
+  if (!Cx[N].empty() || !SitesOf[N].empty()) {
+    // A copy: the rules below may grow pts(N) itself, and binding a
+    // call may add nodes.
+    const std::vector<NodeId> Targets = S.Pts[N];
+    for (size_t I = 0; I < Cx[N].size(); ++I) {
+      const Complex C = Cx[N][I];
+      for (NodeId T : Targets) {
+        if (S.Nodes[T].K == Node::Kind::Function)
+          continue; // functions hold no pointers
+        switch (C.K) {
+        case Complex::Kind::Load:
+          addEdge(T, C.Other);
+          break;
+        case Complex::Kind::Store:
+          addEdge(C.Other, T);
+          break;
+        case Complex::Kind::StoreAddr:
+          addPts(T, C.Other);
+          break;
+        }
+      }
+    }
+    for (size_t I = 0; I < SitesOf[N].size(); ++I) {
+      const unsigned Idx = SitesOf[N][I];
+      for (NodeId T : Targets)
+        if (S.Nodes[T].K == Node::Kind::Function &&
+            insertSorted(Sites[Idx].Bound, T))
+          bindCall(*Sites[Idx].CI, S.Nodes[T].Fn, Sites[Idx].Lhs);
+    }
+  }
+  for (size_t I = 0; I < Succ[N].size(); ++I) {
+    const NodeId To = Succ[N][I];
+    if (unionInto(S.Pts[To], S.Pts[N]))
+      push(To);
+  }
+}
+
+void AndersenSolver::Builder::run() {
+  // Node 0 is the heap; then every variable the program declares and
+  // one return-value node per defined function, so that node() answers
+  // for variables no statement mentions.
+  newNode({Node::Kind::Heap, nullptr, nullptr, 0});
+  for (const cf::VarDecl *G : Prog.globals())
+    var(G);
+  for (const FunctionIR &F : Prog.functions()) {
+    for (const cf::VarDecl *P : F.Decl->params())
+      var(P);
+    for (const cf::VarDecl *L : F.Locals)
+      var(L);
+    S.RetIds.try_emplace(F.Decl,
+                         newNode({Node::Kind::Retval, nullptr, F.Decl, 0}));
+  }
+
+  // Whole-program and flow-insensitive: reachability is ignored.
+  for (const FunctionIR &F : Prog.functions())
+    forEachStmt(F.Body, [&](const Stmt *St) { genStmt(St, F.Decl); });
+  forEachStmt(Prog.globalInit(),
+              [&](const Stmt *St) { genStmt(St, nullptr); });
+
+  while (!Work.empty()) {
+    NodeId N = Work.front();
+    Work.pop_front();
+    Queued[N] = 0;
+    ++S.St.Iterations;
+    process(N);
+  }
+
+  for (NodeId N = 0; N < S.Nodes.size(); ++N)
+    if (S.Nodes[N].K != Node::Kind::Temp) {
+      ++S.St.Nodes;
+      S.St.Pairs += S.Pts[N].size();
+    }
+}
+
+AndersenSolver::AndersenSolver(const Program &Prog) {
+  Builder(*this, Prog).run();
+}
+
+NodeId AndersenSolver::node(const cf::VarDecl *V) const {
+  auto It = VarIds.find(V);
+  return It == VarIds.end() ? NoNode : It->second;
+}
+
+NodeId AndersenSolver::retval(const cf::FunctionDecl *F) const {
+  auto It = RetIds.find(F);
+  return It == RetIds.end() ? NoNode : It->second;
+}
+
+std::vector<NodeId> AndersenSolver::valueOf(const Operand &Op) const {
+  std::vector<NodeId> Out;
+  switch (Op.K) {
+  case Operand::Kind::Ref: {
+    NodeId B = Op.Ref.Base ? node(Op.Ref.Base) : NoNode;
+    if (B == NoNode)
+      return Out;
+    Source V = refSource(Op.Ref, B);
+    if (V.K == Source::Kind::Addr)
+      Out.push_back(B);
+    else if (V.K == Source::Kind::Copy)
+      Out = Pts[B];
+    else
+      for (NodeId T : Pts[B])
+        if (Nodes[T].K != Node::Kind::Function)
+          unionInto(Out, Pts[T]);
+    return Out;
+  }
+  case Operand::Kind::FunctionAddr: {
+    auto It = FnIds.find(Op.Fn);
+    if (It != FnIds.end())
+      Out.push_back(It->second);
+    return Out;
+  }
+  case Operand::Kind::StringConst: {
+    auto It = StringIds.find(Op.StringId);
+    if (It != StringIds.end())
+      Out.push_back(It->second);
+    return Out;
   }
   default:
-    return;
+    return Out;
   }
 }
 
-AndersenResult Solver::solve() {
-  // Generate constraints for every function (whole-program,
-  // flow-insensitive: reachability is ignored).
-  for (const FunctionIR &F : Prog.functions()) {
-    CurRet = retNode(F.Decl);
-    genStmt(F.Body);
+std::string AndersenSolver::name(NodeId N) const {
+  const Node &Nd = Nodes[N];
+  switch (Nd.K) {
+  case Node::Kind::Heap:
+    return "heap";
+  case Node::Kind::Var:
+    return (Nd.Var->owner() ? Nd.Var->owner()->name() + "::"
+                            : std::string()) +
+           Nd.Var->name();
+  case Node::Kind::Retval:
+    return "retval$" + Nd.Fn->name();
+  case Node::Kind::Function:
+    return Nd.Fn->name();
+  case Node::Kind::String:
+    return "str$" + std::to_string(Nd.StringId);
+  case Node::Kind::Temp:
+    return "";
   }
-  CurRet = ~0u;
-  genStmt(Prog.globalInit());
-
-  Pts.resize(Nodes.size());
-
-  // Naive iteration to fixpoint; adequate at our program sizes.
-  AndersenResult Res;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    ++Res.SolverIterations;
-
-    // New constraint batches may be added by indirect-call binding.
-    for (const auto &[L, O] : AddrConstraints)
-      Changed |= Pts[L].insert(O).second;
-    for (const auto &[L, R] : CopyConstraints)
-      for (unsigned O : Pts[R])
-        Changed |= Pts[L].insert(O).second;
-    for (const auto &[L, P] : LoadConstraints)
-      for (unsigned T : Pts[P]) {
-        if (Nodes[T].K == Node::Kind::Function)
-          continue;
-        for (unsigned O : Pts[T])
-          Changed |= Pts[L].insert(O).second;
-      }
-    for (const auto &[P, R] : StoreConstraints)
-      for (unsigned T : Pts[P]) {
-        if (Nodes[T].K == Node::Kind::Function)
-          continue;
-        for (unsigned O : Pts[R])
-          Changed |= Pts[T].insert(O).second;
-      }
-
-    // Grow indirect call bindings from the current solution.
-    for (IndirectSite &Site : IndirectSites) {
-      unsigned Fp = varNode(Site.CI->FnPtr.Base);
-      if (Fp >= Pts.size())
-        Pts.resize(Nodes.size());
-      for (unsigned T : Pts[Fp]) {
-        if (Nodes[T].K != Node::Kind::Function)
-          continue;
-        const cf::FunctionDecl *F = Nodes[T].Fn;
-        if (!Site.Bound.insert(F).second)
-          continue;
-        bindCall(*Site.CI, F, Site.LhsRef);
-        Changed = true;
-      }
-    }
-    Pts.resize(Nodes.size());
-  }
-
-  // Export the solution and the indirect-reference metric.
-  for (unsigned I = 0; I < Nodes.size(); ++I) {
-    if (Pts[I].empty() || Nodes[I].Name.rfind("$andersen$", 0) == 0)
-      continue;
-    auto &Set = Res.Solution[Nodes[I].Name];
-    for (unsigned O : Pts[I])
-      Set.insert(Nodes[O].Name);
-    Res.TotalPairs += Pts[I].size();
-  }
-
-  unsigned long long TargetSum = 0;
-  unsigned Refs = 0;
-  std::vector<const CallInfo *> Calls;
-  for (const FunctionIR &F : Prog.functions()) {
-    std::vector<const Stmt *> Stack = {F.Body};
-    while (!Stack.empty()) {
-      const Stmt *S = Stack.back();
-      Stack.pop_back();
-      if (!S)
-        continue;
-      switch (S->kind()) {
-      case Stmt::Kind::Block:
-        for (const Stmt *C : castStmt<BlockStmt>(S)->Body)
-          Stack.push_back(C);
-        break;
-      case Stmt::Kind::If:
-        Stack.push_back(castStmt<IfStmt>(S)->Then);
-        Stack.push_back(castStmt<IfStmt>(S)->Else);
-        break;
-      case Stmt::Kind::Loop:
-        Stack.push_back(castStmt<LoopStmt>(S)->Body);
-        Stack.push_back(castStmt<LoopStmt>(S)->Trailer);
-        break;
-      case Stmt::Kind::Switch:
-        for (const SwitchStmt::Case &C : castStmt<SwitchStmt>(S)->Cases)
-          for (const Stmt *B : C.Body)
-            Stack.push_back(B);
-        break;
-      case Stmt::Kind::Assign: {
-        const auto *A = castStmt<AssignStmt>(S);
-        auto Count = [&](const Reference &R) {
-          if (!R.isIndirect())
-            return;
-          ++Refs;
-          unsigned Base = varNode(R.Base);
-          if (Base < Pts.size())
-            TargetSum += Pts[Base].size();
-        };
-        Count(A->Lhs);
-        if (A->A.isRef())
-          Count(A->A.Ref);
-        if (A->RK == AssignStmt::RhsKind::Binary && A->B.isRef())
-          Count(A->B.Ref);
-        break;
-      }
-      default:
-        break;
-      }
-    }
-  }
-  Res.IndirectRefs = Refs;
-  Res.AvgIndirectTargets =
-      Refs ? static_cast<double>(TargetSum) / Refs : 0;
-  return Res;
+  return "";
 }
-
-} // namespace
 
 const std::set<std::string> &
 AndersenResult::pointsTo(const std::string &Var) const {
@@ -439,6 +441,39 @@ AndersenResult::pointsTo(const std::string &Var) const {
 }
 
 AndersenResult AndersenAnalysis::run(const Program &Prog) {
-  Solver S(Prog);
-  return S.solve();
+  AndersenSolver S(Prog);
+  AndersenResult Res;
+  for (NodeId N = 0; N < S.numNodes(); ++N) {
+    std::string Name = S.name(N);
+    if (S.pts(N).empty() || Name.empty())
+      continue;
+    std::set<std::string> &Set = Res.Solution[Name];
+    for (NodeId T : S.pts(N))
+      Set.insert(S.name(T));
+  }
+  Res.TotalPairs = S.stats().Pairs;
+  Res.SolverIterations = static_cast<unsigned>(S.stats().Iterations);
+
+  unsigned long long TargetSum = 0;
+  auto Count = [&](const Reference &R) {
+    if (!R.isIndirect())
+      return;
+    ++Res.IndirectRefs;
+    if (NodeId B = S.node(R.Base); B != AndersenSolver::NoNode)
+      TargetSum += S.pts(B).size();
+  };
+  for (const FunctionIR &F : Prog.functions())
+    forEachStmt(F.Body, [&](const Stmt *St) {
+      const auto *A = dynCastStmt<AssignStmt>(St);
+      if (!A)
+        return;
+      Count(A->Lhs);
+      if (A->A.isRef())
+        Count(A->A.Ref);
+      if (A->RK == AssignStmt::RhsKind::Binary && A->B.isRef())
+        Count(A->B.Ref);
+    });
+  Res.AvgIndirectTargets =
+      Res.IndirectRefs ? static_cast<double>(TargetSum) / Res.IndirectRefs : 0;
+  return Res;
 }

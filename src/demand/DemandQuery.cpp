@@ -38,48 +38,6 @@ std::pair<int, std::string> parseAliasExpr(const std::string &Expr) {
 
 namespace {
 
-/// Preorder walk over a statement tree (compounds included).
-template <typename Fn> void walkStmts(const Stmt *S, Fn &&F) {
-  if (!S)
-    return;
-  F(S);
-  switch (S->kind()) {
-  case Stmt::Kind::Block:
-    for (const Stmt *C : castStmt<BlockStmt>(S)->Body)
-      walkStmts(C, F);
-    break;
-  case Stmt::Kind::If: {
-    const auto *I = castStmt<IfStmt>(S);
-    walkStmts(I->Then, F);
-    walkStmts(I->Else, F);
-    break;
-  }
-  case Stmt::Kind::Loop: {
-    const auto *L = castStmt<LoopStmt>(S);
-    walkStmts(L->Body, F);
-    walkStmts(L->Trailer, F);
-    break;
-  }
-  case Stmt::Kind::Switch:
-    for (const SwitchStmt::Case &C : castStmt<SwitchStmt>(S)->Cases)
-      for (const Stmt *B : C.Body)
-        walkStmts(B, F);
-    break;
-  default:
-    break;
-  }
-}
-
-/// The call info of a basic statement, if it has one.
-const CallInfo *callOf(const Stmt *S) {
-  if (const auto *C = dynCastStmt<CallStmt>(S))
-    return &C->Call;
-  if (const auto *A = dynCastStmt<AssignStmt>(S))
-    if (A->RK == AssignStmt::RhsKind::Call)
-      return &A->Call;
-  return nullptr;
-}
-
 /// True when a direct-call cycle is reachable from main. The pruned
 /// analyzer still handles recursion soundly, but the pending-list
 /// fixpoint's *trajectory* (which approximations it takes, in which
@@ -94,7 +52,7 @@ bool hasRecursionFromMain(const Program &Prog, const FunctionIR *Main) {
     if (!F.Decl)
       continue;
     std::vector<const cf::FunctionDecl *> &Out = Callees[F.Decl];
-    walkStmts(F.Body, [&](const Stmt *S) {
+    forEachStmt(F.Body, [&](const Stmt *S) {
       if (const CallInfo *CI = callOf(S))
         if (CI->Callee && Prog.findFunction(CI->Callee))
           Out.push_back(CI->Callee);
@@ -133,11 +91,7 @@ bool hasRecursionFromMain(const Program &Prog, const FunctionIR *Main) {
 
 DemandEngine::DemandEngine(const simple::Program &Prog, DemandOptions Opts)
     : Prog(Prog), Opts(std::move(Opts)) {
-  for (const FunctionIR &F : Prog.functions())
-    if (F.Decl && F.Decl->name() == "main" && F.Body) {
-      Main = &F;
-      break;
-    }
+  Main = findMain(Prog);
 
   // Name index for resolution gates: every variable the program
   // declares, keyed by display name.
@@ -173,7 +127,7 @@ DemandEngine::DemandEngine(const simple::Program &Prog, DemandOptions Opts)
   }
   bool AnyIndirect = false;
   for (const FunctionIR &F : Prog.functions())
-    walkStmts(F.Body, [&](const Stmt *S) {
+    forEachStmt(F.Body, [&](const Stmt *S) {
       if (const CallInfo *CI = callOf(S))
         if (CI->isIndirect())
           AnyIndirect = true;

@@ -16,49 +16,6 @@ namespace demand {
 using namespace mcpta::simple;
 namespace cf = mcpta::cfront;
 
-namespace {
-
-/// Preorder walk over a statement tree (compounds included).
-template <typename Fn> void forEachStmt(const Stmt *S, Fn &&F) {
-  if (!S)
-    return;
-  F(S);
-  switch (S->kind()) {
-  case Stmt::Kind::Block:
-    for (const Stmt *C : castStmt<BlockStmt>(S)->Body)
-      forEachStmt(C, F);
-    break;
-  case Stmt::Kind::If: {
-    const auto *I = castStmt<IfStmt>(S);
-    forEachStmt(I->Then, F);
-    forEachStmt(I->Else, F);
-    break;
-  }
-  case Stmt::Kind::Loop: {
-    const auto *L = castStmt<LoopStmt>(S);
-    forEachStmt(L->Body, F);
-    forEachStmt(L->Trailer, F);
-    break;
-  }
-  case Stmt::Kind::Switch:
-    for (const SwitchStmt::Case &C : castStmt<SwitchStmt>(S)->Cases)
-      for (const Stmt *B : C.Body)
-        forEachStmt(B, F);
-    break;
-  default:
-    break;
-  }
-}
-
-const FunctionIR *findMain(const Program &Prog) {
-  for (const FunctionIR &F : Prog.functions())
-    if (F.Decl && F.Decl->name() == "main" && F.Body)
-      return &F;
-  return nullptr;
-}
-
-} // namespace
-
 /// Conservative per-statement facts for the liveness pass, precomputed
 /// once the flow-insensitive solution is stable.
 struct Relevance::StmtFacts {
@@ -77,56 +34,16 @@ struct Relevance::StmtFacts {
 Relevance::~Relevance() = default;
 
 //===----------------------------------------------------------------------===//
-// Construction: roots and the flow-insensitive fixpoint
+// Construction: the shared solution and the per-statement facts
 //===----------------------------------------------------------------------===//
 
-Relevance::Relevance(const simple::Program &Prog) : Prog(Prog) {
-  // Root 0 is the summary heap; then every variable the program can
-  // mention, then one return-value root per defined function.
-  PTS.emplace_back(); // heap
-  auto AddVar = [this](const cf::VarDecl *V) {
-    if (!V || VarRoot.count(V))
-      return;
-    VarRoot[V] = static_cast<int>(PTS.size());
-    PTS.emplace_back();
-  };
-  for (const cf::VarDecl *G : Prog.globals()) {
-    AddVar(G);
-    if (G->type() && G->type()->isPointerBearing())
-      PointerBearingGlobals.push_back(VarRoot[G]);
-  }
-  for (const FunctionIR &F : Prog.functions()) {
-    if (F.Decl)
-      for (const cf::VarDecl *P : F.Decl->params())
-        AddVar(P);
-    for (const cf::VarDecl *L : F.Locals)
-      AddVar(L);
-    if (F.Decl && !RetvalRoot.count(F.Decl)) {
-      RetvalRoot[F.Decl] = static_cast<int>(PTS.size());
-      PTS.emplace_back();
-    }
-  }
-
-  // Whole-program fixpoint: re-apply every statement's constraints
-  // until no set grows. Monotone and bounded by roots^2 facts.
-  bool Changed = true;
-  while (Changed) {
-    ++Passes;
-    Changed = false;
-    forEachStmt(Prog.globalInit(), [&](const Stmt *S) {
-      if (applyStmt(S, nullptr))
-        Changed = true;
-    });
-    for (const FunctionIR &F : Prog.functions())
-      forEachStmt(F.Body, [&](const Stmt *S) {
-        if (applyStmt(S, F.Decl))
-          Changed = true;
-      });
-  }
-
+Relevance::Relevance(const simple::Program &Prog) : Prog(Prog), Solver(Prog) {
   // Precompute the liveness facts for the pruned region (main's body
-  // plus the global initializers) against the now-stable solution.
-  std::vector<int> GlobSeeds = PointerBearingGlobals;
+  // plus the global initializers) against the solution.
+  std::vector<int> GlobSeeds;
+  for (const cf::VarDecl *G : Prog.globals())
+    if (G->type() && G->type()->isPointerBearing())
+      GlobSeeds.push_back(rootOf(G));
   GlobSeeds.push_back(heapRoot());
   std::vector<uint8_t> GR = reachClosure(GlobSeeds);
   for (size_t I = 0; I < GR.size(); ++I)
@@ -147,8 +64,7 @@ Relevance::Relevance(const simple::Program &Prog) : Prog(Prog) {
     }
     Out.insert(B);
     if (Op.Ref.Deref)
-      for (int T : PTS[B])
-        Out.insert(T);
+      Out.insert(pts(B).begin(), pts(B).end());
   };
 
   auto CallFacts = [&](const CallInfo &CI, StmtFacts &F) {
@@ -187,8 +103,8 @@ Relevance::Relevance(const simple::Program &Prog) : Prog(Prog) {
     std::vector<int> Seeds;
     for (const Operand &A : CI.Args) {
       OperandReads(A, F.Reads);
-      for (int V : operandValue(A))
-        Seeds.push_back(V);
+      for (unsigned V : Solver.valueOf(A))
+        Seeds.push_back(static_cast<int>(V));
     }
     std::vector<uint8_t> Reach = reachClosure(Seeds);
     for (size_t I = 0; I < Reach.size(); ++I)
@@ -209,8 +125,7 @@ Relevance::Relevance(const simple::Program &Prog) : Prog(Prog) {
         if (B >= 0) {
           if (A->Lhs.Deref) {
             F.Reads.insert(B);
-            for (int T : PTS[B])
-              F.Writes.insert(T);
+            F.Writes.insert(pts(B).begin(), pts(B).end());
           } else {
             F.Writes.insert(B);
           }
@@ -237,153 +152,13 @@ Relevance::Relevance(const simple::Program &Prog) : Prog(Prog) {
     Facts.push_back(std::move(F));
   };
   forEachStmt(Prog.globalInit(), CollectBasic);
-  if (const FunctionIR *Main = findMain(Prog))
+  if (const FunctionIR *Main = simple::findMain(Prog))
     forEachStmt(Main->Body, CollectBasic);
 }
 
 int Relevance::rootOf(const cf::VarDecl *V) const {
-  auto It = VarRoot.find(V);
-  return It == VarRoot.end() ? -1 : It->second;
-}
-
-int Relevance::rootOfRetval(const cf::FunctionDecl *F) const {
-  auto It = RetvalRoot.find(F);
-  return It == RetvalRoot.end() ? -1 : It->second;
-}
-
-bool Relevance::addAll(int Root, const std::set<int> &Vals) {
-  if (Root < 0 || Vals.empty())
-    return false;
-  size_t Before = PTS[Root].size();
-  PTS[Root].insert(Vals.begin(), Vals.end());
-  return PTS[Root].size() != Before;
-}
-
-std::set<int> Relevance::refValue(const simple::Reference &R) const {
-  std::set<int> Out;
-  if (!R.Base)
-    return Out;
-  int B = rootOf(R.Base);
-  if (B < 0)
-    return Out;
-  if (R.AddrOf) {
-    if (R.Deref) {
-      // &(*p).f: an address inside whatever p points to.
-      Out = PTS[B];
-    } else {
-      Out.insert(B);
-    }
-    return Out;
-  }
-  if (R.Deref) {
-    for (int T : PTS[B])
-      Out.insert(PTS[T].begin(), PTS[T].end());
-  } else {
-    Out = PTS[B];
-  }
-  return Out;
-}
-
-std::set<int> Relevance::operandValue(const simple::Operand &Op) const {
-  if (Op.isRef())
-    return refValue(Op.Ref);
-  // Constants, strings, nulls and function addresses carry no roots the
-  // liveness pass tracks (strings hold no pointers; function-pointer
-  // programs are gated out before the solution is consulted).
-  return {};
-}
-
-bool Relevance::applyCall(const simple::CallInfo &CI,
-                          const simple::Reference *LhsRef) {
-  bool Changed = false;
-  std::set<int> RetVal;
-  if (!CI.isIndirect()) {
-    const FunctionIR *Callee = Prog.findFunction(CI.Callee);
-    if (Callee && Callee->Body) {
-      const std::vector<cf::VarDecl *> &Params = CI.Callee->params();
-      for (size_t I = 0; I < Params.size() && I < CI.Args.size(); ++I)
-        if (addAll(rootOf(Params[I]), operandValue(CI.Args[I])))
-          Changed = true;
-      int RV = rootOfRetval(CI.Callee);
-      if (RV >= 0)
-        RetVal = PTS[RV];
-    } else if (CI.Callee) {
-      // Extern model, mirrored from the analyzer: the strcpy family
-      // returns (into) its first argument; everything else returning a
-      // pointer is modeled as pointing to heap.
-      if (pta::externCallModel(CI.Callee->name()) ==
-              pta::ExternModel::ReturnsArg0 &&
-          !CI.Args.empty())
-        RetVal = operandValue(CI.Args[0]);
-      else
-        RetVal.insert(heapRoot());
-    }
-  }
-  if (LhsRef && LhsRef->Base) {
-    int B = rootOf(LhsRef->Base);
-    if (B >= 0) {
-      if (LhsRef->Deref) {
-        for (int T : PTS[B])
-          if (addAll(T, RetVal))
-            Changed = true;
-      } else if (addAll(B, RetVal)) {
-        Changed = true;
-      }
-    }
-  }
-  return Changed;
-}
-
-bool Relevance::applyStmt(const simple::Stmt *S,
-                          const cf::FunctionDecl *Owner) {
-  switch (S->kind()) {
-  case Stmt::Kind::Assign: {
-    const auto *A = castStmt<AssignStmt>(S);
-    if (A->RK == AssignStmt::RhsKind::Call)
-      return applyCall(A->Call, &A->Lhs);
-    std::set<int> Val;
-    switch (A->RK) {
-    case AssignStmt::RhsKind::Operand:
-    case AssignStmt::RhsKind::Unary:
-      Val = operandValue(A->A);
-      break;
-    case AssignStmt::RhsKind::Binary: {
-      Val = operandValue(A->A);
-      std::set<int> V2 = operandValue(A->B);
-      Val.insert(V2.begin(), V2.end());
-      break;
-    }
-    case AssignStmt::RhsKind::Alloc:
-      Val.insert(heapRoot());
-      break;
-    case AssignStmt::RhsKind::Call:
-      break; // handled above
-    }
-    if (!A->Lhs.Base)
-      return false;
-    int B = rootOf(A->Lhs.Base);
-    if (B < 0)
-      return false;
-    if (A->Lhs.Deref) {
-      bool Changed = false;
-      for (int T : PTS[B])
-        if (addAll(T, Val))
-          Changed = true;
-      return Changed;
-    }
-    return addAll(B, Val);
-  }
-  case Stmt::Kind::Call:
-    return applyCall(castStmt<CallStmt>(S)->Call, nullptr);
-  case Stmt::Kind::Return: {
-    const auto *R = castStmt<ReturnStmt>(S);
-    if (!R->Value || !Owner)
-      return false;
-    return addAll(rootOfRetval(Owner), operandValue(*R->Value));
-  }
-  default:
-    return false;
-  }
+  baselines::AndersenSolver::NodeId N = Solver.node(V);
+  return N == baselines::AndersenSolver::NoNode ? -1 : static_cast<int>(N);
 }
 
 //===----------------------------------------------------------------------===//
@@ -392,17 +167,17 @@ bool Relevance::applyStmt(const simple::Stmt *S,
 
 std::vector<uint8_t>
 Relevance::reachClosure(const std::vector<int> &Seeds) const {
-  std::vector<uint8_t> In(PTS.size(), 0);
+  std::vector<uint8_t> In(numRoots(), 0);
   std::deque<int> Work;
   for (int S : Seeds)
-    if (S >= 0 && S < static_cast<int>(PTS.size()) && !In[S]) {
+    if (S >= 0 && S < static_cast<int>(In.size()) && !In[S]) {
       In[S] = 1;
       Work.push_back(S);
     }
   while (!Work.empty()) {
     int R = Work.front();
     Work.pop_front();
-    for (int T : PTS[R])
+    for (unsigned T : pts(R))
       if (!In[T]) {
         In[T] = 1;
         Work.push_back(T);
@@ -416,9 +191,9 @@ Relevance::liveness(const std::vector<int> &SeedRoots) const {
   Liveness Out;
   Out.LiveStmts.assign(Prog.numStmts(), 1);
 
-  std::vector<uint8_t> Rel(PTS.size(), 0);
+  std::vector<uint8_t> Rel(numRoots(), 0);
   for (int S : SeedRoots)
-    if (S >= 0 && S < static_cast<int>(PTS.size()))
+    if (S >= 0 && S < static_cast<int>(Rel.size()))
       Rel[S] = 1;
 
   std::vector<uint8_t> Live(Facts.size(), 0);
@@ -460,12 +235,8 @@ Relevance::liveness(const std::vector<int> &SeedRoots) const {
 }
 
 Relevance::Stats Relevance::stats() const {
-  Stats S;
-  S.Roots = PTS.size();
-  S.Passes = Passes;
-  for (const std::set<int> &P : PTS)
-    S.Edges += P.size();
-  return S;
+  const baselines::AndersenSolver::Stats &S = Solver.stats();
+  return {S.Nodes, S.Iterations, S.Pairs};
 }
 
 } // namespace demand

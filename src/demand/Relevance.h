@@ -5,38 +5,36 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The demand engine's relevance pre-pass: a flow-insensitive,
-/// field-insensitive, root-granularity (Andersen-style) points-to
-/// overapproximation of the whole program, used to decide which
+/// The demand engine's relevance pre-pass: the liveness pass over the
+/// shared flow-insensitive, field-insensitive, root-granularity
+/// points-to solution (baselines::AndersenSolver), used to decide which
 /// statements of main's body (and the global initializers) can affect a
 /// query's relevant roots.
 ///
-/// Roots are whole variables (every VarDecl: globals, parameters,
-/// locals, simplifier temporaries), one summary heap root, and one
-/// return-value root per function; access paths collapse onto their
-/// root. Because the pass over-approximates the precise analysis —
-/// including the extern-call model, which it mirrors exactly via
-/// pta::externCallModel — a statement whose conservative write set
-/// misses every relevant root provably cannot change any (x, y, D|P)
-/// triple whose source is rooted at a relevant root, so the precise
-/// analyzer may treat it as an identity transfer
-/// (Analyzer::Options::LiveStmts). docs/DEMAND.md carries the full
-/// exactness argument, including why calls are all-or-nothing: a live
-/// call pulls everything the map() phase would mirror into the callee
-/// into the relevant set, so a skipped call is exactly one whose entire
-/// conservative mod set is disjoint from it.
+/// Roots are the solver's nodes: whole variables (every VarDecl:
+/// globals, parameters, locals, simplifier temporaries), one summary
+/// heap root, one return-value root per function, function and
+/// string-literal roots; access paths collapse onto their root. Because
+/// the solution over-approximates the precise analysis — its extern
+/// rule is the precise analyzer's (pta::externCallModel) — a statement
+/// whose conservative write set misses every relevant root provably
+/// cannot change any (x, y, D|P) triple whose source is rooted at a
+/// relevant root, so the precise analyzer may treat it as an identity
+/// transfer (Analyzer::Options::LiveStmts). docs/DEMAND.md carries the
+/// full exactness argument, including why calls are all-or-nothing: a
+/// live call pulls everything the map() phase would mirror into the
+/// callee into the relevant set, so a skipped call is exactly one whose
+/// entire conservative mod set is disjoint from it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MCPTA_DEMAND_RELEVANCE_H
 #define MCPTA_DEMAND_RELEVANCE_H
 
-#include "simple/SimpleIR.h"
+#include "baselines/Andersen.h"
 
 #include <cstdint>
-#include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 namespace mcpta {
@@ -44,20 +42,23 @@ namespace demand {
 
 class Relevance {
 public:
-  /// Builds the flow-insensitive solution for \p Prog. The program must
-  /// outlive this object. Indirect calls contribute no constraints —
-  /// callers gate function-pointer programs out before relying on the
-  /// solution (DemandQuery's `fnptr` fallback).
+  /// Solves \p Prog and precomputes the per-statement liveness facts.
+  /// The program must outlive this object. Callers gate
+  /// function-pointer programs out before relying on the liveness pass
+  /// (DemandQuery's `fnptr` fallback).
   explicit Relevance(const simple::Program &Prog);
   ~Relevance(); // out-of-line: Facts holds an incomplete type here
 
-  /// Root id of a variable; -1 for variables the pass never saw.
+  /// Root id of a variable; -1 for variables the program never
+  /// declares or mentions.
   int rootOf(const cfront::VarDecl *V) const;
-  int heapRoot() const { return 0; }
-  unsigned numRoots() const { return static_cast<unsigned>(PTS.size()); }
+  int heapRoot() const { return static_cast<int>(Solver.heap()); }
+  unsigned numRoots() const { return Solver.numNodes(); }
 
   /// Flow-insensitive may-point-to set of a root (root granularity).
-  const std::set<int> &pts(int Root) const { return PTS[Root]; }
+  const std::vector<unsigned> &pts(int Root) const {
+    return Solver.pts(static_cast<unsigned>(Root));
+  }
 
   /// Transitive points-to closure of \p Seeds (as a root bitmask).
   std::vector<uint8_t> reachClosure(const std::vector<int> &Seeds) const;
@@ -86,39 +87,24 @@ public:
 
   /// Statistics of the relevance build, for telemetry.
   struct Stats {
-    uint64_t Roots = 0;
-    uint64_t Passes = 0;
-    uint64_t Edges = 0; ///< total points-to facts in the solution
+    uint64_t Roots = 0;  ///< named solver nodes
+    uint64_t Passes = 0; ///< worklist iterations of the solver
+    uint64_t Edges = 0;  ///< total points-to facts in the solution
   };
   Stats stats() const;
 
 private:
   struct StmtFacts;
 
-  int rootOfRetval(const cfront::FunctionDecl *F) const;
-  /// Roots the value of \p Op may point to, per the current solution.
-  std::set<int> operandValue(const simple::Operand &Op) const;
-  std::set<int> refValue(const simple::Reference &R) const;
-  /// Applies one statement's constraints; true when a set grew.
-  bool applyStmt(const simple::Stmt *S, const cfront::FunctionDecl *Owner);
-  bool applyCall(const simple::CallInfo &CI, const simple::Reference *LhsRef);
-  bool addAll(int Root, const std::set<int> &Vals);
-
   const simple::Program &Prog;
-  std::map<const cfront::VarDecl *, int> VarRoot;
-  std::map<const cfront::FunctionDecl *, int> RetvalRoot;
-  std::vector<std::set<int>> PTS;
-  /// Root ids of pointer-bearing globals (every non-extern call
-  /// conservatively reads and writes all of them, plus heap).
-  std::vector<int> PointerBearingGlobals;
+  baselines::AndersenSolver Solver;
   /// Liveness facts for every basic statement of the pruned region
-  /// (main's body + globalInit), precomputed against the stable
-  /// solution at construction time.
+  /// (main's body + globalInit), precomputed against the solution at
+  /// construction time.
   std::vector<StmtFacts> Facts;
   /// Reach closure of {pointer-bearing globals, heap}: part of every
   /// non-extern call's conservative mod set.
   std::set<int> GlobalReach;
-  uint64_t Passes = 0;
 };
 
 } // namespace demand

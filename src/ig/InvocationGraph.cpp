@@ -39,44 +39,10 @@ std::string IGNode::str(unsigned Indent) const {
 
 void mcpta::pta::collectCallInfos(const Stmt *S,
                                   std::vector<const CallInfo *> &Out) {
-  if (!S)
-    return;
-  switch (S->kind()) {
-  case Stmt::Kind::Assign: {
-    const auto *A = castStmt<AssignStmt>(S);
-    if (A->RK == AssignStmt::RhsKind::Call)
-      Out.push_back(&A->Call);
-    return;
-  }
-  case Stmt::Kind::Call:
-    Out.push_back(&castStmt<CallStmt>(S)->Call);
-    return;
-  case Stmt::Kind::Block:
-    for (const Stmt *C : castStmt<BlockStmt>(S)->Body)
-      collectCallInfos(C, Out);
-    return;
-  case Stmt::Kind::If: {
-    const auto *I = castStmt<IfStmt>(S);
-    collectCallInfos(I->Then, Out);
-    collectCallInfos(I->Else, Out);
-    return;
-  }
-  case Stmt::Kind::Loop: {
-    const auto *L = castStmt<LoopStmt>(S);
-    collectCallInfos(L->Body, Out);
-    collectCallInfos(L->Trailer, Out);
-    return;
-  }
-  case Stmt::Kind::Switch:
-    for (const SwitchStmt::Case &C : castStmt<SwitchStmt>(S)->Cases)
-      for (const Stmt *B : C.Body)
-        collectCallInfos(B, Out);
-    return;
-  case Stmt::Kind::Return:
-  case Stmt::Kind::Break:
-  case Stmt::Kind::Continue:
-    return;
-  }
+  forEachStmt(S, [&](const Stmt *St) {
+    if (const CallInfo *CI = callOf(St))
+      Out.push_back(CI);
+  });
 }
 
 void InvocationGraph::collectCalls(const Stmt *S,

@@ -66,43 +66,9 @@ std::string incr::canonicalizeBody(const std::string &Print) {
 
 namespace {
 
-/// Preorder statement walk: node first, then children in program order.
-/// The exact order is irrelevant as long as both the baseline and the
-/// live program use this one walk (positional id remapping).
-template <typename Fn> void walkStmts(const Stmt *S, Fn F) {
-  if (!S)
-    return;
-  F(S);
-  switch (S->kind()) {
-  case Stmt::Kind::Block:
-    for (const Stmt *C : castStmt<BlockStmt>(S)->Body)
-      walkStmts(C, F);
-    return;
-  case Stmt::Kind::If: {
-    const auto *I = castStmt<IfStmt>(S);
-    walkStmts(I->Then, F);
-    walkStmts(I->Else, F);
-    return;
-  }
-  case Stmt::Kind::Loop: {
-    const auto *L = castStmt<LoopStmt>(S);
-    walkStmts(L->Body, F);
-    walkStmts(L->Trailer, F);
-    return;
-  }
-  case Stmt::Kind::Switch:
-    for (const SwitchStmt::Case &C : castStmt<SwitchStmt>(S)->Cases)
-      for (const Stmt *B : C.Body)
-        walkStmts(B, F);
-    return;
-  default:
-    return;
-  }
-}
-
 /// Visits every Operand of a statement tree in a fixed order.
 template <typename Fn> void walkOperands(const Stmt *Root, Fn F) {
-  walkStmts(Root, [&](const Stmt *S) {
+  forEachStmt(Root, [&](const Stmt *S) {
     switch (S->kind()) {
     case Stmt::Kind::Assign: {
       const auto *A = castStmt<AssignStmt>(S);
@@ -148,7 +114,7 @@ template <typename Fn> void walkVars(const Stmt *Root, Fn F) {
       if (A.K == Accessor::Kind::Index && A.IndexVar)
         F(A.IndexVar);
   };
-  walkStmts(Root, [&](const Stmt *S) {
+  forEachStmt(Root, [&](const Stmt *S) {
     if (S->kind() == Stmt::Kind::Loop) {
       if (const cf::VarDecl *V = castStmt<LoopStmt>(S)->CondVar)
         F(V);
@@ -256,7 +222,7 @@ ProgramMeta incr::computeMeta(const Program &Prog) {
     for (const cf::VarDecl *V : FIR->Locals)
       FM.LocalNames.push_back(V->name());
 
-    walkStmts(FIR->Body,
+    forEachStmt(FIR->Body,
               [&](const Stmt *S) { FM.StmtIds.push_back(S->id()); });
 
     std::vector<const CallInfo *> Calls;

@@ -76,9 +76,9 @@ private:
 };
 
 /// How the analyzer models a call to a function without a body. The
-/// demand engine's relevance pass (src/demand/) must mirror the
-/// analyzer's extern semantics exactly, so the classification is shared
-/// rather than duplicated.
+/// flow-insensitive solver (baselines::AndersenSolver) must
+/// over-approximate the analyzer's extern semantics, so the
+/// classification is shared rather than duplicated.
 enum class ExternModel {
   /// Returns (a pointer into) its first argument (strcpy family): the
   /// call's only pointer effect is `lhs <- targets of arg0` (possible,

@@ -190,6 +190,13 @@ const FunctionIR *Program::findFunction(const cfront::FunctionDecl *F) const {
   return nullptr;
 }
 
+const FunctionIR *mcpta::simple::findMain(const Program &Prog) {
+  for (const FunctionIR &F : Prog.functions())
+    if (F.Decl && F.Decl->name() == "main" && F.Body)
+      return &F;
+  return nullptr;
+}
+
 unsigned Program::numBasicStmts() const {
   unsigned N = 0;
   for (const Stmt *S : AllStmts)

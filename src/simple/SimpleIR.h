@@ -447,6 +447,54 @@ private:
 /// --dump-simple mode).
 std::string printStmt(const Stmt *S, unsigned Indent = 0);
 
+/// Preorder walk over a statement tree: a statement first, then its
+/// children in program order (compound statements included). Null
+/// subtrees are skipped.
+template <typename Fn> void forEachStmt(const Stmt *S, Fn &&F) {
+  if (!S)
+    return;
+  F(S);
+  switch (S->kind()) {
+  case Stmt::Kind::Block:
+    for (const Stmt *C : castStmt<BlockStmt>(S)->Body)
+      forEachStmt(C, F);
+    return;
+  case Stmt::Kind::If: {
+    const auto *I = castStmt<IfStmt>(S);
+    forEachStmt(I->Then, F);
+    forEachStmt(I->Else, F);
+    return;
+  }
+  case Stmt::Kind::Loop: {
+    const auto *L = castStmt<LoopStmt>(S);
+    forEachStmt(L->Body, F);
+    forEachStmt(L->Trailer, F);
+    return;
+  }
+  case Stmt::Kind::Switch:
+    for (const SwitchStmt::Case &C : castStmt<SwitchStmt>(S)->Cases)
+      for (const Stmt *B : C.Body)
+        forEachStmt(B, F);
+    return;
+  default:
+    return;
+  }
+}
+
+/// The call of a basic statement (a call statement or a call
+/// assignment), or null.
+inline const CallInfo *callOf(const Stmt *S) {
+  if (const auto *C = dynCastStmt<CallStmt>(S))
+    return &C->Call;
+  if (const auto *A = dynCastStmt<AssignStmt>(S))
+    if (A->RK == AssignStmt::RhsKind::Call)
+      return &A->Call;
+  return nullptr;
+}
+
+/// main's SIMPLE form, or null when the program defines no main.
+const FunctionIR *findMain(const Program &Prog);
+
 } // namespace simple
 } // namespace mcpta
 

@@ -139,6 +139,66 @@ TEST(BaselinesTest, AndersenCoarserThanFlowSensitive) {
   EXPECT_GE(R.AvgIndirectTargets, 2.0);
 }
 
+// strchr is a ReturnsArg0 extern: the precise analyzer points the
+// result into arg0's object, so the baseline must too (not at heap).
+const char *const StrchrSrc = R"(
+  char *strchr(char *, int);
+  int main(void) {
+    char buf[8]; char *p;
+    p = strchr(buf, 'a');
+    return *p;
+  })";
+
+TEST(BaselinesTest, AndersenExternReturnsArg0) {
+  auto P = analyze(StrchrSrc);
+  EXPECT_TRUE(mainHasPair(P, "p", "buf[0]", 'P')) << mainOut(P);
+
+  auto R = AndersenAnalysis::run(*P.Prog);
+  EXPECT_EQ(R.pointsTo("main::p"), std::set<std::string>{"main::buf"});
+}
+
+TEST(BaselinesTest, AndersenExternResultNeedsPointerLhs) {
+  // Only a pointer-bearing left-hand side takes an extern's result,
+  // and a non-ReturnsArg0 callee yields heap only when it returns a
+  // pointer.
+  auto P = Pipeline::frontend(R"(
+    char *getenv(char *);
+    int atoi(char *);
+    int main(void) {
+      char *e; int n; int *ip;
+      e = getenv("HOME");
+      n = atoi(e);
+      ip = (int *)atoi(e);
+      return n + *ip;
+    })");
+  ASSERT_TRUE(P.Prog);
+  auto R = AndersenAnalysis::run(*P.Prog);
+  EXPECT_EQ(R.pointsTo("main::e"), std::set<std::string>{"heap"});
+  EXPECT_TRUE(R.pointsTo("main::n").empty());
+  EXPECT_TRUE(R.pointsTo("main::ip").empty());
+}
+
+// Precision order at root granularity: every pair the precise analysis
+// reports at the end of main is in the Andersen solution.
+void expectPreciseWithinAndersen(const std::string &Src,
+                                 const std::string &Tag) {
+  auto P = analyze(Src);
+  ASSERT_TRUE(P.Analysis.Analyzed) << Tag;
+  auto R = AndersenAnalysis::run(*P.Prog);
+  for (const std::string &Pair : rootPairs(P)) {
+    size_t Sep = Pair.find(" -> ");
+    ASSERT_NE(Sep, std::string::npos);
+    EXPECT_TRUE(R.pointsTo(Pair.substr(0, Sep)).count(Pair.substr(Sep + 4)))
+        << Tag << ": precise pair outside Andersen: " << Pair;
+  }
+}
+
+TEST(BaselinesTest, PreciseWithinAndersenOnCorpus) {
+  for (const auto &CP : corpus::corpus())
+    expectPreciseWithinAndersen(CP.Source, CP.Name);
+  expectPreciseWithinAndersen(StrchrSrc, "strchr");
+}
+
 TEST(BaselinesTest, AndersenTerminatesOnCorpus) {
   for (const auto &CP : corpus::corpus()) {
     auto P = Pipeline::frontend(CP.Source);

@@ -231,6 +231,39 @@ TEST(DemandTest, IncrstressPrunesToAHandfulOfStatements) {
   EXPECT_LT(AA.VisitedStmts, 100u);
 }
 
+TEST(DemandTest, IncrstressPruningIsPinned) {
+  // The liveness pass's exact effect on a fixed query set: a looser
+  // pass would show up here long before bench_demand's ratio gate, and
+  // a tighter one would be suspect. p and q are main's locals; slot0 is
+  // a global, whose conservative mod sets keep the whole slice live.
+  struct Pin {
+    Query Q;
+    uint64_t Visited, Skipped, Live, Slice;
+  };
+  const Pin Pins[] = {
+      {Query::pointsTo("p"), 4, 7, 1, 8},
+      {Query::pointsTo("q"), 4, 7, 1, 8},
+      {Query::alias("*p", "*q"), 5, 6, 2, 8},
+      {Query::alias("p", "*q"), 5, 6, 2, 8},
+      {Query::pointsTo("slot0"), 1168447, 0, 8, 8},
+  };
+  const corpus::CorpusProgram *CP = corpus::find("incrstress");
+  ASSERT_NE(CP, nullptr);
+  EngineFixture F(CP->Source);
+  ASSERT_TRUE(F.Engine);
+  for (const Pin &P : Pins) {
+    std::string Tag = P.Q.K == Query::Kind::Alias ? P.Q.A + "|" + P.Q.B
+                                                  : P.Q.Name;
+    Answer A = F.Engine->query(P.Q);
+    ASSERT_TRUE(A.answeredByDemand()) << Tag;
+    EXPECT_EQ(A.VisitedStmts, P.Visited) << Tag;
+    EXPECT_EQ(A.SkippedStmts, P.Skipped) << Tag;
+    EXPECT_EQ(A.LiveBasic, P.Live) << Tag;
+    EXPECT_EQ(A.SliceBasic, P.Slice) << Tag;
+  }
+  EXPECT_EQ(F.Engine->relevanceStats().Edges, 2132u);
+}
+
 //===----------------------------------------------------------------------===//
 // Corpus-wide equivalence
 //===----------------------------------------------------------------------===//

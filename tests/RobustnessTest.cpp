@@ -22,6 +22,7 @@
 #include <set>
 
 using namespace mcpta;
+using testutil::rootPairs;
 
 namespace {
 
@@ -159,45 +160,6 @@ TEST(RobustnessTest, ConflictingRedeclarationsAreNotFatal) {
 //===----------------------------------------------------------------------===//
 // Resource governance: pathological programs under tight budgets
 //===----------------------------------------------------------------------===//
-
-/// Andersen-compatible name of a location's root entity, or "" for
-/// roots outside Andersen's abstraction (null, retval, symbolic).
-std::string andersenRootName(const pta::Location *L) {
-  const pta::Entity *Root = L->root();
-  switch (Root->kind()) {
-  case pta::Entity::Kind::Variable: {
-    const cfront::VarDecl *V = Root->var();
-    if (!V)
-      return "";
-    return (V->owner() ? V->owner()->name() + "::" : std::string()) +
-           V->name();
-  }
-  case pta::Entity::Kind::Heap:
-    return "heap";
-  case pta::Entity::Kind::Function:
-    return Root->function() ? Root->function()->name() : "";
-  default:
-    return "";
-  }
-}
-
-/// End-of-main pairs collapsed to root-entity granularity. The
-/// degraded fallbacks merge contexts and collapse symbolic chains, so
-/// per-path comparison would be too strict; root granularity is what
-/// both the superset and the Andersen-subset properties promise.
-std::set<std::string> rootPairs(const Pipeline &P) {
-  std::set<std::string> Out;
-  if (!P.Analysis.MainOut)
-    return Out;
-  P.Analysis.MainOut->forEach(
-      *P.Analysis.Locs,
-      [&](const pta::Location *S, const pta::Location *T, pta::Def) {
-        std::string A = andersenRootName(S), B = andersenRootName(T);
-        if (!A.empty() && !B.empty())
-          Out.insert(A + " -> " + B);
-      });
-  return Out;
-}
 
 std::string stressProgram() { return wlgen::pathologicalSource(5, 3, 4, 8); }
 

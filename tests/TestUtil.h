@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 namespace mcpta {
@@ -76,6 +77,46 @@ inline const pta::Location *findLoc(const Pipeline &P,
   if (!Found)
     return nullptr;
   return P.Analysis.Locs->varLoc(Found);
+}
+
+/// Andersen-compatible name of a location's root entity, or "" for
+/// roots outside Andersen's abstraction (null, retval, symbolic).
+inline std::string andersenRootName(const pta::Location *L) {
+  const pta::Entity *Root = L->root();
+  switch (Root->kind()) {
+  case pta::Entity::Kind::Variable: {
+    const cfront::VarDecl *V = Root->var();
+    if (!V)
+      return "";
+    return (V->owner() ? V->owner()->name() + "::" : std::string()) +
+           V->name();
+  }
+  case pta::Entity::Kind::Heap:
+    return "heap";
+  case pta::Entity::Kind::Function:
+    return Root->function() ? Root->function()->name() : "";
+  default:
+    return "";
+  }
+}
+
+/// End-of-main pairs collapsed to root-entity granularity, rendered
+/// "src -> dst" with Andersen's names. Root granularity is what the
+/// precision-order properties promise: degraded fallbacks merge
+/// contexts and collapse symbolic chains, and Andersen collapses
+/// fields and array cells onto their root.
+inline std::set<std::string> rootPairs(const Pipeline &P) {
+  std::set<std::string> Out;
+  if (!P.Analysis.MainOut)
+    return Out;
+  P.Analysis.MainOut->forEach(
+      *P.Analysis.Locs,
+      [&](const pta::Location *S, const pta::Location *T, pta::Def) {
+        std::string A = andersenRootName(S), B = andersenRootName(T);
+        if (!A.empty() && !B.empty())
+          Out.insert(A + " -> " + B);
+      });
+  return Out;
 }
 
 } // namespace testutil
