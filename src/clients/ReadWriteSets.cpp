@@ -14,6 +14,7 @@ namespace {
 struct Collector {
   const pta::Analyzer::Result &Res;
   LREvaluator Eval;
+  std::vector<LocDef> Locations; ///< reused evaluation buffer
   std::set<std::string> *Reads = nullptr;
   std::set<std::string> *Writes = nullptr;
 
@@ -27,7 +28,8 @@ struct Collector {
   }
 
   void noteRead(const Reference &Ref, const PointsToSet &In) {
-    for (const LocDef &L : Eval.refLocations(Ref, In))
+    Eval.refLocations(Ref, In, Locations);
+    for (const LocDef &L : Locations)
       Reads->insert(L.Loc->str());
   }
   void noteReadOperand(const Operand &O, const PointsToSet &In) {
@@ -35,7 +37,8 @@ struct Collector {
       noteRead(O.Ref, In);
   }
   void noteWrite(const Reference &Ref, const PointsToSet &In) {
-    for (const LocDef &L : Eval.lvalLocations(Ref, In))
+    Eval.lvalLocations(Ref, In, Locations);
+    for (const LocDef &L : Locations)
       Writes->insert(L.Loc->str());
     // A dereferencing write also reads the pointer itself.
     if (Ref.Deref)

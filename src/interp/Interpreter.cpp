@@ -2,8 +2,6 @@
 
 #include "interp/Interpreter.h"
 
-#include "pointsto/LRLocations.h"
-
 #include <cassert>
 #include <map>
 #include <set>
@@ -209,8 +207,6 @@ private:
   unsigned NextFrameId = 1;
   uint64_t RandState = 12345;
   bool StepLimitHit = false;
-
-  std::unique_ptr<LREvaluator> Eval; // for abstraction lookups
 };
 
 void Engine::initPointerCells(unsigned Obj, const cf::Type *Ty,
@@ -955,8 +951,6 @@ RunResult Engine::run() {
     Result.Error = "no main function";
     return Result;
   }
-  if (Res && Res->Locs)
-    Eval = std::make_unique<LREvaluator>(*Res->Locs);
 
   // Globals.
   for (const cf::VarDecl *G : Prog.globals()) {

@@ -143,6 +143,12 @@ private:
   Analyzer::Result &Res;
   LocationTable &Locs;
   LREvaluator Eval;
+  /// Reused evaluation buffers for call binding, return-value
+  /// translation and the extern models. The actuals are consumed by
+  /// map() before the callee is evaluated, and the rest are filled only
+  /// after it returns, so nested calls cannot clobber a live buffer.
+  std::vector<std::vector<LocDef>> ActualRLocs;
+  std::vector<LocDef> Llocs, Rlocs, Scratch;
   /// Owns the budget meter iff any limit is set; components share the
   /// raw pointer and pay one branch when it is null.
   std::unique_ptr<support::BudgetMeter> MeterStorage;
@@ -301,9 +307,10 @@ AnalyzerImpl::indirectTargets(const CallInfo &CI, const PointsToSet &S) {
   switch (Opts.FnPtr) {
   case FnPtrMode::Precise: {
     const Location *Fptr = Locs.varLoc(CI.FnPtr.Base);
-    for (const LocDef &T : S.targetsOf(Fptr, Locs))
-      if (T.Loc->isFunction())
-        Out.push_back(T.Loc->root()->function());
+    S.forEachTarget(Fptr, Locs, [&](const Location *T, Def) {
+      if (T->isFunction())
+        Out.push_back(T->root()->function());
+    });
     break;
   }
   case FnPtrMode::AllFunctions:
@@ -377,13 +384,10 @@ OptSet AnalyzerImpl::processCallTarget(const cf::FunctionDecl *Callee,
     return applyExtern(Callee, CI, LhsRef, S, Ign);
 
   // Evaluate actual R-locations and map into the callee.
-  std::vector<std::vector<LocDef>> ActualRLocs;
-  std::vector<const Operand *> Actuals;
-  for (const Operand &A : CI.Args) {
-    ActualRLocs.push_back(Eval.operandRLocations(A, S));
-    Actuals.push_back(&A);
-  }
-  MapResult MR = MU.map(S, Callee, ActualRLocs, Actuals);
+  ActualRLocs.resize(CI.Args.size());
+  for (size_t I = 0; I < CI.Args.size(); ++I)
+    Eval.operandRLocations(CI.Args[I], S, ActualRLocs[I]);
+  MapResult MR = MU.map(S, Callee, ActualRLocs, CI.Args);
 
   IGNode *Child = Res.IG->getOrCreateChild(Ign, CI.CallSiteId, Callee);
   Child->MapInfo = MR.MapInfo; // context-sensitive deposit (Sec. 4.1)
@@ -425,38 +429,40 @@ OptSet AnalyzerImpl::processCallTarget(const cf::FunctionDecl *Callee,
     if (Callee->returnType()->isRecord()) {
       // retval is callee storage: read each pointer component's targets
       // from the callee output and translate them back individually.
-      std::vector<LocDef> LhsStorage = Eval.lvalLocations(*LhsRef, OutCaller);
+      std::vector<LocDef> &LhsStorage = Scratch;
+      Eval.lvalLocations(*LhsRef, OutCaller, LhsStorage);
       std::vector<std::vector<PathElem>> Suffixes;
       std::vector<PathElem> Prefix;
       BodyKernel::pointerSuffixPaths(Callee->returnType(), Prefix, Suffixes);
       for (const std::vector<PathElem> &P : Suffixes) {
         const Location *RetP = BodyKernel::applyPath(Locs, Ret, P);
-        std::vector<LocDef> Rlocs;
-        for (const LocDef &T : CalleeOut->targetsOf(RetP, Locs))
-          for (const Location *CT :
-               MU.translateBack(T.Loc, Callee, *UnmapMR))
-            Rlocs.push_back({CT, T.D});
-        std::vector<LocDef> Llocs;
+        Rlocs.clear();
+        CalleeOut->forEachTarget(RetP, Locs, [&](const Location *T, Def D) {
+          for (const Location *CT : MU.translateBack(T, Callee, *UnmapMR))
+            Rlocs.push_back({CT, D});
+        });
+        Llocs.clear();
         for (const LocDef &L : LhsStorage) {
           const Location *LL = BodyKernel::applyPath(Locs, L.Loc, P);
           Def D = (L.D == Def::D && !LL->isSummary()) ? Def::D : Def::P;
           Llocs.push_back({LL, D});
         }
-        Kernel.applyAssignRule(OutCaller, normalizeLocDefs(std::move(Llocs)),
-                               normalizeLocDefs(std::move(Rlocs)));
+        normalizeLocDefs(Llocs);
+        normalizeLocDefs(Rlocs);
+        Kernel.applyAssignRule(OutCaller, Llocs, Rlocs);
       }
     } else {
-      std::vector<LocDef> Rlocs;
-      for (const LocDef &T : CalleeOut->targetsOf(Ret, Locs)) {
+      Rlocs.clear();
+      CalleeOut->forEachTarget(Ret, Locs, [&](const Location *T, Def TD) {
         std::vector<const Location *> Back =
-            MU.translateBack(T.Loc, Callee, *UnmapMR);
-        Def D = Back.size() == 1 ? T.D : Def::P;
+            MU.translateBack(T, Callee, *UnmapMR);
+        Def D = Back.size() == 1 ? TD : Def::P;
         for (const Location *CT : Back)
           Rlocs.push_back({CT, D});
-      }
-      std::vector<LocDef> Llocs = Eval.lvalLocations(*LhsRef, OutCaller);
-      Kernel.applyAssignRule(OutCaller, Llocs,
-                             normalizeLocDefs(std::move(Rlocs)));
+      });
+      Eval.lvalLocations(*LhsRef, OutCaller, Llocs);
+      normalizeLocDefs(Rlocs);
+      Kernel.applyAssignRule(OutCaller, Llocs, Rlocs);
     }
   }
   return OptSet(std::move(OutCaller));
@@ -718,10 +724,12 @@ OptSet AnalyzerImpl::applyExtern(const cf::FunctionDecl *Callee,
   const bool IsReturnsArg0 = Model == ExternModel::ReturnsArg0;
 
   if (LhsRef && LhsRef->Ty && LhsRef->Ty->isPointerBearing()) {
-    std::vector<LocDef> Rlocs;
+    Rlocs.clear();
     if (IsReturnsArg0 && !CI.Args.empty()) {
       // The result may point anywhere inside the object arg0 points to.
-      for (const LocDef &T : Eval.operandRLocations(CI.Args[0], S)) {
+      std::vector<LocDef> &Arg0Targets = Scratch;
+      Eval.operandRLocations(CI.Args[0], S, Arg0Targets);
+      for (const LocDef &T : Arg0Targets) {
         if (T.Loc->isNull())
           continue;
         Eval.applyIndexToTarget(T.Loc, IndexKind::Unknown, Def::P, Rlocs);
@@ -732,10 +740,11 @@ OptSet AnalyzerImpl::applyExtern(const cf::FunctionDecl *Callee,
       warnOnce(ownerName(Ign), "extern-ptr-" + Name,
                "extern function '" + Name +
                    "' returns a pointer; modeled as pointing to heap");
-      Rlocs = {{Locs.heap(), Def::P}};
+      Rlocs.assign(1, {Locs.heap(), Def::P});
     }
-    std::vector<LocDef> Llocs = Eval.lvalLocations(*LhsRef, S);
-    Kernel.applyAssignRule(S, Llocs, normalizeLocDefs(std::move(Rlocs)));
+    Eval.lvalLocations(*LhsRef, S, Llocs);
+    normalizeLocDefs(Rlocs);
+    Kernel.applyAssignRule(S, Llocs, Rlocs);
   }
 
   // Known pointer-neutral library functions need no warning; anything

@@ -99,7 +99,8 @@ void BodyKernel::applyStructCopy(PointsToSet &S,
   std::vector<PathElem> Prefix;
   pointerSuffixPaths(Ty, Prefix, Suffixes);
   for (const std::vector<PathElem> &P : Suffixes) {
-    std::vector<LocDef> Llocs, Rlocs;
+    Llocs.clear();
+    Rlocs.clear();
     for (const LocDef &L : LhsStorage) {
       const Location *LL = applyPath(Locs, L.Loc, P);
       Def D = (L.D == Def::D && !LL->isSummary()) ? Def::D : Def::P;
@@ -111,8 +112,9 @@ void BodyKernel::applyStructCopy(PointsToSet &S,
         Rlocs.push_back({T, meet(R.D, D)});
       });
     }
-    applyAssignRule(S, normalizeLocDefs(std::move(Llocs)),
-                    normalizeLocDefs(std::move(Rlocs)));
+    normalizeLocDefs(Llocs);
+    normalizeLocDefs(Rlocs);
+    applyAssignRule(S, Llocs, Rlocs);
   }
 }
 
@@ -336,8 +338,8 @@ FlowState BodyKernel::processAssign(const AssignStmt *A, OptSet In,
     // Aggregate copy: s1 = s2 decomposes into pointer components.
     if (A->RK == AssignStmt::RhsKind::Operand && A->A.isRef() &&
         LhsTy->isPointerBearing()) {
-      std::vector<LocDef> LhsStorage = Eval.lvalLocations(A->Lhs, S);
-      std::vector<LocDef> RhsStorage = Eval.refLocations(A->A.Ref, S);
+      Eval.lvalLocations(A->Lhs, S, LhsStorage);
+      Eval.refLocations(A->A.Ref, S, RhsStorage);
       applyStructCopy(S, LhsStorage, RhsStorage, LhsTy);
     }
     FS.Normal = std::move(S);
@@ -345,19 +347,18 @@ FlowState BodyKernel::processAssign(const AssignStmt *A, OptSet In,
   }
 
   // Scalar pointer assignment.
-  std::vector<LocDef> Rlocs;
   switch (A->RK) {
   case AssignStmt::RhsKind::Operand:
-    Rlocs = Eval.operandRLocations(A->A, S);
+    Eval.operandRLocations(A->A, S, Rlocs);
     break;
   case AssignStmt::RhsKind::Binary:
-    Rlocs = Eval.binaryRLocations(A->A, A->BOp, A->B, S);
+    Eval.binaryRLocations(A->A, A->BOp, A->B, S, Rlocs);
     break;
   case AssignStmt::RhsKind::Unary:
     Rlocs.clear(); // unary ops never produce pointers
     break;
   case AssignStmt::RhsKind::Alloc:
-    Rlocs = {{Locs.heap(), Def::P}}; // Table 1's malloc() row
+    Rlocs.assign(1, {Locs.heap(), Def::P}); // Table 1's malloc() row
     break;
   case AssignStmt::RhsKind::Call:
     // Handled at the top of this function; reaching here means the
@@ -370,7 +371,7 @@ FlowState BodyKernel::processAssign(const AssignStmt *A, OptSet In,
     break;
   }
 
-  std::vector<LocDef> Llocs = Eval.lvalLocations(A->Lhs, S);
+  Eval.lvalLocations(A->Lhs, S, Llocs);
   applyAssignRule(S, Llocs, Rlocs);
   FS.Normal = std::move(S);
   return FS;
@@ -384,14 +385,14 @@ FlowState BodyKernel::processReturn(const ReturnStmt *R, OptSet In,
   if (R->Value && F && F->returnType()->isRecord()) {
     // Struct return: copy the aggregate into retval component-wise.
     if (R->Value->isRef() && F->returnType()->isPointerBearing()) {
-      const Location *Ret = Locs.get(Locs.retval(F));
-      std::vector<LocDef> RhsStorage = Eval.refLocations(R->Value->Ref, S);
-      applyStructCopy(S, {{Ret, Def::D}}, RhsStorage, F->returnType());
+      LhsStorage.assign(1, {Locs.get(Locs.retval(F)), Def::D});
+      Eval.refLocations(R->Value->Ref, S, RhsStorage);
+      applyStructCopy(S, LhsStorage, RhsStorage, F->returnType());
     }
   } else if (R->Value && F && F->returnType()->isPointerBearing()) {
-    const Location *Ret = Locs.get(Locs.retval(F));
-    std::vector<LocDef> Rlocs = Eval.operandRLocations(*R->Value, S);
-    applyAssignRule(S, {{Ret, Def::D}}, Rlocs);
+    Llocs.assign(1, {Locs.get(Locs.retval(F)), Def::D});
+    Eval.operandRLocations(*R->Value, S, Rlocs);
+    applyAssignRule(S, Llocs, Rlocs);
   }
   FlowState FS;
   FS.Ret = std::move(S);

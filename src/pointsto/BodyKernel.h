@@ -27,6 +27,10 @@
 /// pointerSuffixPaths, applyPath) are public: the driver reuses them
 /// for return-value translation and the extern-call models.
 ///
+/// The kernel owns the L/R-location buffers LREvaluator writes into and
+/// reuses them on every visit, so an assignment allocates nothing once
+/// they have grown. No buffer is live across a call into Env.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MCPTA_POINTSTO_BODYKERNEL_H
@@ -147,7 +151,8 @@ public:
 
   /// Structure assignment: broken into per-pointer-component assignments
   /// (the paper's note below Figure 1). \p RhsStorage are the locations
-  /// of the source aggregate.
+  /// of the source aggregate. Each component is evaluated in the
+  /// kernel's Llocs/Rlocs buffers, so neither argument may be one.
   void applyStructCopy(PointsToSet &S, const std::vector<LocDef> &LhsStorage,
                        const std::vector<LocDef> &RhsStorage,
                        const cfront::Type *Ty);
@@ -176,6 +181,9 @@ private:
   Env &E;
   HotCounters &C;
   support::Histogram *HLoopIters;
+  /// Reused evaluation buffers: an assignment's L- and R-locations, and
+  /// the storage locations of an aggregate copy's two sides.
+  std::vector<LocDef> Llocs, Rlocs, LhsStorage, RhsStorage;
 };
 
 } // namespace pta

@@ -10,9 +10,9 @@ using namespace mcpta::pta;
 using namespace mcpta::simple;
 using namespace mcpta::cfront;
 
-std::vector<LocDef> mcpta::pta::normalizeLocDefs(std::vector<LocDef> Set) {
+void mcpta::pta::normalizeLocDefs(std::vector<LocDef> &Set) {
   if (Set.size() <= 1)
-    return Set;
+    return;
   std::sort(Set.begin(), Set.end(), [](const LocDef &A, const LocDef &B) {
     if (A.Loc != B.Loc)
       return A.Loc->id() < B.Loc->id();
@@ -27,7 +27,6 @@ std::vector<LocDef> mcpta::pta::normalizeLocDefs(std::vector<LocDef> Set) {
   if (Set.size() > 1)
     for (LocDef &LD : Set)
       LD.D = Def::P;
-  return Set;
 }
 
 void LREvaluator::applyIndexToTarget(const Location *L, IndexKind IK, Def D,
@@ -102,20 +101,20 @@ void LREvaluator::applyAccessor(std::vector<LocDef> &Set, const Accessor &A) {
       LD.Loc = Locs.withField(LD.Loc, A.Field);
     return;
   }
-  std::vector<LocDef> Next;
+  Next.clear();
   for (const LocDef &LD : Set) {
     if (A.IsShift)
       applyIndexToTarget(LD.Loc, A.Index, LD.D, Next);
     else
       selectElement(LD.Loc, A.Index, LD.D, Next);
   }
-  Set = std::move(Next);
+  Set.swap(Next);
 }
 
-std::vector<LocDef> LREvaluator::refLocations(const Reference &Ref,
-                                              const PointsToSet &S) {
+void LREvaluator::refLocations(const Reference &Ref, const PointsToSet &S,
+                               std::vector<LocDef> &Out) {
   assert(Ref.isValid() && "reference has no base variable");
-  std::vector<LocDef> Set;
+  Out.clear();
   const Location *Base = Locs.varLoc(Ref.Base);
   if (Ref.Deref) {
     // Dereference reads the base pointer's targets from S. NULL targets
@@ -124,70 +123,74 @@ std::vector<LocDef> LREvaluator::refLocations(const Reference &Ref,
     // Sec. 6).
     S.forEachTarget(Base, Locs, [&](const Location *T, Def D) {
       if (!T->isNull())
-        Set.push_back({T, D});
+        Out.push_back({T, D});
     });
   } else {
-    Set.push_back({Base, Def::D});
+    Out.push_back({Base, Def::D});
   }
   for (const Accessor &A : Ref.Path)
-    applyAccessor(Set, A);
-  return normalizeLocDefs(std::move(Set));
+    applyAccessor(Out, A);
+  normalizeLocDefs(Out);
 }
 
-std::vector<LocDef> LREvaluator::lvalLocations(const Reference &Ref,
-                                               const PointsToSet &S) {
+void LREvaluator::lvalLocations(const Reference &Ref, const PointsToSet &S,
+                                std::vector<LocDef> &Out) {
   assert(!Ref.AddrOf && "address values are not assignable");
-  std::vector<LocDef> Set = refLocations(Ref, S);
+  refLocations(Ref, S, Out);
   // Summary locations are never strong-update targets.
-  for (LocDef &LD : Set)
+  for (LocDef &LD : Out)
     if (LD.Loc->isSummary())
       LD.D = Def::P;
-  return Set;
 }
 
-std::vector<LocDef> LREvaluator::rvalLocations(const Reference &Ref,
-                                               const PointsToSet &S) {
-  std::vector<LocDef> Set = refLocations(Ref, S);
+void LREvaluator::rvalLocations(const Reference &Ref, const PointsToSet &S,
+                                std::vector<LocDef> &Out) {
   if (Ref.AddrOf) {
     // &ref: the value *is* the set of addresses.
-    return Set;
+    refLocations(Ref, S, Out);
+    return;
   }
   // Read the pointer stored at each location: one more hop through S.
-  std::vector<LocDef> Out;
-  for (const LocDef &LD : Set)
+  refLocations(Ref, S, Cells);
+  Out.clear();
+  for (const LocDef &LD : Cells)
     S.forEachTarget(LD.Loc, Locs, [&](const Location *T, Def D) {
       Out.push_back({T, meet(LD.D, D)});
     });
-  return normalizeLocDefs(std::move(Out));
+  normalizeLocDefs(Out);
 }
 
-std::vector<LocDef> LREvaluator::operandRLocations(const Operand &Op,
-                                                   const PointsToSet &S) {
+void LREvaluator::operandRLocations(const Operand &Op, const PointsToSet &S,
+                                    std::vector<LocDef> &Out) {
+  Out.clear();
   switch (Op.K) {
   case Operand::Kind::Ref:
-    return rvalLocations(Op.Ref, S);
+    rvalLocations(Op.Ref, S, Out);
+    return;
   case Operand::Kind::IntConst:
   case Operand::Kind::FloatConst:
-    return {};
+    return;
   case Operand::Kind::NullConst:
-    return {{Locs.null(), Def::D}};
+    Out.push_back({Locs.null(), Def::D});
+    return;
   case Operand::Kind::StringConst: {
     const Entity *E = Locs.stringLit(Op.StringId, Op.Ty);
-    return {{Locs.withElem(Locs.get(E), /*Head=*/true), Def::D}};
+    Out.push_back({Locs.withElem(Locs.get(E), /*Head=*/true), Def::D});
+    return;
   }
   case Operand::Kind::FunctionAddr:
-    return {{Locs.fnLoc(Op.Fn), Def::D}};
+    Out.push_back({Locs.fnLoc(Op.Fn), Def::D});
+    return;
   }
-  return {};
 }
 
-std::vector<LocDef> LREvaluator::binaryRLocations(const Operand &A,
-                                                  BinaryOp Op,
-                                                  const Operand &B,
-                                                  const PointsToSet &S) {
+void LREvaluator::binaryRLocations(const Operand &A, BinaryOp Op,
+                                   const Operand &B, const PointsToSet &S,
+                                   std::vector<LocDef> &Out) {
+  Out.clear();
   // Only additive operators can produce pointers from pointers.
   if (Op != BinaryOp::Add && Op != BinaryOp::Sub)
-    return {};
+    return;
 
   auto IsPointerish = [](const Operand &O) {
     return O.Ty && (O.Ty->isPointer() || O.Ty->isArray());
@@ -201,12 +204,12 @@ std::vector<LocDef> LREvaluator::binaryRLocations(const Operand &A,
     Ptr = &B;
     Idx = &A;
   } else {
-    return {};
+    return;
   }
   if (IsPointerish(A) && IsPointerish(B) && Op == BinaryOp::Sub)
-    return {}; // ptr - ptr is an integer
+    return; // ptr - ptr is an integer
 
-  std::vector<LocDef> Targets = operandRLocations(*Ptr, S);
+  operandRLocations(*Ptr, S, Out);
 
   // Classify the offset.
   IndexKind IK = IndexKind::Unknown;
@@ -222,10 +225,11 @@ std::vector<LocDef> LREvaluator::binaryRLocations(const Operand &A,
     IK = IndexKind::Unknown;
 
   if (IK == IndexKind::Zero)
-    return Targets;
+    return;
 
-  std::vector<LocDef> Out;
-  for (const LocDef &LD : Targets) {
+  // Out holds the pointer's targets; build the shifted set in Next.
+  Next.clear();
+  for (const LocDef &LD : Out) {
     if (LD.Loc->isNull())
       continue;
     // Subtraction can move from tail back to head.
@@ -235,14 +239,15 @@ std::vector<LocDef> LREvaluator::binaryRLocations(const Operand &A,
       if (AtTail) {
         std::vector<PathElem> Path = LD.Loc->path();
         Path.back() = PathElem::head();
-        Out.push_back({Locs.get(LD.Loc->root(), Path), Def::P});
-        Out.push_back({LD.Loc, Def::P});
+        Next.push_back({Locs.get(LD.Loc->root(), Path), Def::P});
+        Next.push_back({LD.Loc, Def::P});
         continue;
       }
-      Out.push_back({LD.Loc, Def::P});
+      Next.push_back({LD.Loc, Def::P});
       continue;
     }
-    applyIndexToTarget(LD.Loc, IK, LD.D, Out);
+    applyIndexToTarget(LD.Loc, IK, LD.D, Next);
   }
-  return normalizeLocDefs(std::move(Out));
+  Out.swap(Next);
+  normalizeLocDefs(Out);
 }

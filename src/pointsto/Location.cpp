@@ -3,6 +3,8 @@
 #include "pointsto/Location.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace mcpta;
 using namespace mcpta::pta;
@@ -172,9 +174,15 @@ const Entity *LocationTable::symbolic(const FunctionDecl *Frame,
 
 Location *LocationTable::create(const Entity *Root,
                                 std::vector<PathElem> Path) {
+  if (LocationsById.size() > MaxLocationId) {
+    // Ids past 2^31 - 1 would alias in packed points-to keys.
+    std::fprintf(stderr, "mcpta: fatal: more than %u abstract locations\n",
+                 MaxLocationId + 1u);
+    std::abort();
+  }
   Locations.push_back(std::unique_ptr<Location>(new Location()));
   Location *L = Locations.back().get();
-  L->Id = static_cast<uint32_t>(LocationsById.size());
+  L->Id = static_cast<LocationId>(LocationsById.size());
   L->Root = Root;
   L->Path = std::move(Path);
 

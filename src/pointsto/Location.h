@@ -60,6 +60,10 @@ class Location;
 /// maps on hot paths.
 using LocationId = uint32_t;
 
+/// Largest id a LocationTable mints: a points-to entry packs the target
+/// id into 31 bits beside its D/P flag (PointsToSet::Entry).
+constexpr LocationId MaxLocationId = 0x7fffffffu;
+
 /// A root of the abstract stack: something nameable that storage hangs
 /// off.
 class Entity {

@@ -147,7 +147,7 @@ void MapUnmap::traverse(MapState &St, const Location *CalleeLoc,
 MapResult MapUnmap::map(const PointsToSet &CallerS,
                         const cf::FunctionDecl *Callee,
                         const std::vector<std::vector<LocDef>> &ActualRLocs,
-                        const std::vector<const Operand *> &Actuals) {
+                        const std::vector<Operand> &Actuals) {
   ++Ctrs.MapCalls;
   MapState St;
   St.CallerS = &CallerS;
@@ -161,10 +161,10 @@ MapResult MapUnmap::map(const PointsToSet &CallerS,
 
     if (FTy->isRecord()) {
       // By-value struct: associate storage fieldwise with the actual.
-      if (I < Actuals.size() && Actuals[I] && Actuals[I]->isRef() &&
-          Actuals[I]->Ref.isValid() && !Actuals[I]->Ref.Deref &&
-          Actuals[I]->Ref.Path.empty()) {
-        const Location *ALoc = Locs.varLoc(Actuals[I]->Ref.Base);
+      if (I < Actuals.size() && Actuals[I].isRef() &&
+          Actuals[I].Ref.isValid() && !Actuals[I].Ref.Deref &&
+          Actuals[I].Ref.Path.empty()) {
+        const Location *ALoc = Locs.varLoc(Actuals[I].Ref.Base);
         traverse(St, FLoc, ALoc);
       }
       continue;
@@ -208,9 +208,8 @@ MapResult MapUnmap::map(const PointsToSet &CallerS,
     PointsToSet Demoted;
     const PointsToSet::Entry *E = St.R.CalleeInput.entries();
     for (size_t I = 0, N = St.R.CalleeInput.size(); I < N; ++I) {
-      bool Multi = isMulti(static_cast<LocationId>(E[I].K >> 32)) ||
-                   isMulti(static_cast<LocationId>(E[I].K & 0xffffffffu));
-      Demoted.insertKey(E[I].K, Multi ? Def::P : E[I].D);
+      bool Multi = isMulti(E[I].src()) || isMulti(E[I].dst());
+      Demoted.insertKey(E[I].key(), Multi ? Def::P : E[I].def());
     }
     St.R.CalleeInput = std::move(Demoted);
   }

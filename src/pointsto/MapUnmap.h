@@ -31,7 +31,6 @@
 #ifndef MCPTA_POINTSTO_MAPUNMAP_H
 #define MCPTA_POINTSTO_MAPUNMAP_H
 
-#include "pointsto/LRLocations.h"
 #include "pointsto/MapInfo.h"
 #include "pointsto/PointsToSet.h"
 #include "simple/SimpleIR.h"
@@ -80,7 +79,7 @@ public:
   /// entities), so the Locations cap trips at the site that grows it.
   MapUnmap(LocationTable &Locs, const simple::Program &Prog,
            support::BudgetMeter *Meter = nullptr)
-      : Locs(Locs), Prog(Prog), Eval(Locs), Meter(Meter) {}
+      : Locs(Locs), Prog(Prog), Meter(Meter) {}
 
   const Counters &counters() const { return Ctrs; }
 
@@ -92,7 +91,7 @@ public:
   MapResult map(const PointsToSet &CallerS,
                 const cfront::FunctionDecl *Callee,
                 const std::vector<std::vector<LocDef>> &ActualRLocs,
-                const std::vector<const simple::Operand *> &Actuals);
+                const std::vector<simple::Operand> &Actuals);
 
   /// Translates one callee-domain location back to the caller domain.
   /// Returns an empty vector for callee-private storage.
@@ -115,7 +114,6 @@ private:
 
   LocationTable &Locs;
   const simple::Program &Prog;
-  LREvaluator Eval;
   support::BudgetMeter *Meter;
   /// mutable: unmap()/translateBack() are logically const queries.
   mutable Counters Ctrs;

@@ -10,18 +10,22 @@ using namespace mcpta::pta;
 
 namespace {
 
-/// Comparator for lower_bound over the sorted entry run.
-inline bool entryLess(const PointsToSet::Entry &E, PointsToSet::PairKey K) {
-  return E.K < K;
+/// Comparator for lower_bound over the sorted entry run. \p K has its
+/// flag bit clear (a pair key or a source-range bound), so an entry is
+/// below K exactly when its pair is.
+inline bool entryLess(const PointsToSet::Entry &E, uint64_t K) {
+  return E.Bits < K;
 }
+
+constexpr uint64_t PBit = static_cast<uint64_t>(Def::P);
 
 } // namespace
 
-const Def *PointsToSet::findKey(PairKey K) const {
+const PointsToSet::Entry *PointsToSet::findKey(PairKey K) const {
   const Entry *B = entries();
   const Entry *E = B + size();
   const Entry *It = std::lower_bound(B, E, K, entryLess);
-  return (It != E && It->K == K) ? &It->D : nullptr;
+  return (It != E && It->key() == K) ? It : nullptr;
 }
 
 PointsToSet::Entry *PointsToSet::detachForWrite() {
@@ -56,11 +60,11 @@ bool PointsToSet::insertKey(PairKey K, Def D) {
   const Entry *It = std::lower_bound(B, B + N, K, entryLess);
   size_t Pos = static_cast<size_t>(It - B);
 
-  if (It != B + N && It->K == K) {
+  if (It != B + N && It->key() == K) {
     // Present: conflicting definiteness weakens to possible.
-    if (It->D == D || It->D == Def::P)
+    if (It->def() == D || It->def() == Def::P)
       return false;
-    detachForWrite()[Pos].D = Def::P;
+    detachForWrite()[Pos].Bits |= PBit;
     return true;
   }
 
@@ -69,7 +73,7 @@ bool PointsToSet::insertKey(PairKey K, Def D) {
     if (InlineN < InlineCap) {
       std::copy_backward(InlineBuf + Pos, InlineBuf + InlineN,
                          InlineBuf + InlineN + 1);
-      InlineBuf[Pos] = {K, D};
+      InlineBuf[Pos] = Entry::make(K, D);
       ++InlineN;
       return true;
     }
@@ -77,7 +81,7 @@ bool PointsToSet::insertKey(PairKey K, Def D) {
     RepPtr R(new Rep());
     R->E.reserve(InlineN + 1);
     R->E.assign(InlineBuf, InlineBuf + InlineN);
-    R->E.insert(R->E.begin() + static_cast<ptrdiff_t>(Pos), {K, D});
+    R->E.insert(R->E.begin() + static_cast<ptrdiff_t>(Pos), Entry::make(K, D));
     R->sync();
     Heap = std::move(R);
     InlineN = 0;
@@ -85,15 +89,16 @@ bool PointsToSet::insertKey(PairKey K, Def D) {
   }
 
   detachForWrite();
-  Heap->E.insert(Heap->E.begin() + static_cast<ptrdiff_t>(Pos), {K, D});
+  Heap->E.insert(Heap->E.begin() + static_cast<ptrdiff_t>(Pos),
+                 Entry::make(K, D));
   Heap->sync();
   return true;
 }
 
 bool PointsToSet::killFrom(const Location *Src) {
   stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
-  PairKey Lo = static_cast<uint64_t>(Src->id()) << 32;
-  PairKey Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
+  uint64_t Lo = static_cast<uint64_t>(Src->id()) << 32;
+  uint64_t Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
   const Entry *B = entries();
   size_t N = size();
   size_t First = std::lower_bound(B, B + N, Lo, entryLess) - B;
@@ -121,12 +126,12 @@ bool PointsToSet::killFromAll(const std::vector<LocationId> &SortedSrcIds) {
   // First pass: is anything killed at all? (Avoids detaching a shared
   // block when the answer is no — the common case once callees stop
   // touching most caller state.)
-  auto srcKilled = [&](PairKey K) {
-    LocationId Src = static_cast<LocationId>(K >> 32);
-    return std::binary_search(SortedSrcIds.begin(), SortedSrcIds.end(), Src);
+  auto srcKilled = [&](const Entry &X) {
+    return std::binary_search(SortedSrcIds.begin(), SortedSrcIds.end(),
+                              X.src());
   };
   size_t I = 0;
-  while (I < N && !srcKilled(B[I].K))
+  while (I < N && !srcKilled(B[I]))
     ++I;
   if (I == N)
     return false;
@@ -135,7 +140,7 @@ bool PointsToSet::killFromAll(const std::vector<LocationId> &SortedSrcIds) {
   Out.reserve(N - 1);
   Out.assign(B, B + I);
   for (++I; I < N; ++I)
-    if (!srcKilled(B[I].K))
+    if (!srcKilled(B[I]))
       Out.push_back(B[I]);
   adopt(std::move(Out));
   return true;
@@ -143,8 +148,8 @@ bool PointsToSet::killFromAll(const std::vector<LocationId> &SortedSrcIds) {
 
 void PointsToSet::demoteFrom(const Location *Src) {
   stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
-  PairKey Lo = static_cast<uint64_t>(Src->id()) << 32;
-  PairKey Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
+  uint64_t Lo = static_cast<uint64_t>(Src->id()) << 32;
+  uint64_t Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
   const Entry *B = entries();
   size_t N = size();
   size_t First = std::lower_bound(B, B + N, Lo, entryLess) - B;
@@ -153,12 +158,12 @@ void PointsToSet::demoteFrom(const Location *Src) {
   // actually weakens.
   bool Any = false;
   for (size_t I = First; I < Last && !Any; ++I)
-    Any = B[I].D == Def::D;
+    Any = B[I].def() == Def::D;
   if (!Any)
     return;
   Entry *W = detachForWrite();
   for (size_t I = First; I < Last; ++I)
-    W[I].D = Def::P;
+    W[I].Bits |= PBit;
 }
 
 void PointsToSet::demoteFromAll(const std::vector<LocationId> &SortedSrcIds) {
@@ -167,19 +172,20 @@ void PointsToSet::demoteFromAll(const std::vector<LocationId> &SortedSrcIds) {
     return;
   const Entry *B = entries();
   size_t N = size();
-  auto hit = [&](PairKey K) {
-    LocationId Src = static_cast<LocationId>(K >> 32);
-    return std::binary_search(SortedSrcIds.begin(), SortedSrcIds.end(), Src);
+  auto hit = [&](const Entry &X) {
+    return X.def() == Def::D &&
+           std::binary_search(SortedSrcIds.begin(), SortedSrcIds.end(),
+                              X.src());
   };
   bool Any = false;
   for (size_t I = 0; I < N && !Any; ++I)
-    Any = B[I].D == Def::D && hit(B[I].K);
+    Any = hit(B[I]);
   if (!Any)
     return;
   Entry *W = detachForWrite();
   for (size_t I = 0; I < N; ++I)
-    if (W[I].D == Def::D && hit(W[I].K))
-      W[I].D = Def::P;
+    if (hit(W[I]))
+      W[I].Bits |= PBit;
 }
 
 void PointsToSet::demoteAll() {
@@ -187,20 +193,20 @@ void PointsToSet::demoteAll() {
   size_t N = size();
   bool Any = false;
   for (size_t I = 0; I < N && !Any; ++I)
-    Any = B[I].D == Def::D;
+    Any = B[I].def() == Def::D;
   if (!Any)
     return;
   Entry *W = detachForWrite();
   for (size_t I = 0; I < N; ++I)
-    W[I].D = Def::P;
+    W[I].Bits |= PBit;
 }
 
 std::optional<Def> PointsToSet::lookup(const Location *Src,
                                        const Location *Dst) const {
-  const Def *D = findKey(key(Src, Dst));
-  if (!D)
+  const Entry *E = findKey(key(Src, Dst));
+  if (!E)
     return std::nullopt;
-  return *D;
+  return E->def();
 }
 
 std::vector<LocDef> PointsToSet::targetsOf(const Location *Src,
@@ -212,11 +218,11 @@ std::vector<LocDef> PointsToSet::targetsOf(const Location *Src,
 }
 
 bool PointsToSet::hasTargets(const Location *Src) const {
-  PairKey Lo = static_cast<uint64_t>(Src->id()) << 32;
+  uint64_t Lo = static_cast<uint64_t>(Src->id()) << 32;
   const Entry *B = entries();
   const Entry *E = B + size();
   const Entry *It = std::lower_bound(B, E, Lo, entryLess);
-  return It != E && (It->K >> 32) == Src->id();
+  return It != E && It->src() == Src->id();
 }
 
 bool PointsToSet::mergeWith(const PointsToSet &Other) {
@@ -235,26 +241,30 @@ bool PointsToSet::mergeWith(const PointsToSet &Other) {
   // Allocation-free change scan: count the pairs only Other has and look
   // for a definite pair that weakens (definite iff definite in both,
   // Figure 1 / Definition 3.3). Most folds change nothing and stop here.
+  // Two entries hold the same pair iff their words differ at most in
+  // the flag bit; otherwise the words order as their pairs do.
   size_t Extra = 0;
   bool Weakens = false;
   const Entry *I = A;
   const Entry *J = B;
   while (I != AE && J != BE) {
-    if (I->K < J->K) {
-      Weakens |= I->D == Def::D;
+    uint64_t X = I->Bits;
+    uint64_t Y = J->Bits;
+    if ((X ^ Y) <= PBit) {
+      Weakens |= X < Y; // definite here, possible in Other
       ++I;
-    } else if (J->K < I->K) {
-      ++Extra;
       ++J;
-    } else {
-      Weakens |= I->D == Def::D && J->D == Def::P;
+    } else if (X < Y) {
+      Weakens |= !(X & PBit);
       ++I;
+    } else {
+      ++Extra;
       ++J;
     }
   }
   Extra += static_cast<size_t>(BE - J);
   for (; I != AE && !Weakens; ++I)
-    Weakens = I->D == Def::D;
+    Weakens = !(I->Bits & PBit);
   if (Extra == 0 && !Weakens)
     return false;
 
@@ -270,21 +280,21 @@ bool PointsToSet::mergeWith(const PointsToSet &Other) {
     const Entry *Q = BE;
     Entry *W = Out + NewN;
     while (Q != B) {
-      if (P != From && (P - 1)->K > (Q - 1)->K) {
+      if (P != From && (P - 1)->key() > (Q - 1)->key()) {
         --P;
-        *--W = {P->K, Def::P};
-      } else if (P != From && (P - 1)->K == (Q - 1)->K) {
+        *--W = {P->Bits | PBit};
+      } else if (P != From && (P - 1)->key() == (Q - 1)->key()) {
         --P;
         --Q;
-        *--W = {P->K, meet(P->D, Q->D)};
+        *--W = {P->Bits | Q->Bits}; // meet: P if either is P
       } else {
         --Q;
-        *--W = {Q->K, Def::P};
+        *--W = {Q->Bits | PBit};
       }
     }
     while (P != From) {
       --P;
-      *--W = {P->K, Def::P};
+      *--W = {P->Bits | PBit};
     }
   };
 
@@ -339,20 +349,20 @@ PointsToSet::mergeAll(const std::vector<const PointsToSet *> &Sets) {
     for (size_t S = 0; S < K; ++S)
       if (Cur[S] != End[S]) {
         AnyLeft = true;
-        if (Cur[S]->K < Min)
-          Min = Cur[S]->K;
+        if (Cur[S]->key() < Min)
+          Min = Cur[S]->key();
       }
     if (!AnyLeft)
       break;
     size_t Present = 0;
     bool AllD = true;
     for (size_t S = 0; S < K; ++S)
-      if (Cur[S] != End[S] && Cur[S]->K == Min) {
+      if (Cur[S] != End[S] && Cur[S]->key() == Min) {
         ++Present;
-        AllD &= Cur[S]->D == Def::D;
+        AllD &= Cur[S]->def() == Def::D;
         ++Cur[S];
       }
-    Out.push_back({Min, (Present == K && AllD) ? Def::D : Def::P});
+    Out.push_back(Entry::make(Min, (Present == K && AllD) ? Def::D : Def::P));
   }
 
   PointsToSet R;
@@ -373,11 +383,11 @@ bool PointsToSet::subsetOf(const PointsToSet &Other) const {
   const Entry *J = Other.entries();
   const Entry *JE = J + Other.size();
   while (I != IE) {
-    while (J != JE && J->K < I->K)
+    while (J != JE && J->Bits < I->key())
       ++J;
-    if (J == JE || J->K != I->K)
+    if (J == JE || J->key() != I->key())
       return false;
-    if (I->D == Def::P && J->D == Def::D)
+    if (I->Bits > J->Bits) // possible here, definite in Other
       return false;
     ++I;
     ++J;
@@ -405,9 +415,7 @@ PointsToSet::pairs(const LocationTable &Locs) const {
   Out.reserve(size());
   const Entry *B = entries();
   for (size_t I = 0, N = size(); I < N; ++I)
-    Out.push_back({Locs.byId(static_cast<LocationId>(B[I].K >> 32)),
-                   Locs.byId(static_cast<LocationId>(B[I].K & 0xffffffffu)),
-                   B[I].D});
+    Out.push_back({Locs.byId(B[I].src()), Locs.byId(B[I].dst()), B[I].def()});
   return Out;
 }
 
@@ -415,11 +423,10 @@ std::string PointsToSet::str(const LocationTable &Locs) const {
   std::vector<std::string> Rendered;
   const Entry *B = entries();
   for (size_t I = 0, N = size(); I < N; ++I) {
-    const Location *Src = Locs.byId(static_cast<LocationId>(B[I].K >> 32));
-    const Location *Dst =
-        Locs.byId(static_cast<LocationId>(B[I].K & 0xffffffffu));
+    const Location *Src = Locs.byId(B[I].src());
+    const Location *Dst = Locs.byId(B[I].dst());
     Rendered.push_back("(" + Src->str() + "," + Dst->str() + "," +
-                       (B[I].D == Def::D ? "D" : "P") + ")");
+                       (B[I].def() == Def::D ? "D" : "P") + ")");
   }
   std::sort(Rendered.begin(), Rendered.end());
   std::string Out;

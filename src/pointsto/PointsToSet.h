@@ -17,9 +17,11 @@
 ///   - Bottom (unreachable) is represented externally as an empty
 ///     std::optional.
 ///
-/// Representation: a flat vector of {PairKey, Def} entries sorted by
-/// key — dense LocationIds packed as (SrcId << 32) | DstId — with two
-/// storage tiers:
+/// Representation: a flat vector of 8-byte entries sorted by pair key.
+/// An entry packs a whole triple into one word,
+/// (SrcId << 32) | (DstId << 1) | isP, so target ids are 31 bits (see
+/// MaxLocationId) and a run compares, merges and demotes as plain
+/// integers. There are two storage tiers:
 ///   - small sets (up to a handful of pairs) live inline in the object,
 ///     no allocation at all;
 ///   - larger sets live in a shared, copy-on-write heap block. Copying
@@ -47,6 +49,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -56,10 +59,11 @@
 namespace mcpta {
 namespace pta {
 
-/// Definiteness of a points-to relationship.
+/// Definiteness of a points-to relationship. The value is the isP bit of
+/// a packed PointsToSet::Entry.
 enum class Def : uint8_t {
-  D, ///< definitely points-to (holds on every path; both ends single)
-  P, ///< possibly points-to
+  D = 0, ///< definitely points-to (holds on every path; both ends single)
+  P = 1, ///< possibly points-to
 };
 
 /// Conjunction d1 ∧ d2 used throughout Table 1's R-location rules.
@@ -82,20 +86,37 @@ struct LocDef {
 /// A points-to set: sorted flat triples keyed by (source, target) id.
 class PointsToSet {
 public:
+  /// (SrcId << 32) | (DstId << 1): a pair with its flag bit clear.
+  /// Packed keys order exactly as (source id, target id).
   using PairKey = uint64_t;
   static PairKey key(const Location *Src, const Location *Dst) {
-    return (static_cast<uint64_t>(Src->id()) << 32) | Dst->id();
+    return keyIds(Src->id(), Dst->id());
   }
   static PairKey keyIds(LocationId Src, LocationId Dst) {
-    return (static_cast<uint64_t>(Src) << 32) | Dst;
+    assert(Src <= MaxLocationId && Dst <= MaxLocationId &&
+           "location id does not fit a packed pair key");
+    return (static_cast<uint64_t>(Src) << 32) |
+           (static_cast<uint64_t>(Dst) << 1);
   }
 
-  /// One stored triple; entries are strictly increasing by K.
+  /// One stored triple: its pair key with the definiteness in bit 0
+  /// (set iff possible). Entries are strictly increasing by key, and
+  /// since no two share a key, by Bits as well.
   struct Entry {
-    PairKey K;
-    Def D;
-    bool operator==(const Entry &O) const { return K == O.K && D == O.D; }
+    uint64_t Bits;
+
+    static Entry make(PairKey K, Def D) {
+      return {K | static_cast<uint64_t>(D)};
+    }
+    PairKey key() const { return Bits & ~uint64_t(1); }
+    Def def() const { return static_cast<Def>(Bits & 1); }
+    LocationId src() const { return static_cast<LocationId>(Bits >> 32); }
+    LocationId dst() const {
+      return static_cast<LocationId>((Bits & 0xffffffffu) >> 1);
+    }
+    bool operator==(const Entry &O) const { return Bits == O.Bits; }
   };
+  static_assert(sizeof(Entry) == 8, "an entry is one packed word");
 
   /// Plain-value copy of the process-wide traffic counters, for
   /// run-start snapshots and delta arithmetic (see Stats::snapshot).
@@ -228,14 +249,14 @@ public:
   template <typename Fn>
   void forEachTarget(const Location *Src, const LocationTable &Locs,
                      Fn F) const {
-    PairKey Lo = static_cast<uint64_t>(Src->id()) << 32;
-    PairKey Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
+    uint64_t Lo = static_cast<uint64_t>(Src->id()) << 32;
+    uint64_t Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
     const Entry *B = entries();
     const Entry *E = B + size();
     for (const Entry *It = std::lower_bound(
-             B, E, Lo, [](const Entry &X, PairKey K) { return X.K < K; });
-         It != E && It->K < Hi; ++It)
-      F(Locs.byId(static_cast<LocationId>(It->K & 0xffffffffu)), It->D);
+             B, E, Lo, [](const Entry &X, uint64_t K) { return X.Bits < K; });
+         It != E && It->Bits < Hi; ++It)
+      F(Locs.byId(It->dst()), It->def());
   }
   bool hasTargets(const Location *Src) const;
 
@@ -271,12 +292,10 @@ public:
   template <typename Fn> void forEach(const LocationTable &Locs, Fn F) const {
     const Entry *E = entries();
     for (size_t I = 0, N = size(); I < N; ++I)
-      F(Locs.byId(static_cast<LocationId>(E[I].K >> 32)),
-        Locs.byId(static_cast<LocationId>(E[I].K & 0xffffffffu)), E[I].D);
+      F(Locs.byId(E[I].src()), Locs.byId(E[I].dst()), E[I].def());
   }
 
-  /// Raw sorted entry run (id-packed keys) — the serializer writes these
-  /// directly as id-sorted runs, no intermediate map.
+  /// Raw sorted entry run (packed triples).
   const Entry *entries() const { return Heap ? Heap->E.data() : InlineBuf; }
 
   /// Renders as "(x,y,D) (a,b,P) ..." sorted by location name for stable
@@ -376,7 +395,8 @@ private:
 
   static constexpr uint32_t InlineCap = 4;
 
-  const Def *findKey(PairKey K) const;
+  /// The entry holding pair \p K, or null.
+  const Entry *findKey(PairKey K) const;
   /// Makes the entry run privately writable without changing its size
   /// (detaches a shared heap block). Returns the writable run.
   Entry *detachForWrite();

@@ -59,6 +59,35 @@ TEST_F(PointsToSetTest, ConflictingDefinitenessWeakens) {
   EXPECT_EQ(*T.lookup(L[0], L[1]), Def::P) << "P is sticky";
 }
 
+/// Entries pack (src << 32) | (dst << 1) | isP into one word: the ids at
+/// both ends of the 31-bit range and the flag must round-trip, and the
+/// packed keys must order exactly as (src, dst) pairs do.
+TEST_F(PointsToSetTest, PackedEntriesRoundTripAndOrderAsPairs) {
+  const LocationId Ids[] = {0, 1, MaxLocationId};
+  EXPECT_EQ(MaxLocationId, (1u << 31) - 1);
+  std::vector<std::pair<LocationId, LocationId>> Pairs;
+  std::vector<PointsToSet::PairKey> Keys;
+  for (LocationId Src : Ids)
+    for (LocationId Dst : Ids) {
+      PointsToSet::PairKey K = PointsToSet::keyIds(Src, Dst);
+      EXPECT_EQ(K & 1, 0u) << "a pair key leaves the flag bit clear";
+      for (Def D : {Def::D, Def::P}) {
+        PointsToSet::Entry E = PointsToSet::Entry::make(K, D);
+        EXPECT_EQ(E.src(), Src);
+        EXPECT_EQ(E.dst(), Dst);
+        EXPECT_EQ(E.def(), D);
+        EXPECT_EQ(E.key(), K);
+      }
+      Pairs.push_back({Src, Dst});
+      Keys.push_back(K);
+    }
+  for (size_t I = 0; I < Pairs.size(); ++I)
+    for (size_t J = 0; J < Pairs.size(); ++J) {
+      EXPECT_EQ(Keys[I] < Keys[J], Pairs[I] < Pairs[J]) << I << " vs " << J;
+      EXPECT_EQ(Keys[I] == Keys[J], Pairs[I] == Pairs[J]) << I << " vs " << J;
+    }
+}
+
 TEST_F(PointsToSetTest, KillRemovesAllFromSource) {
   PointsToSet S;
   S.insert(L[0], L[1], Def::P);
@@ -263,7 +292,7 @@ std::vector<PointsToSet::Entry> entriesOf(const PointsToSet &S) {
 std::vector<PointsToSet::Entry> entriesOf(const NaiveSet &S) {
   std::vector<PointsToSet::Entry> Out;
   for (const auto &[K, D] : S.M)
-    Out.push_back({K, D});
+    Out.push_back(PointsToSet::Entry::make(K, D));
   return Out;
 }
 
@@ -500,18 +529,18 @@ TEST(PointsToSetLawsTest, WlgenProgramsObeyLatticeLaws) {
       const PointsToSet::Entry *EA = A.entries();
       for (size_t I = 0, N = AB.size(); I < N; ++I) {
         const PointsToSet::Entry &E = AB.entries()[I];
-        while (IA < NA && EA[IA].K < E.K)
+        while (IA < NA && EA[IA].key() < E.key())
           ++IA;
-        bool InA = IA < NA && EA[IA].K == E.K;
-        const Def *InB = nullptr;
+        bool InA = IA < NA && EA[IA].key() == E.key();
+        const PointsToSet::Entry *InB = nullptr;
         for (size_t J = 0, M = B.size(); J < M; ++J)
-          if (B.entries()[J].K == E.K) {
-            InB = &B.entries()[J].D;
+          if (B.entries()[J].key() == E.key()) {
+            InB = &B.entries()[J];
             break;
           }
         ASSERT_TRUE(InA || InB);
-        Def Expect = (InA && InB) ? meet(EA[IA].D, *InB) : Def::P;
-        EXPECT_EQ(E.D, Expect) << "D-in-both-stays-D (Def. 3.3)";
+        Def Expect = (InA && InB) ? meet(EA[IA].def(), InB->def()) : Def::P;
+        EXPECT_EQ(E.def(), Expect) << "D-in-both-stays-D (Def. 3.3)";
       }
 
       // mergeAll(A, B, C) = fold of pairwise merges.
