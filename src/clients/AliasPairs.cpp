@@ -2,7 +2,8 @@
 
 #include "clients/AliasPairs.h"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 using namespace mcpta;
@@ -12,55 +13,98 @@ using namespace mcpta::pta;
 std::set<std::pair<std::string, std::string>>
 mcpta::clients::aliasPairs(const PointsToSet &S, const LocationTable &Locs,
                            unsigned MaxDerefs) {
-  // expressions[L] = access expressions that designate location L.
-  // Depth 0: the location's own name. Depth k+1: "*e" for every e of
-  // depth k designating some X with (X, L) in S.
-  std::map<const Location *, std::vector<std::string>> Exprs;
-  std::map<const Location *, std::vector<std::string>> Frontier;
-
-  // Collect every location mentioned by the set.
-  std::set<const Location *> Mentioned;
-  S.forEach(Locs, [&](const Location *Src, const Location *Dst, Def) {
-    Mentioned.insert(Src);
-    Mentioned.insert(Dst);
-  });
-  for (const Location *L : Mentioned) {
-    Exprs[L].push_back(L->str());
-    Frontier[L].push_back(L->str());
+  // Dense slots: every location the set mentions, in id order.
+  const PointsToSet::Entry *E = S.entries();
+  const size_t NE = S.size();
+  std::vector<LocationId> Ids;
+  Ids.reserve(2 * NE);
+  for (size_t I = 0; I < NE; ++I) {
+    Ids.push_back(E[I].src());
+    Ids.push_back(E[I].dst());
   }
+  std::sort(Ids.begin(), Ids.end());
+  Ids.erase(std::unique(Ids.begin(), Ids.end()), Ids.end());
+  const size_t NS = Ids.size();
+  auto slot = [&](LocationId Id) {
+    return static_cast<uint32_t>(
+        std::lower_bound(Ids.begin(), Ids.end(), Id) - Ids.begin());
+  };
 
-  for (unsigned Depth = 0; Depth < MaxDerefs; ++Depth) {
-    std::map<const Location *, std::vector<std::string>> Next;
-    for (const Location *Src : Mentioned) {
-      auto It = Frontier.find(Src);
-      if (It == Frontier.end() || It->second.empty())
-        continue;
-      for (const LocDef &T : S.targetsOf(Src, Locs)) {
-        if (T.Loc->isNull())
-          continue;
-        for (const std::string &E : It->second) {
-          std::string Deref = "*" + E;
-          Next[T.Loc].push_back(Deref);
-          Exprs[T.Loc].push_back(Deref);
-        }
-      }
+  // Dereference edges (source slot, target slot); NULL is never
+  // dereferenced into.
+  std::vector<std::pair<uint32_t, uint32_t>> Edges;
+  Edges.reserve(NE);
+  for (size_t I = 0; I < NE; ++I)
+    if (!Locs.byId(E[I].dst())->isNull())
+      Edges.emplace_back(slot(E[I].src()), slot(E[I].dst()));
+
+  // The access expressions designating each slot. Expression (k, b) is
+  // k stars prefixed to the name of slot b, coded k * NS + b. Depth 0:
+  // the slot's own name. Depth k+1: "*e" for every depth-k e designating
+  // some X with (X, L) in S. Each level is deduplicated per slot.
+  std::vector<std::vector<size_t>> Exprs(NS);
+  std::vector<std::vector<uint32_t>> Frontier(NS);
+  for (uint32_t B = 0; B < NS; ++B) {
+    Exprs[B].push_back(B);
+    Frontier[B].push_back(B);
+  }
+  for (unsigned Depth = 1; Depth <= MaxDerefs; ++Depth) {
+    std::vector<std::vector<uint32_t>> Next(NS);
+    for (const auto &[Src, Dst] : Edges)
+      Next[Dst].insert(Next[Dst].end(), Frontier[Src].begin(),
+                       Frontier[Src].end());
+    for (uint32_t L = 0; L < NS; ++L) {
+      std::vector<uint32_t> &F = Next[L];
+      std::sort(F.begin(), F.end());
+      F.erase(std::unique(F.begin(), F.end()), F.end());
+      for (uint32_t B : F)
+        Exprs[L].push_back(Depth * NS + B);
     }
     Frontier = std::move(Next);
   }
 
-  std::set<std::pair<std::string, std::string>> Out;
-  for (const auto &[L, Es] : Exprs) {
-    (void)L;
-    for (size_t I = 0; I < Es.size(); ++I)
-      for (size_t J = I + 1; J < Es.size(); ++J) {
-        std::string A = Es[I], B = Es[J];
-        if (A == B)
-          continue;
-        if (B < A)
-          std::swap(A, B);
-        Out.insert({A, B});
-      }
+  // Rank every distinct expression string once; equal strings share a
+  // rank, so rank order is string order.
+  const size_t NCodes = (static_cast<size_t>(MaxDerefs) + 1) * NS;
+  std::vector<uint8_t> Used(NCodes, 0);
+  for (const std::vector<size_t> &Es : Exprs)
+    for (size_t C : Es)
+      Used[C] = 1;
+  std::vector<std::string> Names(NS);
+  for (uint32_t B = 0; B < NS; ++B)
+    Names[B] = Locs.byId(Ids[B])->str();
+  std::vector<std::pair<std::string, size_t>> Spelled;
+  for (size_t C = 0; C < NCodes; ++C)
+    if (Used[C])
+      Spelled.emplace_back(std::string(C / NS, '*') + Names[C % NS], C);
+  std::sort(Spelled.begin(), Spelled.end());
+  std::vector<uint32_t> RankOf(NCodes, 0);
+  std::vector<const std::string *> ByRank;
+  for (const auto &[Str, C] : Spelled) {
+    if (ByRank.empty() || *ByRank.back() != Str)
+      ByRank.push_back(&Str);
+    RankOf[C] = static_cast<uint32_t>(ByRank.size() - 1);
   }
+
+  // Candidate pairs as (rank, rank) words, deduplicated across slots.
+  std::vector<uint64_t> Words;
+  std::vector<uint32_t> Ranks;
+  for (const std::vector<size_t> &Es : Exprs) {
+    Ranks.clear();
+    for (size_t C : Es)
+      Ranks.push_back(RankOf[C]);
+    std::sort(Ranks.begin(), Ranks.end());
+    Ranks.erase(std::unique(Ranks.begin(), Ranks.end()), Ranks.end());
+    for (size_t I = 0; I < Ranks.size(); ++I)
+      for (size_t J = I + 1; J < Ranks.size(); ++J)
+        Words.push_back((static_cast<uint64_t>(Ranks[I]) << 32) | Ranks[J]);
+  }
+  std::sort(Words.begin(), Words.end());
+  Words.erase(std::unique(Words.begin(), Words.end()), Words.end());
+
+  std::set<std::pair<std::string, std::string>> Out;
+  for (uint64_t W : Words)
+    Out.emplace_hint(Out.end(), *ByRank[W >> 32], *ByRank[W & 0xffffffffu]);
   return Out;
 }
 

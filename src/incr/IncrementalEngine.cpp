@@ -688,15 +688,20 @@ IncrSession::resolveRecord(const serve::LocationRecord &R) {
 
 std::optional<pta::PointsToSet>
 IncrSession::resolveSet(const std::vector<serve::Triple> &Ts) {
-  pta::PointsToSet S;
+  // One pass: map every triple to live ids (in triple order, since
+  // resolveLive may mint locations), then sort and adopt once.
+  std::vector<pta::PointsToSet::Entry> Es;
+  Es.reserve(Ts.size());
   for (const serve::Triple &T : Ts) {
     const pta::Location *Src = resolveLive(T.Src);
     const pta::Location *Dst = resolveLive(T.Dst);
     if (!Src || !Dst)
       return std::nullopt;
-    S.insert(Src, Dst, T.Definite ? pta::Def::D : pta::Def::P);
+    Es.push_back(pta::PointsToSet::Entry::make(
+        pta::PointsToSet::key(Src, Dst),
+        T.Definite ? pta::Def::D : pta::Def::P));
   }
-  return S;
+  return pta::PointsToSet::fromEntries(std::move(Es));
 }
 
 //===----------------------------------------------------------------------===//

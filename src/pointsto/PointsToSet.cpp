@@ -54,6 +54,24 @@ void PointsToSet::adopt(std::vector<Entry> V) {
   InlineN = 0;
 }
 
+PointsToSet PointsToSet::fromEntries(std::vector<Entry> Raw) {
+  // Copies of one pair sort adjacent, D (bit 0 clear) before P, so the
+  // last copy carries insert's verdict: P if any copy is P.
+  std::sort(Raw.begin(), Raw.end(), [](const Entry &A, const Entry &B) {
+    return A.Bits < B.Bits;
+  });
+  size_t Out = 0;
+  for (size_t I = 0; I < Raw.size(); ++I) {
+    if (Out && Raw[Out - 1].key() == Raw[I].key())
+      --Out;
+    Raw[Out++] = Raw[I];
+  }
+  Raw.resize(Out);
+  PointsToSet S;
+  S.adopt(std::move(Raw));
+  return S;
+}
+
 bool PointsToSet::insertKey(PairKey K, Def D) {
   const Entry *B = entries();
   size_t N = size();

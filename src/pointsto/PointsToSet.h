@@ -214,6 +214,12 @@ public:
   }
   bool insertKey(PairKey K, Def D);
 
+  /// Bulk builder: the set that inserting every entry of \p Raw in turn
+  /// would produce (a repeated pair is P unless every copy is D), built
+  /// with one sort and one adopt instead of one insert per entry.
+  /// \p Raw may be in any order.
+  static PointsToSet fromEntries(std::vector<Entry> Raw);
+
   /// Removes every pair originating at Src. Returns true if any removed.
   bool killFrom(const Location *Src);
 

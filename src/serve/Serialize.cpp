@@ -8,10 +8,10 @@
 #include "support/Version.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <functional>
 #include <map>
-#include <set>
 
 using namespace mcpta;
 using namespace mcpta::serve;
@@ -75,9 +75,9 @@ static std::string qualifiedFieldName(const cf::FieldDecl *F) {
 }
 
 const std::string &StructuralKeys::key(const pta::Location *L) {
-  auto It = Memo.find(L);
-  if (It != Memo.end())
-    return It->second;
+  const pta::LocationId Id = L->id();
+  if (Id < Memo.size() && !Memo[Id].empty())
+    return Memo[Id];
   std::string K = rootKey(L->root());
   for (const pta::PathElem &PE : L->path()) {
     switch (PE.K) {
@@ -92,7 +92,9 @@ const std::string &StructuralKeys::key(const pta::Location *L) {
       break;
     }
   }
-  return Memo.emplace(L, std::move(K)).first->second;
+  if (Memo.size() <= Id)
+    Memo.resize(Id + 1);
+  return Memo[Id] = std::move(K);
 }
 
 std::string StructuralKeys::rootKey(const pta::Entity *E) {
@@ -152,59 +154,69 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
   // Frame-variable index: position in the owner's params + IR locals
   // list. Serialized so shadowed same-name locals stay distinguishable.
   std::map<const cf::VarDecl *, int32_t> LocalIdx = localIndexMap(Prog);
+  StructuralKeys Keys(LocalIdx);
 
   // The canonical location set: everything some serialized points-to set
   // references, closed over symbolic parents (a symbolic record is only
   // reconstructible when its parent is also present). Locations the run
   // minted but no surviving set mentions are deliberately dropped — their
-  // presence would leak creation-order history into the bytes.
-  std::set<const pta::Location *> Referenced;
-  std::vector<const pta::Location *> Work;
-  auto addLoc = [&](const pta::Location *L) {
-    if (Referenced.insert(L).second)
-      Work.push_back(L);
+  // presence would leak creation-order history into the bytes. Every
+  // side table below is a vector indexed by live LocationId.
+  constexpr uint32_t NotCanon = UINT32_MAX;
+  std::vector<uint32_t> CanonId(Locs.numLocations(), NotCanon);
+  std::vector<pta::LocationId> Referenced;
+  auto addId = [&](pta::LocationId Id) {
+    if (CanonId[Id] == NotCanon) {
+      CanonId[Id] = 0; // referenced; the canonical id is assigned below
+      Referenced.push_back(Id);
+    }
   };
   auto addSet = [&](const pta::PointsToSet &PS) {
-    PS.forEach(Locs, [&](const pta::Location *Src, const pta::Location *Dst,
-                         pta::Def) {
-      addLoc(Src);
-      addLoc(Dst);
-    });
+    const pta::PointsToSet::Entry *E = PS.entries();
+    for (size_t I = 0, N = PS.size(); I < N; ++I) {
+      addId(E[I].src());
+      addId(E[I].dst());
+    }
   };
   if (Res.MainOut)
     addSet(*Res.MainOut);
   for (const auto &Set : Res.StmtIn)
     if (Set)
       addSet(*Set);
+  std::vector<const pta::IGNode *> Preorder;
   if (Res.IG)
-    Res.IG->forEachNode([&](const pta::IGNode *N) {
-      if (N->StoredInput)
-        addSet(*N->StoredInput);
-      if (N->StoredOutput)
-        addSet(*N->StoredOutput);
-    });
-  while (!Work.empty()) {
-    const pta::Location *L = Work.back();
-    Work.pop_back();
-    if (L->root()->isSymbolic())
-      addLoc(L->root()->symbolicParent());
+    Preorder = Res.IG->preorder();
+  for (const pta::IGNode *N : Preorder) {
+    if (N->StoredInput)
+      addSet(*N->StoredInput);
+    if (N->StoredOutput)
+      addSet(*N->StoredOutput);
+  }
+  for (size_t I = 0; I < Referenced.size(); ++I) {
+    const pta::Entity *E = Locs.byId(Referenced[I])->root();
+    if (E->isSymbolic())
+      addId(E->symbolicParent()->id());
   }
 
-  StructuralKeys Keys(LocalIdx);
-  std::vector<const pta::Location *> Canon(Referenced.begin(),
-                                           Referenced.end());
-  std::sort(Canon.begin(), Canon.end(),
-            [&](const pta::Location *A, const pta::Location *B) {
-              return Keys.key(A) < Keys.key(B);
-            });
-  std::map<const pta::Location *, uint32_t> CanonId;
-  for (const pta::Location *L : Canon)
-    CanonId.emplace(L, static_cast<uint32_t>(CanonId.size()));
+  // Sort by structural key, each computed once. Keys are pairwise
+  // distinct (SerializeTest checks it), so the order cannot depend on
+  // the visiting order above.
+  std::vector<std::pair<const std::string *, pta::LocationId>> Canon;
+  Canon.reserve(Referenced.size());
+  for (pta::LocationId Id : Referenced)
+    Canon.emplace_back(&Keys.key(Locs.byId(Id)), Id);
+  std::sort(Canon.begin(), Canon.end(), [](const auto &A, const auto &B) {
+    return *A.first < *B.first;
+  });
+  for (uint32_t C = 0; C < Canon.size(); ++C)
+    CanonId[Canon[C].second] = C;
 
-  for (const pta::Location *L : Canon) {
+  S.Locations.reserve(Canon.size());
+  for (uint32_t C = 0; C < Canon.size(); ++C) {
+    const pta::Location *L = Locs.byId(Canon[C].second);
     const pta::Entity *E = L->root();
     LocationRecord R;
-    R.Id = CanonId.at(L);
+    R.Id = C;
     R.EntityKind = static_cast<uint8_t>(E->kind());
     R.Summary = L->isSummary() ? 1 : 0;
     R.Collapsed = E->isCollapsed() ? 1 : 0;
@@ -217,7 +229,7 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
       R.LocalIndex = It == LocalIdx.end() ? -1 : It->second;
     }
     if (E->isSymbolic())
-      R.SymParent = static_cast<int32_t>(CanonId.at(E->symbolicParent()));
+      R.SymParent = static_cast<int32_t>(CanonId[E->symbolicParent()->id()]);
     if (E->kind() == pta::Entity::Kind::String)
       R.StringId = parseStringEntityId(E->name());
     for (const pta::PathElem &PE : L->path()) {
@@ -228,19 +240,26 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
     S.Locations.push_back(std::move(R));
   }
 
-  // Triples are remapped to canonical ids and re-sorted: forEach yields
-  // live-id order, which is creation-order history.
+  // Triples are remapped to canonical ids and re-sorted: the entry run
+  // is in live-id order, which is creation-order history. Each triple is
+  // packed as (Src << 32) | (Dst << 1) | isP for the sort, the same
+  // word layout as a PointsToSet entry.
+  std::vector<uint64_t> Packed;
   auto flatten = [&](const pta::PointsToSet &PS) {
-    std::vector<Triple> Out;
-    Out.reserve(PS.size());
-    PS.forEach(Locs, [&](const pta::Location *Src, const pta::Location *Dst,
-                         pta::Def D) {
-      Out.push_back({CanonId.at(Src), CanonId.at(Dst),
-                     D == pta::Def::D ? uint8_t(1) : uint8_t(0)});
-    });
-    std::sort(Out.begin(), Out.end(), [](const Triple &A, const Triple &B) {
-      return A.Src != B.Src ? A.Src < B.Src : A.Dst < B.Dst;
-    });
+    const pta::PointsToSet::Entry *E = PS.entries();
+    const size_t N = PS.size();
+    Packed.resize(N);
+    for (size_t I = 0; I < N; ++I)
+      Packed[I] = (static_cast<uint64_t>(CanonId[E[I].src()]) << 32) |
+                  (static_cast<uint64_t>(CanonId[E[I].dst()]) << 1) |
+                  static_cast<uint64_t>(E[I].def());
+    std::sort(Packed.begin(), Packed.end());
+    std::vector<Triple> Out(N);
+    for (size_t I = 0; I < N; ++I) {
+      Out[I].Src = static_cast<uint32_t>(Packed[I] >> 32);
+      Out[I].Dst = static_cast<uint32_t>((Packed[I] & 0xffffffffu) >> 1);
+      Out[I].Definite = (Packed[I] & 1) ? uint8_t(0) : uint8_t(1);
+    }
     return Out;
   };
 
@@ -253,29 +272,37 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
     if (Res.StmtIn[Id])
       S.StmtIn.push_back({Id, flatten(*Res.StmtIn[Id])});
 
-  if (Res.IG) {
-    std::vector<const pta::IGNode *> Preorder = Res.IG->preorder();
-    std::map<const pta::IGNode *, int32_t> Index;
-    for (const pta::IGNode *N : Preorder)
-      Index[N] = static_cast<int32_t>(Index.size());
-    for (const pta::IGNode *N : Preorder) {
-      IGNodeRecord R;
-      R.Function = N->function()->name();
-      R.Kind = static_cast<uint8_t>(N->kind());
-      R.CallSiteId = N->callSiteId();
-      R.Parent = N->parent() ? Index.at(N->parent()) : -1;
-      R.RecEdge = N->recEdge() ? Index.at(N->recEdge()) : -1;
-      R.EvalCount = N->EvalCount;
-      if (N->StoredInput) {
-        R.HasInput = 1;
-        R.Input = flatten(*N->StoredInput);
-      }
-      if (N->StoredOutput) {
-        R.HasOutput = 1;
-        R.Output = flatten(*N->StoredOutput);
-      }
-      S.IG.push_back(std::move(R));
+  // Parent and RecEdge become preorder positions. Path holds the current
+  // node's ancestors with their positions; a recursion back edge targets
+  // an ancestor, so it is found there.
+  std::vector<std::pair<const pta::IGNode *, int32_t>> Path;
+  S.IG.reserve(Preorder.size());
+  for (int32_t I = 0; I < static_cast<int32_t>(Preorder.size()); ++I) {
+    const pta::IGNode *N = Preorder[I];
+    while (!Path.empty() && Path.back().first != N->parent())
+      Path.pop_back();
+    IGNodeRecord R;
+    R.Function = N->function()->name();
+    R.Kind = static_cast<uint8_t>(N->kind());
+    R.CallSiteId = N->callSiteId();
+    R.Parent = Path.empty() ? -1 : Path.back().second;
+    if (const pta::IGNode *Rec = N->recEdge()) {
+      auto It = std::find_if(Path.rbegin(), Path.rend(),
+                             [&](const auto &P) { return P.first == Rec; });
+      assert(It != Path.rend() && "a recursion edge targets an ancestor");
+      R.RecEdge = It->second;
     }
+    R.EvalCount = N->EvalCount;
+    if (N->StoredInput) {
+      R.HasInput = 1;
+      R.Input = flatten(*N->StoredInput);
+    }
+    if (N->StoredOutput) {
+      R.HasOutput = 1;
+      R.Output = flatten(*N->StoredOutput);
+    }
+    S.IG.push_back(std::move(R));
+    Path.emplace_back(N, I);
   }
 
   for (const support::Degradation &D : Res.Degradations)
@@ -370,14 +397,17 @@ constexpr char Magic[4] = {'M', 'C', 'P', 'T'};
 class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(static_cast<char>(V)); }
+  // Whole-word appends: the little-endian bytes are assembled in a
+  // local array and appended at once.
   void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Buf.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+    const char B[4] = {static_cast<char>(V), static_cast<char>(V >> 8),
+                       static_cast<char>(V >> 16), static_cast<char>(V >> 24)};
+    Buf.append(B, sizeof(B));
   }
   void i32(int32_t V) { u32(static_cast<uint32_t>(V)); }
   void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Buf.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+    u32(static_cast<uint32_t>(V));
+    u32(static_cast<uint32_t>(V >> 32));
   }
   void bytes(std::string_view S) { Buf.append(S.data(), S.size()); }
 

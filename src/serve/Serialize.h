@@ -60,6 +60,7 @@
 #include "pointsto/Analyzer.h"
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <string_view>
@@ -204,6 +205,12 @@ struct ResultSnapshot {
   /// dependency metadata). Deterministic: two Results with equal
   /// analysis state capture to equal snapshots even when their
   /// LocationTables interned locations in different orders.
+  ///
+  /// Works over dense location ids in one pass: the referenced
+  /// locations and their canonical ids live in vectors indexed by
+  /// LocationId, each location's structural key is computed once, and
+  /// every set is remapped straight off its packed entry run. The
+  /// invocation graph is indexed by preorder position.
   static ResultSnapshot capture(const simple::Program &Prog,
                                 const pta::Analyzer::Result &Res,
                                 std::string OptionsFingerprint);
@@ -238,8 +245,9 @@ localIndexMap(const simple::Program &Prog);
 /// key of capture(). The incremental engine matches baseline location
 /// records against live locations by recomputing identical keys from
 /// the serialized structural fields, so key construction must stay in
-/// lockstep with the LocationRecord layout. Memoizing; one instance per
-/// (LocationTable, program) pair.
+/// lockstep with the LocationRecord layout. Memoizing by location id;
+/// one instance per (LocationTable, program) pair. Returned references
+/// stay valid for the instance's lifetime.
 class StructuralKeys {
 public:
   explicit StructuralKeys(std::map<const cfront::VarDecl *, int32_t> LocalIdx)
@@ -251,7 +259,9 @@ private:
   std::string rootKey(const pta::Entity *E);
 
   std::map<const cfront::VarDecl *, int32_t> LocalIdx;
-  std::map<const pta::Location *, std::string> Memo;
+  /// Indexed by LocationId; "" = not computed yet (no key is empty). A
+  /// deque, so growing it never moves a key already handed out.
+  std::deque<std::string> Memo;
 };
 
 /// Stable fingerprint of every analyzer knob that can change the result:

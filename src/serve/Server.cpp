@@ -923,7 +923,8 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
       Ctx.Telem->add("serve.watchdog.uncached_results", 1);
     } else {
       std::string StoreWarning;
-      Snap = Cache->store(Key, std::move(O.Snapshot), &StoreWarning, Scope);
+      Snap = Cache->store(Key, std::move(O.Snapshot), O.Blob, &StoreWarning,
+                          Scope);
       if (!StoreWarning.empty()) {
         std::lock_guard<std::mutex> LogLock(LogMu);
         Log << "warning: " << StoreWarning << "\n";

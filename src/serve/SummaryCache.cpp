@@ -5,6 +5,7 @@
 #include "support/FaultInjection.h"
 #include "support/Version.h"
 
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -278,9 +279,17 @@ SummaryCache::lookup(const std::string &Key, std::string *Warning,
 std::shared_ptr<const ResultSnapshot>
 SummaryCache::store(const std::string &Key, ResultSnapshot Snapshot,
                     std::string *Warning, RequestScope Req) {
-  // Serialization and all disk IO run lock-free; only the shard-map
-  // mutations below take a mutex.
   std::string Blob = serialize(Snapshot);
+  return store(Key, std::move(Snapshot), Blob, Warning, Req);
+}
+
+std::shared_ptr<const ResultSnapshot>
+SummaryCache::store(const std::string &Key, ResultSnapshot Snapshot,
+                    std::string_view Blob, std::string *Warning,
+                    RequestScope Req) {
+  assert(Blob == serialize(Snapshot) && "blob must be serialize(Snapshot)");
+  // Disk IO runs lock-free; only the shard-map mutations below take a
+  // mutex.
   S.BytesStored.fetch_add(Blob.size(), std::memory_order_relaxed);
   bump("cache.bytes", Blob.size(), Req);
   bump("cache.stores", 1, Req);

@@ -147,11 +147,20 @@ public:
                                                std::string *Warning = nullptr,
                                                RequestScope Req = RequestScope());
 
-  /// Serializes \p Snapshot, stores the blob under \p Key in both tiers
-  /// (disk write is atomic: temp file + rename), and returns the shared
-  /// snapshot. Disk-tier failures degrade to memory-only with a warning.
+  /// Stores \p Snapshot under \p Key in both tiers (disk write is
+  /// atomic: temp file + rename) and returns the shared snapshot.
+  /// Disk-tier failures degrade to memory-only with a warning. Two forms:
+  /// this one serializes \p Snapshot itself; the one below takes a
+  /// caller that already holds the bytes (the incremental engine's
+  /// IncrOutput::Blob), so each stored result is serialized once.
   std::shared_ptr<const ResultSnapshot>
   store(const std::string &Key, ResultSnapshot Snapshot,
+        std::string *Warning = nullptr, RequestScope Req = RequestScope());
+  /// \p Blob must be exactly serialize(Snapshot): it is what lands on
+  /// disk and what the byte accounting (cache.bytes, the LRU bound)
+  /// counts. Debug builds assert it.
+  std::shared_ptr<const ResultSnapshot>
+  store(const std::string &Key, ResultSnapshot Snapshot, std::string_view Blob,
         std::string *Warning = nullptr, RequestScope Req = RequestScope());
 
   /// Drops every entry: the whole LRU, every *.mcpta blob in the disk

@@ -454,6 +454,61 @@ TEST_F(PointsToSetTest, RandomizedMergeAllMatchesSequentialFold) {
   }
 }
 
+TEST_F(PointsToSetTest, BulkBuilderMatchesSequentialInsert) {
+  // Sizes on both sides of the inline tier (4), and well past it.
+  for (uint32_t Size : {0u, 1u, 3u, 4u, 5u, 8u, 30u})
+    for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+      Rng R(Seed * 131 + Size);
+      std::vector<PointsToSet::Entry> Raw;
+      for (uint32_t I = 0; I < Size; ++I) {
+        PointsToSet::PairKey K =
+            PointsToSet::keyIds(L[R.next(6)]->id(), L[R.next(6)]->id());
+        Def D = R.next(2) ? Def::D : Def::P;
+        Raw.push_back(PointsToSet::Entry::make(K, D));
+        // Repeat some pairs with mixed definiteness, possibly later.
+        if (R.next(3) == 0)
+          Raw.push_back(PointsToSet::Entry::make(K, R.next(2) ? Def::D : Def::P));
+      }
+      // Shuffled order: the builder must not depend on input order.
+      for (size_t I = Raw.size(); I > 1; --I)
+        std::swap(Raw[I - 1], Raw[R.next(static_cast<uint32_t>(I))]);
+
+      PointsToSet Seq;
+      NaiveSet Ref;
+      for (const PointsToSet::Entry &E : Raw) {
+        Seq.insertKey(E.key(), E.def());
+        Ref.insert(E.key(), E.def());
+      }
+      PointsToSet Bulk = PointsToSet::fromEntries(Raw);
+      EXPECT_EQ(entriesOf(Bulk), entriesOf(Seq))
+          << "size " << Size << " seed " << Seed;
+      EXPECT_EQ(entriesOf(Bulk), entriesOf(Ref))
+          << "size " << Size << " seed " << Seed;
+      EXPECT_TRUE(Bulk == Seq);
+
+      // The built set is an ordinary set: later inserts and merges act
+      // on it exactly as on the sequentially built one.
+      PointsToSet::PairKey K =
+          PointsToSet::keyIds(L[R.next(6)]->id(), L[R.next(6)]->id());
+      EXPECT_EQ(Bulk.insertKey(K, Def::D), Seq.insertKey(K, Def::D));
+      EXPECT_EQ(Bulk.mergeWith(Seq), false);
+      EXPECT_EQ(entriesOf(Bulk), entriesOf(Seq));
+    }
+}
+
+TEST_F(PointsToSetTest, BulkBuilderRepeatedPairIsPUnlessAllD) {
+  PointsToSet::PairKey K = PointsToSet::key(L[0], L[1]);
+  auto E = [&](Def D) { return PointsToSet::Entry::make(K, D); };
+  EXPECT_EQ(*PointsToSet::fromEntries({E(Def::D), E(Def::D)}).lookup(L[0], L[1]),
+            Def::D);
+  EXPECT_EQ(*PointsToSet::fromEntries({E(Def::D), E(Def::P)}).lookup(L[0], L[1]),
+            Def::P);
+  EXPECT_EQ(*PointsToSet::fromEntries({E(Def::P), E(Def::D)}).lookup(L[0], L[1]),
+            Def::P);
+  EXPECT_EQ(PointsToSet::fromEntries({E(Def::P), E(Def::D), E(Def::D)}).size(),
+            1u);
+}
+
 //===----------------------------------------------------------------------===//
 // wlgen-driven lattice laws on real analysis sets
 //===----------------------------------------------------------------------===//

@@ -15,10 +15,14 @@
 #include "TestUtil.h"
 
 #include "corpus/Corpus.h"
+#include "ig/InvocationGraph.h"
 #include "serve/Serialize.h"
 #include "support/Version.h"
+#include "wlgen/WorkloadGen.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 using namespace mcpta;
 using namespace mcpta::serve;
@@ -243,6 +247,104 @@ TEST(SerializeTest, EqualResultsSerializeIdentically) {
   std::string A = serialize(captureSource(CP->Source));
   std::string B = serialize(captureSource(CP->Source));
   EXPECT_EQ(A, B);
+}
+
+/// Asserts that every location capture() emits has its own structural
+/// key. capture() visits locations in live-id order and sorts them by
+/// key, so two equal keys would let creation order leak into the bytes.
+void expectDistinctCanonicalKeys(const std::string &Source,
+                                 const pta::Analyzer::Options &Opts,
+                                 const std::string &Label) {
+  Pipeline P = Pipeline::analyzeSource(Source, Opts);
+  ASSERT_FALSE(P.Diags.hasErrors()) << Label << ":\n" << P.Diags.dump();
+  const pta::Analyzer::Result &Res = P.Analysis;
+  const pta::LocationTable &Locs = *Res.Locs;
+
+  // The captured location set, rebuilt independently: every location a
+  // serialized set mentions, closed over symbolic parents.
+  std::set<pta::LocationId> Ids;
+  auto addSet = [&](const pta::PointsToSet &PS) {
+    for (size_t I = 0; I < PS.size(); ++I) {
+      Ids.insert(PS.entries()[I].src());
+      Ids.insert(PS.entries()[I].dst());
+    }
+  };
+  if (Res.MainOut)
+    addSet(*Res.MainOut);
+  for (const auto &Set : Res.StmtIn)
+    if (Set)
+      addSet(*Set);
+  if (Res.IG)
+    Res.IG->forEachNode([&](const pta::IGNode *N) {
+      if (N->StoredInput)
+        addSet(*N->StoredInput);
+      if (N->StoredOutput)
+        addSet(*N->StoredOutput);
+    });
+  std::vector<pta::LocationId> Work(Ids.begin(), Ids.end());
+  while (!Work.empty()) {
+    const pta::Entity *E = Locs.byId(Work.back())->root();
+    Work.pop_back();
+    if (E->isSymbolic() && Ids.insert(E->symbolicParent()->id()).second)
+      Work.push_back(E->symbolicParent()->id());
+  }
+
+  ResultSnapshot S =
+      ResultSnapshot::capture(*P.Prog, Res, optionsFingerprint(Opts));
+  ASSERT_EQ(Ids.size(), S.Locations.size()) << Label;
+
+  StructuralKeys Keys(localIndexMap(*P.Prog));
+  std::map<std::string, pta::LocationId> ByKey;
+  for (pta::LocationId Id : Ids)
+    EXPECT_TRUE(ByKey.emplace(Keys.key(Locs.byId(Id)), Id).second)
+        << Label << ": two captured locations share the key "
+        << Keys.key(Locs.byId(Id));
+
+  // And capture emits them in strict key order.
+  size_t I = 0;
+  for (const auto &[Key, Id] : ByKey) {
+    ASSERT_LT(I, S.Locations.size()) << Label;
+    EXPECT_EQ(S.Locations[I++].Name, Locs.byId(Id)->str())
+        << Label << ": record " << I - 1 << " out of key order (" << Key
+        << ")";
+  }
+}
+
+std::vector<std::pair<std::string, pta::Analyzer::Options>> optionSets() {
+  pta::Analyzer::Options Precise, Insensitive, AllFns;
+  Insensitive.ContextSensitive = false;
+  AllFns.FnPtr = pta::FnPtrMode::AllFunctions;
+  return {{"precise", Precise},
+          {"context-insensitive", Insensitive},
+          {"fnptr=all", AllFns}};
+}
+
+TEST(SerializeTest, CanonicalKeysArePairwiseDistinctOnCorpus) {
+  for (const corpus::CorpusProgram &CP : corpus::corpus())
+    for (const auto &[Name, Opts] : optionSets())
+      expectDistinctCanonicalKeys(CP.Source, Opts,
+                                  std::string(CP.Name) + " " + Name);
+}
+
+TEST(SerializeTest, CanonicalKeysSeparateShadowedLocals) {
+  // Two same-name locals of one function differ only in LocalIndex.
+  expectDistinctCanonicalKeys("int g; int h;\n"
+                              "int main(void) {\n"
+                              "  int *p; p = &g;\n"
+                              "  { int *p; p = &h; }\n"
+                              "  return *p;\n"
+                              "}\n",
+                              {}, "shadowed locals");
+}
+
+TEST(SerializeTest, CanonicalKeysArePairwiseDistinctOnGeneratedPrograms) {
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    wlgen::GenConfig Cfg;
+    Cfg.Seed = Seed;
+    Cfg.UseFunctionPointers = Seed % 2 == 1;
+    expectDistinctCanonicalKeys(wlgen::generateProgram(Cfg), {},
+                                "seed " + std::to_string(Seed));
+  }
 }
 
 } // namespace

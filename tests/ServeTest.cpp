@@ -230,6 +230,48 @@ TEST(SummaryCacheTest, InvalidateDropsEverything) {
   EXPECT_FALSE(std::filesystem::exists(Dir.Path + "/" + Key + ".mcpta"));
 }
 
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+TEST(SummaryCacheTest, StoreWithBlobWritesTheSerializedSnapshot) {
+  TempCacheDir DirA("blob_a"), DirB("blob_b");
+  const corpus::CorpusProgram *CP = corpus::find("hash");
+  ASSERT_NE(CP, nullptr);
+  pta::Analyzer::Options Opts;
+  const std::string Key = SummaryCache::key(CP->Source, Opts);
+  ResultSnapshot Snap = analyzeToSnapshot(CP->Source, Opts);
+  const std::string Blob = serialize(Snap);
+
+  support::Telemetry TA, TB;
+  SummaryCache Serializing({DirA.Path}, &TA);
+  SummaryCache WithBlob({DirB.Path}, &TB);
+  Serializing.store(Key, Snap);
+  auto Stored = WithBlob.store(Key, Snap, Blob);
+  ASSERT_NE(Stored, nullptr);
+  EXPECT_TRUE(*Stored == Snap);
+
+  // The disk tier holds exactly serialize(snapshot) either way.
+  EXPECT_EQ(readFile(DirB.Path + "/" + Key + ".mcpta"), Blob);
+  EXPECT_EQ(readFile(DirA.Path + "/" + Key + ".mcpta"), Blob);
+
+  // Byte accounting reads the same through both forms.
+  EXPECT_EQ(WithBlob.stats().BytesStored, Serializing.stats().BytesStored);
+  EXPECT_EQ(WithBlob.stats().MemBytes, Serializing.stats().MemBytes);
+  auto CA = TA.countersSnapshot(), CB = TB.countersSnapshot();
+  EXPECT_EQ(CB["cache.bytes"], Blob.size());
+  EXPECT_EQ(CB["cache.bytes"], CA["cache.bytes"]);
+  EXPECT_EQ(CB["cache.stores"], 1u);
+  EXPECT_EQ(CB["cache.stores"], CA["cache.stores"]);
+
+  // And the stored blob answers a fresh instance's lookup.
+  SummaryCache Reader({DirB.Path});
+  auto Hit = Reader.lookup(Key);
+  ASSERT_NE(Hit, nullptr);
+  EXPECT_TRUE(*Hit == Snap);
+}
+
 //===----------------------------------------------------------------------===//
 // Server protocol
 //===----------------------------------------------------------------------===//
@@ -446,6 +488,42 @@ TEST(ServerTest, IncrementalAnalyzeReusesBaseline) {
   JsonValue PT =
       F.request("{\"id\":4,\"method\":\"points_to\",\"name\":\"x\"}");
   EXPECT_TRUE(PT.getBool("ok", false));
+}
+
+TEST(ServerTest, IncrementalStoreWritesTheFromScratchBlob) {
+  // The incremental path hands the engine's blob to the cache instead of
+  // serializing again; what lands on disk must be the blob a plain
+  // analysis of the edited source stores.
+  const std::string Base = "void leaf(int *p) { *p = 1; }\n"
+                           "void other(int *q) { *q = 2; }\n"
+                           "int main(void) { int x; leaf(&x); other(&x); "
+                           "return x; }\n";
+  std::string Edit = Base;
+  Edit.replace(Edit.find("*p = 1"), 6, "*p = 3");
+  auto Req = [](int Id, const std::string &Src, bool Incremental) {
+    return "{\"id\":" + std::to_string(Id) +
+           ",\"method\":\"analyze\",\"incremental\":" +
+           (Incremental ? "true" : "false") + ",\"source\":\"" +
+           support::Telemetry::jsonEscape(Src) + "\"}";
+  };
+
+  ServerFixture Incr;
+  ASSERT_TRUE(Incr.request(Req(1, Base, true)).getBool("ok", false));
+  JsonValue R = Incr.request(Req(2, Edit, true));
+  ASSERT_TRUE(R.getBool("ok", false));
+  EXPECT_TRUE(R.getBool("incremental", false));
+  EXPECT_GT(R.getNumber("memo_reuse", 0), 0);
+
+  ServerFixture Scratch;
+  JsonValue S = Scratch.request(Req(1, Edit, false));
+  ASSERT_TRUE(S.getBool("ok", false));
+  const std::string Key = R.getString("key", "");
+  ASSERT_EQ(Key, S.getString("key", "x"));
+
+  const std::string IncrBlob = readFile(Incr.Dir.Path + "/" + Key + ".mcpta");
+  ASSERT_FALSE(IncrBlob.empty());
+  EXPECT_EQ(IncrBlob, readFile(Scratch.Dir.Path + "/" + Key + ".mcpta"));
+  EXPECT_EQ(IncrBlob, serialize(analyzeToSnapshot(Edit)));
 }
 
 TEST(ServerTest, IncrementalAnalyzeFallsBackWithReason) {
