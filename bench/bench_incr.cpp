@@ -124,7 +124,7 @@ int runComparison() {
       Incr[I] = msSince(T0);
       if (!O.Ok) {
         std::fprintf(stderr, "FATAL: reanalyze failed for %s: %s\n", R.Name,
-                     O.Error.c_str());
+                     O.Diags.dump().c_str());
         return 1;
       }
       R.Stats = O.Stats;

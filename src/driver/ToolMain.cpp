@@ -53,8 +53,9 @@
 //                         through --batch: cached files skip analysis
 //                         and the batch summary line reports hits.
 //   --serve-threads=N     worker threads for the daemon (default 1 =
-//                         sequential loop; N > 1 enables the bounded
-//                         queue + pool, responses may be out of order)
+//                         each line answered inline, in order; N > 1
+//                         enables the bounded queue + pool, responses
+//                         may be out of order)
 //   --serve-queue-cap=N   bounded request-queue capacity (default 128);
 //                         a full queue sheds with an overloaded error
 //   --serve-deadline-ms=N per-request deadline budget; queue wait
@@ -576,42 +577,28 @@ int runIncremental(const std::string &Source, const ToolConfig &Cfg,
     }
   }
 
-  bool Degraded = false;
-  std::string NewBlob;
-  if (HaveBaseline) {
-    incr::IncrOutput O = incr::IncrementalEngine::reanalyze(
-        Baseline, Source, Cfg.Opts, WantTelemetry ? &Telem : nullptr);
-    if (!O.Ok) {
-      std::fputs(O.Error.c_str(), stderr);
-      return 1;
-    }
-    if (O.Stats.UsedIncremental)
-      std::printf("incremental: dirty_functions=%llu memo_reuse=%llu "
-                  "seed_hits=%llu\n",
-                  static_cast<unsigned long long>(O.Stats.DirtyFunctions),
-                  static_cast<unsigned long long>(O.Stats.MemoReuse),
-                  static_cast<unsigned long long>(O.Stats.SeedHits));
-    else
-      std::printf("incremental: full re-analysis (%s)\n",
-                  O.Stats.FallbackReason.c_str());
-    Degraded = O.Snapshot.degraded();
-    NewBlob = std::move(O.Blob);
-  } else {
-    Pipeline P = Pipeline::analyzeSource(Source, Cfg.Opts);
-    if (P.Diags.hasErrors()) {
-      std::fputs(P.Diags.dump().c_str(), stderr);
-      return 1;
-    }
-    serve::ResultSnapshot S = serve::ResultSnapshot::capture(
-        *P.Prog, P.Analysis, serve::optionsFingerprint(Cfg.Opts));
-    Degraded = S.degraded();
-    NewBlob = serve::serialize(S);
-    std::printf("incremental: baseline created\n");
+  incr::IncrOutput O = incr::IncrementalEngine::reanalyze(
+      HaveBaseline ? &Baseline : nullptr, Source, Cfg.Opts,
+      WantTelemetry ? &Telem : nullptr);
+  if (!O.Ok) {
+    std::fputs(O.Diags.dump().c_str(), stderr);
+    return 1;
   }
+  if (!HaveBaseline)
+    std::printf("incremental: baseline created\n");
+  else if (O.Stats.UsedIncremental)
+    std::printf("incremental: dirty_functions=%llu memo_reuse=%llu "
+                "seed_hits=%llu\n",
+                static_cast<unsigned long long>(O.Stats.DirtyFunctions),
+                static_cast<unsigned long long>(O.Stats.MemoReuse),
+                static_cast<unsigned long long>(O.Stats.SeedHits));
+  else
+    std::printf("incremental: full re-analysis (%s)\n",
+                O.Stats.FallbackReason.c_str());
 
   std::ofstream Out(BaselinePath, std::ios::binary | std::ios::trunc);
-  if (!Out.write(NewBlob.data(),
-                 static_cast<std::streamsize>(NewBlob.size()))) {
+  if (!Out.write(O.Blob.data(),
+                 static_cast<std::streamsize>(O.Blob.size()))) {
     std::fprintf(stderr, "error: cannot write baseline '%s'\n",
                  BaselinePath.c_str());
     return 1;
@@ -631,7 +618,7 @@ int runIncremental(const std::string &Source, const ToolConfig &Cfg,
                  Cfg.TraceJsonPath.c_str());
     return 1;
   }
-  return (Cfg.Strict && Degraded) ? 2 : 0;
+  return (Cfg.Strict && O.Snapshot.degraded()) ? 2 : 0;
 }
 
 /// One-shot demand query (--points-to / --alias): frontends the source,

@@ -966,7 +966,7 @@ bool IncrSession::restore(pta::Analyzer::Result &Res) {
 // Engine driver
 //===----------------------------------------------------------------------===//
 
-IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot &Baseline,
+IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
                                         const std::string &Source,
                                         const pta::Analyzer::Options &Opts,
                                         support::Telemetry *Telem) {
@@ -974,59 +974,55 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot &Baseline,
   std::string OptsFP = serve::optionsFingerprint(Opts);
 
   auto FullRun = [&](std::string Reason) -> IncrOutput & {
-    if (Telem)
+    // Without a baseline there is nothing to fall back from.
+    if (Telem && Baseline)
       Telem->add("incr.fallback." + Reason, 1);
     pta::Analyzer::Options FOpts = Opts;
     FOpts.Seeder = nullptr;
     if (Telem)
       FOpts.Telem = Telem;
     Pipeline P = Pipeline::analyzeSource(Source, FOpts);
-    if (!P.ok()) {
-      O.Ok = false;
-      O.Error = P.Diags.dump();
-      if (O.Error.empty())
-        O.Error = "analysis failed";
-      O.Stats.FallbackReason = std::move(Reason);
+    O.Stats.UsedIncremental = false;
+    O.Stats.FallbackReason = std::move(Reason);
+    if (P.Diags.hasErrors() || !P.Prog) {
+      O.Diags = std::move(P.Diags);
       return O;
     }
     O.Snapshot = serve::ResultSnapshot::capture(*P.Prog, P.Analysis, OptsFP);
     O.Blob = serve::serialize(O.Snapshot);
     O.Ok = true;
-    O.Stats.UsedIncremental = false;
-    O.Stats.FallbackReason = std::move(Reason);
     return O;
   };
 
-  if (OptsFP != Baseline.OptionsFingerprint)
+  if (!Baseline)
+    return FullRun("no-baseline");
+  if (OptsFP != Baseline->OptionsFingerprint)
     return FullRun("options-mismatch");
   if (!Opts.ContextSensitive || Opts.FnPtr != pta::FnPtrMode::Precise ||
       Opts.Limits.any())
     return FullRun("options-unsupported");
-  if (!Baseline.Analyzed)
+  if (!Baseline->Analyzed)
     return FullRun("baseline-unanalyzed");
-  if (Baseline.degraded())
+  if (Baseline->degraded())
     return FullRun("baseline-degraded");
 
   Pipeline FE = Pipeline::frontend(Source);
   if (!FE.Prog || FE.Diags.hasErrors()) {
     if (Telem)
       Telem->add("incr.fallback.frontend-error", 1);
-    O.Ok = false;
-    O.Error = FE.Diags.dump();
-    if (O.Error.empty())
-      O.Error = "frontend failed";
+    O.Diags = std::move(FE.Diags);
     O.Stats.FallbackReason = "frontend-error";
     return O;
   }
 
   ProgramMeta LiveMeta = computeMeta(*FE.Prog);
-  if (LiveMeta.TypesFingerprint != Baseline.Meta.TypesFingerprint)
+  if (LiveMeta.TypesFingerprint != Baseline->Meta.TypesFingerprint)
     return FullRun("types-changed");
   const cfront::FunctionDecl *Main = FE.Unit->findFunction("main");
   if (!Main || !FE.Prog->findFunction(Main))
     return FullRun("no-main");
 
-  std::set<std::string> Dirty = computeDirtySet(Baseline, LiveMeta);
+  std::set<std::string> Dirty = computeDirtySet(*Baseline, LiveMeta);
   uint64_t DirtyLive = 0;
   for (const FunctionMeta &F : LiveMeta.Functions)
     if (F.Defined && Dirty.count(F.Name))
@@ -1035,7 +1031,7 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot &Baseline,
   if (Telem)
     Telem->add("incr.dirty_functions", DirtyLive);
 
-  IncrSession Session(Baseline, LiveMeta, Dirty);
+  IncrSession Session(*Baseline, LiveMeta, Dirty);
   pta::Analyzer::Options IOpts = Opts;
   IOpts.Seeder = &Session;
   if (Telem)

@@ -40,6 +40,7 @@
 #define MCPTA_INCR_INCREMENTALENGINE_H
 
 #include "serve/Serialize.h"
+#include "support/Diagnostics.h"
 #include "support/Telemetry.h"
 
 #include <cstdint>
@@ -55,10 +56,12 @@ struct IncrStats {
   /// from-scratch analysis was performed instead.
   bool UsedIncremental = false;
   /// Why the engine fell back ("" when UsedIncremental). One of:
-  /// options-mismatch (baseline produced under a different options
-  /// fingerprint), options-unsupported, baseline-unanalyzed,
-  /// baseline-degraded, frontend-error, types-changed, no-main,
-  /// analysis-failed, graft-failed, coverage, restore-failed.
+  /// no-baseline (no baseline was given: the first run, recorded as no
+  /// incr.fallback.* counter), options-mismatch (baseline produced under
+  /// a different options fingerprint), options-unsupported,
+  /// baseline-unanalyzed, baseline-degraded, frontend-error,
+  /// types-changed, no-main, analysis-failed, graft-failed, coverage,
+  /// restore-failed.
   std::string FallbackReason;
   /// Live defined functions in the dirty closure.
   uint64_t DirtyFunctions = 0;
@@ -73,8 +76,12 @@ struct IncrOutput {
   serve::ResultSnapshot Snapshot;
   std::string Blob; ///< Snapshot serialized (current mcpta-result format)
   IncrStats Stats;
-  bool Ok = false;   ///< false only when the *source* fails to analyze
-  std::string Error; ///< set when !Ok
+  /// False only when the source fails to parse or lower. A program
+  /// without main() is Ok: its snapshot is captured with Analyzed false.
+  bool Ok = false;
+  /// Set when !Ok: the diagnostics of the failed frontend run, errors
+  /// included. Each surface renders them in its own form.
+  DiagnosticsEngine Diags;
 };
 
 /// The dirty closure: names of functions whose analysis results may
@@ -86,16 +93,25 @@ std::set<std::string> computeDirtySet(const serve::ResultSnapshot &Baseline,
 
 class IncrementalEngine {
 public:
-  /// Re-analyzes \p Source against \p Baseline. Always produces a
-  /// complete snapshot (incremental when every gate holds, full
-  /// re-analysis otherwise — see IncrStats); Ok is false only when the
-  /// source itself does not analyze. \p Telem (optional) receives
+  /// Analyzes \p Source, re-using \p Baseline when one is given: the
+  /// one place that turns a source text into a snapshot and its blob for
+  /// the serve and incremental surfaces. Always produces a complete
+  /// snapshot (incremental when every gate holds, a full analysis
+  /// otherwise — see IncrStats); a null \p Baseline is a full analysis
+  /// with FallbackReason "no-baseline". Ok is false only when the source
+  /// does not parse or lower. \p Telem (optional) receives
   /// incr.dirty_functions / incr.memo_reuse / incr.seed_hits /
   /// incr.fallback.* counters and is forwarded to the analyzer.
-  static IncrOutput reanalyze(const serve::ResultSnapshot &Baseline,
+  static IncrOutput reanalyze(const serve::ResultSnapshot *Baseline,
                               const std::string &Source,
                               const pta::Analyzer::Options &Opts,
                               support::Telemetry *Telem = nullptr);
+  static IncrOutput reanalyze(const serve::ResultSnapshot &Baseline,
+                              const std::string &Source,
+                              const pta::Analyzer::Options &Opts,
+                              support::Telemetry *Telem = nullptr) {
+    return reanalyze(&Baseline, Source, Opts, Telem);
+  }
 };
 
 } // namespace incr

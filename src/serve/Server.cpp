@@ -152,6 +152,35 @@ bool isValidUtf8(std::string_view S) {
   return true;
 }
 
+/// The message of the first error in \p Diags, or \p Fallback when it
+/// holds none: what an `error` member reports for a source that fails.
+std::string firstError(const DiagnosticsEngine &Diags, const char *Fallback) {
+  for (const Diagnostic &D : Diags.diagnostics())
+    if (D.Level == DiagLevel::Error)
+      return D.Message;
+  return Fallback;
+}
+
+/// The program text a request names: its "source" member or an embedded
+/// "corpus" program (handy for smoke tests — no C-in-JSON escaping
+/// needed). False when it names neither; an unknown corpus name also
+/// sets \p Error.
+bool requestSource(const JsonValue &Req, std::string &Source,
+                   std::string &Error) {
+  if (const JsonValue *Src = Req.find("source")) {
+    Source = Src->asString();
+    return true;
+  }
+  if (const JsonValue *Name = Req.find("corpus")) {
+    if (const corpus::CorpusProgram *P = corpus::find(Name->asString())) {
+      Source = P->Source;
+      return true;
+    }
+    Error = "unknown corpus program '" + Name->asString() + "'";
+  }
+  return false;
+}
+
 enum class LineRead { Ok, Eof, TooLong };
 
 /// getline with a byte bound: an over-long line is consumed to its
@@ -293,8 +322,8 @@ int Server::run(std::istream &In, std::ostream &Out, std::ostream &Log) {
     Log << "\n" << std::flush;
   }
 
-  // The watchdog outlives both loop shapes: it cancels analyses past
-  // their hard deadline even when the (sequential) loop itself is the
+  // The watchdog outlives the read loop: it cancels analyses past their
+  // hard deadline even when the reader itself (Threads <= 1) is the
   // thread stuck running them.
   std::atomic<bool> StopWatchdog{false};
   uint64_t PollMs = Cfg.WatchdogPollMs ? Cfg.WatchdogPollMs : 10;
@@ -305,8 +334,7 @@ int Server::run(std::istream &In, std::ostream &Out, std::ostream &Log) {
     }
   });
 
-  int Code = Cfg.Threads > 1 ? runConcurrent(In, Out, Log)
-                             : runSequential(In, Out, Log);
+  int Code = readLoop(In, Out, Log);
 
   StopWatchdog.store(true, std::memory_order_relaxed);
   Watchdog.join();
@@ -324,66 +352,43 @@ int Server::run(std::istream &In, std::ostream &Out, std::ostream &Log) {
   return Code;
 }
 
-int Server::runSequential(std::istream &In, std::ostream &Out,
-                          std::ostream &Log) {
-  std::string Line;
-  bool WantShutdown = false;
-  while (!WantShutdown) {
-    LineRead R = readBoundedLine(In, Line, Cfg.MaxLineBytes);
-    if (R == LineRead::Eof)
-      break;
-    if (R == LineRead::TooLong) {
-      Out << rejectLine(nullptr,
-                        "request line exceeds the " +
-                            std::to_string(Cfg.MaxLineBytes) +
-                            "-byte bound and was discarded",
-                        "protocol")
-          << "\n"
-          << std::flush;
-      continue;
-    }
-    if (Line.empty())
-      continue;
-    if (!isValidUtf8(Line)) {
-      Out << rejectLine(nullptr, "request line is not valid UTF-8",
-                        "protocol")
-          << "\n"
-          << std::flush;
-      continue;
-    }
-    Out << handleLine(Line, WantShutdown, Log) << "\n" << std::flush;
-  }
-  return 0;
-}
-
-int Server::runConcurrent(std::istream &In, std::ostream &Out,
-                          std::ostream &Log) {
-  RequestQueue Queue(Cfg.QueueCap);
+int Server::readLoop(std::istream &In, std::ostream &Out, std::ostream &Log) {
   std::mutex OutMu;
+  auto Write = [&Out, &OutMu](const std::string &Response) {
+    std::lock_guard<std::mutex> OutLock(OutMu);
+    Out << Response << "\n" << std::flush;
+  };
   std::atomic<bool> ShuttingDown{false};
 
+  // With Threads > 1 the reader feeds a bounded queue drained by a worker
+  // pool. Otherwise there is no queue: the reader answers each line
+  // itself, in order, so nothing is read ahead, shed, or answered after
+  // a shutdown.
+  std::unique_ptr<RequestQueue> Queue;
   std::vector<std::thread> Workers;
-  Workers.reserve(Cfg.Threads);
-  for (unsigned T = 0; T < Cfg.Threads; ++T) {
-    Workers.emplace_back([this, &Queue, &Out, &OutMu, &Log, &ShuttingDown] {
-      RequestQueue::Item It;
-      while (Queue.pop(It)) {
-        Admission Adm;
-        Adm.QueueWaitMs = msSince(It.EnqueuedAt);
-        Adm.QueueDepth = Queue.depth();
-        Adm.QueueCap = Queue.capacity();
-        bool WantShutdown = false;
-        std::string Response = handleLine(It.Line, WantShutdown, Log, Adm);
-        if (WantShutdown) {
-          // Seal the queue: items already accepted keep draining (every
-          // admitted request gets its answer), new lines are rejected.
-          ShuttingDown.store(true, std::memory_order_relaxed);
-          Queue.close();
+  if (Cfg.Threads > 1) {
+    Queue = std::make_unique<RequestQueue>(Cfg.QueueCap);
+    Workers.reserve(Cfg.Threads);
+    for (unsigned T = 0; T < Cfg.Threads; ++T) {
+      Workers.emplace_back([this, &Queue, &Write, &Log, &ShuttingDown] {
+        RequestQueue::Item It;
+        while (Queue->pop(It)) {
+          Admission Adm;
+          Adm.QueueWaitMs = msSince(It.EnqueuedAt);
+          Adm.QueueDepth = Queue->depth();
+          Adm.QueueCap = Queue->capacity();
+          bool WantShutdown = false;
+          std::string Response = handleLine(It.Line, WantShutdown, Log, Adm);
+          if (WantShutdown) {
+            // Seal the queue: items already accepted keep draining (every
+            // admitted request gets its answer), new lines are rejected.
+            ShuttingDown.store(true, std::memory_order_relaxed);
+            Queue->close();
+          }
+          Write(Response);
         }
-        std::lock_guard<std::mutex> OutLock(OutMu);
-        Out << Response << "\n" << std::flush;
-      }
-    });
+      });
+    }
   }
 
   // This thread is the reader: it owns the istream, bounds each line,
@@ -405,6 +410,11 @@ int Server::runConcurrent(std::istream &In, std::ostream &Out,
     } else if (!isValidUtf8(Line)) {
       Reject = rejectLine(nullptr, "request line is not valid UTF-8",
                           "protocol");
+    } else if (!Queue) {
+      bool WantShutdown = false;
+      Write(handleLine(Line, WantShutdown, Log));
+      if (WantShutdown)
+        break;
     } else if (Faults && Faults->shouldFire("serve.queue_full")) {
       // Injected overload: exercise the shed path without needing a
       // genuinely saturated pool.
@@ -420,7 +430,7 @@ int Server::runConcurrent(std::istream &In, std::ostream &Out,
       It.EnqueuedAt = std::chrono::steady_clock::now();
       RequestQueue::Item Evicted;
       bool DidEvict = false;
-      switch (Queue.pushFair(std::move(It), Evicted, DidEvict)) {
+      switch (Queue->pushFair(std::move(It), Evicted, DidEvict)) {
       case RequestQueue::PushResult::Ok:
         Telem->add("serve.admission.admitted", 1);
         if (DidEvict) {
@@ -432,12 +442,10 @@ int Server::runConcurrent(std::istream &In, std::ostream &Out,
           Telem->add("serve.admission.per_cid_shed", 1);
           Recorder->record("admission.shed", Evicted.Cid,
                            "reason=per_cid_fairness depth=" +
-                               std::to_string(Queue.depth()));
-          std::string EvictReject = rejectLine(
-              &Evicted.Line, "overloaded: shed for per-cid fairness",
-              "overloaded");
-          std::lock_guard<std::mutex> OutLock(OutMu);
-          Out << EvictReject << "\n" << std::flush;
+                               std::to_string(Queue->depth()));
+          Write(rejectLine(&Evicted.Line,
+                           "overloaded: shed for per-cid fairness",
+                           "overloaded"));
         }
         break;
       case RequestQueue::PushResult::Full:
@@ -445,7 +453,7 @@ int Server::runConcurrent(std::istream &In, std::ostream &Out,
         Telem->add("serve.admission.shed_full", 1);
         Recorder->record("admission.shed", "",
                          "reason=queue_full depth=" +
-                             std::to_string(Queue.depth()));
+                             std::to_string(Queue->depth()));
         Reject = rejectLine(&Line, "overloaded: request queue is full",
                             "overloaded");
         break;
@@ -454,15 +462,15 @@ int Server::runConcurrent(std::istream &In, std::ostream &Out,
         break;
       }
     }
-    if (!Reject.empty()) {
-      std::lock_guard<std::mutex> OutLock(OutMu);
-      Out << Reject << "\n" << std::flush;
-    }
+    if (!Reject.empty())
+      Write(Reject);
   }
 
-  Queue.close();
-  for (std::thread &W : Workers)
-    W.join();
+  if (Queue) {
+    Queue->close();
+    for (std::thread &W : Workers)
+      W.join();
+  }
   return 0;
 }
 
@@ -708,20 +716,11 @@ std::string Server::handleLine(const std::string &Line, bool &WantShutdown,
 
 void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
                            std::ostream &Log, RequestCtx &Ctx) {
-  // Resolve the source text: inline "source" or an embedded "corpus"
-  // program (handy for smoke tests — no C-in-JSON escaping needed).
-  std::string Source;
-  if (const JsonValue *Src = Req.find("source")) {
-    Source = Src->asString();
-  } else if (const JsonValue *Name = Req.find("corpus")) {
-    const corpus::CorpusProgram *P = corpus::find(Name->asString());
-    if (!P) {
-      Resp.fail("unknown corpus program '" + Name->asString() + "'");
-      return;
-    }
-    Source = P->Source;
-  } else {
-    Resp.fail("analyze needs a \"source\" or \"corpus\" member");
+  std::string Source, SourceError;
+  if (!requestSource(Req, Source, SourceError)) {
+    Resp.fail(SourceError.empty()
+                  ? "analyze needs a \"source\" or \"corpus\" member"
+                  : SourceError);
     return;
   }
 
@@ -907,14 +906,16 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
       Resp.member("incremental", "false");
       Resp.member("fallback_reason", quoted("cache-hit"));
     }
-  } else if (Baseline) {
+  } else {
     incr::IncrOutput O = incr::IncrementalEngine::reanalyze(
-        *Baseline, Source, Opts, Ctx.Telem);
+        Baseline.get(), Source, Opts, Ctx.Telem);
     if (!O.Ok) {
-      Resp.fail(O.Error);
+      // Frontend failures are not cached: the response carries the
+      // first error and the next attempt re-parses.
+      Resp.fail(firstError(O.Diags, "analysis failed"));
       return;
     }
-    if (!O.Stats.FallbackReason.empty())
+    if (Baseline && !O.Stats.FallbackReason.empty())
       Recorder->record("incr.fallback", Ctx.Cid,
                        "reason=" + O.Stats.FallbackReason);
     Cancelled = WasCancelled();
@@ -930,43 +931,16 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
         Log << "warning: " << StoreWarning << "\n";
       }
     }
-    Resp.member("incremental", O.Stats.UsedIncremental ? "true" : "false");
-    Resp.member("dirty_functions", std::to_string(O.Stats.DirtyFunctions));
-    Resp.member("memo_reuse", std::to_string(O.Stats.MemoReuse));
-    if (!O.Stats.FallbackReason.empty())
-      Resp.member("fallback_reason", quoted(O.Stats.FallbackReason));
-  } else {
-    Pipeline P = Pipeline::analyzeSource(Source, Opts);
-    if (P.Diags.hasErrors()) {
-      // Frontend failures are not cached: the response carries the
-      // diagnostics and the next attempt re-parses.
-      std::string Msg = "analysis failed";
-      for (const Diagnostic &D : P.Diags.diagnostics())
-        if (D.Level == DiagLevel::Error) {
-          Msg = D.Message;
-          break;
-        }
-      Resp.fail(Msg);
-      return;
-    }
-    ResultSnapshot Captured =
-        ResultSnapshot::capture(*P.Prog, P.Analysis, FP);
-    Cancelled = WasCancelled();
-    if (Cancelled) {
-      Snap = std::make_shared<const ResultSnapshot>(std::move(Captured));
-      Ctx.Telem->add("serve.watchdog.uncached_results", 1);
-    } else {
-      std::string StoreWarning;
-      Snap = Cache->store(Key, std::move(Captured), &StoreWarning, Scope);
-      if (!StoreWarning.empty()) {
-        std::lock_guard<std::mutex> LogLock(LogMu);
-        Log << "warning: " << StoreWarning << "\n";
-      }
-    }
-    if (WantIncremental) {
+    if (Baseline) {
+      Resp.member("incremental", O.Stats.UsedIncremental ? "true" : "false");
+      Resp.member("dirty_functions", std::to_string(O.Stats.DirtyFunctions));
+      Resp.member("memo_reuse", std::to_string(O.Stats.MemoReuse));
+      if (!O.Stats.FallbackReason.empty())
+        Resp.member("fallback_reason", quoted(O.Stats.FallbackReason));
+    } else if (WantIncremental) {
       // First analysis under these options: nothing to diff against.
       Resp.member("incremental", "false");
-      Resp.member("fallback_reason", quoted("no-baseline"));
+      Resp.member("fallback_reason", quoted(O.Stats.FallbackReason));
     }
   }
 
@@ -1083,10 +1057,9 @@ static std::string renderTargets(
 /// Validates the optional "strategy" member and decides whether the
 /// demand path should run. "" in \p Strategy = valid request, caller
 /// dispatches; non-empty \p Error = protocol failure.
-static bool wantDemandStrategy(const JsonValue &Req, const std::string &Cid,
-                               unsigned LadderLevel, std::string &Strategy,
-                               std::string &Error, bool &Explicit,
-                               bool &AutoPicked) {
+static bool wantDemandStrategy(const JsonValue &Req, unsigned LadderLevel,
+                               std::string &Strategy, std::string &Error,
+                               bool &Explicit, bool &AutoPicked) {
   Strategy = Req.getString("strategy");
   Explicit = Strategy == "demand";
   AutoPicked = false;
@@ -1104,34 +1077,24 @@ static bool wantDemandStrategy(const JsonValue &Req, const std::string &Cid,
     AutoPicked = true;
     return true;
   }
-  (void)Cid;
   return false;
 }
 
 bool Server::handleDemandQuery(const JsonValue &Req, Response &Resp,
                                const RequestCtx &Ctx, bool IsAlias,
                                bool Explicit) {
-  // Resolve the program text the query runs against: inline "source",
-  // an embedded "corpus" program, or the last analyzed source.
-  std::string Source;
-  bool HaveSource = false;
-  if (const JsonValue *Src = Req.find("source")) {
-    Source = Src->asString();
-    HaveSource = true;
-  } else if (const JsonValue *Name = Req.find("corpus")) {
-    const corpus::CorpusProgram *P = corpus::find(Name->asString());
-    if (!P) {
-      Resp.fail("unknown corpus program '" + Name->asString() + "'");
-      return true;
-    }
-    Source = P->Source;
-    HaveSource = true;
-  } else {
+  // The program text the query runs against: the request's own, or the
+  // last analyzed source.
+  std::string Source, SourceError;
+  bool HaveSource = requestSource(Req, Source, SourceError);
+  if (!SourceError.empty()) {
+    Resp.fail(SourceError);
+    return true;
+  }
+  if (!HaveSource) {
     std::lock_guard<std::mutex> Lock(StateMu);
-    if (!LastSource.empty()) {
-      Source = LastSource;
-      HaveSource = true;
-    }
+    Source = LastSource;
+    HaveSource = !Source.empty();
   }
   if (!HaveSource) {
     if (!Explicit)
@@ -1167,13 +1130,7 @@ bool Server::handleDemandQuery(const JsonValue &Req, Response &Resp,
   auto Start = std::chrono::steady_clock::now();
   Pipeline FE = Pipeline::frontend(Source);
   if (!FE.Prog) {
-    std::string Msg = "demand: source does not parse";
-    for (const Diagnostic &D : FE.Diags.diagnostics())
-      if (D.Level == DiagLevel::Error) {
-        Msg = D.Message;
-        break;
-      }
-    Resp.fail(Msg);
+    Resp.fail(firstError(FE.Diags, "demand: source does not parse"));
     return true;
   }
 
@@ -1226,9 +1183,8 @@ void Server::handleAlias(const JsonValue &Req, Response &Resp,
                          const RequestCtx &Ctx) {
   std::string Strategy, StratError;
   bool Explicit = false, AutoPicked = false;
-  bool WantDemand = wantDemandStrategy(Req, Ctx.Cid, Ctx.LadderLevel,
-                                       Strategy, StratError, Explicit,
-                                       AutoPicked);
+  bool WantDemand = wantDemandStrategy(Req, Ctx.LadderLevel, Strategy,
+                                       StratError, Explicit, AutoPicked);
   if (!StratError.empty()) {
     Resp.fail(StratError);
     return;
@@ -1263,9 +1219,8 @@ void Server::handlePointsTo(const JsonValue &Req, Response &Resp,
                             const RequestCtx &Ctx) {
   std::string Strategy, StratError;
   bool Explicit = false, AutoPicked = false;
-  bool WantDemand = wantDemandStrategy(Req, Ctx.Cid, Ctx.LadderLevel,
-                                       Strategy, StratError, Explicit,
-                                       AutoPicked);
+  bool WantDemand = wantDemandStrategy(Req, Ctx.LadderLevel, Strategy,
+                                       StratError, Explicit, AutoPicked);
   if (!StratError.empty()) {
     Resp.fail(StratError);
     return;

@@ -46,17 +46,20 @@
 /// outside any daemon lock, and the telemetry core is lock-free on its
 /// hot paths.
 ///
-/// Concurrency (docs/SERVING.md): with `Threads > 1`, run() becomes a
-/// reader feeding a bounded RequestQueue drained by a worker pool.
-/// Responses may then arrive out of request order — clients correlate
-/// by `id`/`cid`, never by line position. The queue is the admission
-/// controller: a full queue sheds the request with an `overloaded`
-/// error, queue wait tightens the request's deadline budget along a
-/// quantized degradation ladder, and a watchdog thread cancels requests
-/// that outlive their hard deadline through the existing
-/// deadline-degradation path (serve.admission.* / serve.watchdog.*
-/// counters). Fault injection (`Config::FaultSpec`, per-request
-/// `"fault"`) drives the chaos suite; see support/FaultInjection.h.
+/// Concurrency (docs/SERVING.md): run() has one reader loop that bounds
+/// and validates every line. With `Threads <= 1` the reader answers each
+/// line itself, in request order, and stops reading at `shutdown`. With
+/// `Threads > 1` it feeds a bounded RequestQueue drained by a worker
+/// pool; responses may then arrive out of request order — clients
+/// correlate by `id`/`cid`, never by line position. The queue is the
+/// admission controller: a full queue sheds the request with an
+/// `overloaded` error, and queue wait tightens the request's deadline
+/// budget along a quantized degradation ladder. In both shapes a
+/// watchdog thread cancels requests that outlive their hard deadline
+/// through the existing deadline-degradation path (serve.admission.* /
+/// serve.watchdog.* counters). Fault injection (`Config::FaultSpec`,
+/// per-request `"fault"`) drives the chaos suite; see
+/// support/FaultInjection.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,9 +93,9 @@ public:
     pta::Analyzer::Options DefaultOpts;
     /// Flight-recorder ring capacity (most recent events retained).
     size_t FlightRecorderCapacity = support::FlightRecorder::kDefaultCapacity;
-    /// Worker threads. 1 keeps the classic sequential loop (responses
-    /// in request order); N > 1 runs the reader + bounded queue +
-    /// worker pool, and responses may arrive out of order.
+    /// Worker threads. 0 or 1: the reader answers each line inline, in
+    /// request order, with no queue; N > 1: the reader feeds a bounded
+    /// queue drained by N workers, and responses may arrive out of order.
     unsigned Threads = 1;
     /// Bounded request-queue capacity (pool mode). A full queue sheds
     /// new requests with an `overloaded` error instead of blocking.
@@ -210,10 +213,10 @@ private:
                                                       std::string &Error,
                                                       const RequestCtx &Ctx);
 
-  /// The classic loop: one line in, one response out, in order.
-  int runSequential(std::istream &In, std::ostream &Out, std::ostream &Log);
-  /// Reader + bounded queue + worker pool (Cfg.Threads workers).
-  int runConcurrent(std::istream &In, std::ostream &Out, std::ostream &Log);
+  /// The one read loop: bounds and validates each line, then answers it
+  /// inline (Threads <= 1, in request order) or admits it to the bounded
+  /// queue a pool of Cfg.Threads workers drains.
+  int readLoop(std::istream &In, std::ostream &Out, std::ostream &Log);
   /// Builds a response for a line the dispatcher never ran: oversized /
   /// non-UTF8 input (\p Kind = "protocol"), a shed request
   /// ("overloaded"), or a post-shutdown arrival ("shutdown"). \p Line

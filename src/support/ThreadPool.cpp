@@ -75,7 +75,6 @@ bool ThreadPool::popTask(unsigned Self, std::function<void()> &Out) {
     if (!Q.Tasks.empty()) {
       Out = std::move(Q.Tasks.front());
       Q.Tasks.pop_front();
-      Steals.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -90,7 +89,6 @@ void ThreadPool::runTask(std::function<void()> &Task) {
     if (!FirstError)
       FirstError = std::current_exception();
   }
-  TasksExecuted.fetch_add(1, std::memory_order_relaxed);
   if (Pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard<std::mutex> Lock(Mu);
     DoneCv.notify_all();

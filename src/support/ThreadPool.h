@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing pool for file-level parallelism: the in-process
-/// `--batch` driver runs one task per file on it (see docs/PARALLEL.md).
-/// Each worker owns a deque: it pushes and pops its
+/// A small work-stealing pool for in-process file-level parallelism:
+/// `bench_parallel` and mcptabench's `paper-corpus` workload run one task
+/// per file on it. (`pta-tool --batch` forks a child per file instead;
+/// see docs/PARALLEL.md.) Each worker owns a deque: it pushes and pops its
 /// own tasks LIFO (cache-warm, depth-first), and steals from the other
 /// end of a victim's deque FIFO when its own runs dry — the classic
-/// Blumofe/Leiserson discipline, sized down to what the driver needs:
+/// Blumofe/Leiserson discipline, sized down to what its callers need:
 ///
 ///  - submit() from any thread (external submissions round-robin onto
 ///    worker deques; a worker submits onto its own deque);
@@ -18,15 +19,12 @@
 ///    rethrows the first task exception, if any (subsequent ones are
 ///    swallowed — one failure is enough to fail the run);
 ///  - no task-to-task return plumbing: tasks communicate through
-///    whatever shared state the caller synchronizes (the batch driver's
-///    per-file output slots).
+///    whatever shared state the caller synchronizes (e.g. per-file
+///    output slots).
 ///
 /// A pool constructed with 0 or 1 threads spawns no workers at all:
 /// submit() runs the task inline and wait() only rethrows. This is the
 /// sequential run, byte-for-byte — callers never special-case it.
-///
-/// Stats are relaxed atomics; reading them mid-run gives a
-/// torn-but-harmless view.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,11 +46,6 @@ namespace support {
 
 class ThreadPool {
 public:
-  struct Stats {
-    uint64_t TasksExecuted = 0; ///< tasks run to completion (any thread)
-    uint64_t Steals = 0;        ///< tasks taken from another worker's deque
-  };
-
   /// Spawns \p Threads - 1 workers (the calling thread is the pool's
   /// implicit first executor via wait()); 0 and 1 both mean inline
   /// execution with no threads at all.
@@ -71,20 +64,6 @@ public:
   /// task exception. The calling thread helps drain the queues while it
   /// waits rather than sleeping on the barrier.
   void wait();
-
-  /// The parallel width: 1 for an inline pool, else the worker count + 1
-  /// (the waiting thread works too).
-  unsigned width() const { return Workers.empty() ? 1 : unsigned(Workers.size()) + 1; }
-
-  /// True when the pool actually runs tasks on other threads.
-  bool parallel() const { return !Workers.empty(); }
-
-  Stats stats() const {
-    Stats S;
-    S.TasksExecuted = TasksExecuted.load(std::memory_order_relaxed);
-    S.Steals = Steals.load(std::memory_order_relaxed);
-    return S;
-  }
 
 private:
   struct WorkerQueue {
@@ -113,9 +92,6 @@ private:
 
   std::mutex ErrMu;
   std::exception_ptr FirstError; ///< first task exception, rethrown by wait()
-
-  std::atomic<uint64_t> TasksExecuted{0};
-  std::atomic<uint64_t> Steals{0};
 };
 
 } // namespace support

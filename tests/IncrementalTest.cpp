@@ -57,7 +57,7 @@ void expectEquivalent(const ResultSnapshot &Baseline, const std::string &Edited,
   pta::Analyzer::Options Opts;
   support::Telemetry Telem(true);
   IncrOutput O = IncrementalEngine::reanalyze(Baseline, Edited, Opts, &Telem);
-  ASSERT_TRUE(O.Ok) << Label << ": " << O.Error;
+  ASSERT_TRUE(O.Ok) << Label << ": " << O.Diags.dump();
   EXPECT_EQ(O.Blob, scratchBlob(Edited, Opts))
       << Label << " (incremental=" << O.Stats.UsedIncremental
       << " fallback=" << O.Stats.FallbackReason << ")";
@@ -95,6 +95,22 @@ TEST_P(IncrementalEquivalence, EveryMutationKindMatchesScratchBytes) {
   }
 }
 
+TEST_P(IncrementalEquivalence, NullBaselineIsAFullRun) {
+  const corpus::CorpusProgram *CP = corpus::find(GetParam());
+  ASSERT_NE(CP, nullptr);
+  pta::Analyzer::Options Opts;
+  support::Telemetry Telem(true);
+  IncrOutput O =
+      IncrementalEngine::reanalyze(nullptr, CP->Source, Opts, &Telem);
+  ASSERT_TRUE(O.Ok) << O.Diags.dump();
+  EXPECT_FALSE(O.Stats.UsedIncremental);
+  EXPECT_EQ(O.Stats.FallbackReason, "no-baseline");
+  EXPECT_EQ(O.Blob, scratchBlob(CP->Source, Opts));
+  // No baseline means nothing fell back: no incr.fallback.* counter.
+  for (const auto &[Name, Value] : Telem.countersSnapshot())
+    EXPECT_NE(Name.rfind("incr.fallback.", 0), 0u) << Name << "=" << Value;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCorpus, IncrementalEquivalence,
     ::testing::Values("genetic", "dry", "clinpack", "config", "toplev",
@@ -112,7 +128,7 @@ TEST(IncrementalTest, IdenticalSourceReusesEverythingButMain) {
   ResultSnapshot Baseline = snapshotOf(CP->Source);
   pta::Analyzer::Options Opts;
   IncrOutput O = IncrementalEngine::reanalyze(Baseline, CP->Source, Opts);
-  ASSERT_TRUE(O.Ok) << O.Error;
+  ASSERT_TRUE(O.Ok) << O.Diags.dump();
   EXPECT_TRUE(O.Stats.UsedIncremental) << O.Stats.FallbackReason;
   EXPECT_EQ(O.Stats.DirtyFunctions, 1u); // main
   EXPECT_GT(O.Stats.SeedHits, 0u);
@@ -318,7 +334,7 @@ TEST(IncrementalTest, OptionFingerprintMismatchFallsBack) {
   Other.SymbolicLevelLimit = 2;
   support::Telemetry Telem(true);
   IncrOutput O = IncrementalEngine::reanalyze(Baseline, Src, Other, &Telem);
-  ASSERT_TRUE(O.Ok) << O.Error;
+  ASSERT_TRUE(O.Ok) << O.Diags.dump();
   EXPECT_EQ(O.Stats.FallbackReason, "options-mismatch");
   EXPECT_EQ(O.Blob, scratchBlob(Src, Other));
 }
@@ -331,7 +347,7 @@ TEST(IncrementalTest, FrontendErrorReportsFailure) {
   IncrOutput O =
       IncrementalEngine::reanalyze(Baseline, "int main( {", Opts, &Telem);
   EXPECT_FALSE(O.Ok);
-  EXPECT_FALSE(O.Error.empty());
+  EXPECT_TRUE(O.Diags.hasErrors());
   EXPECT_EQ(O.Stats.FallbackReason, "frontend-error");
   EXPECT_EQ(Telem.counter("incr.fallback.frontend-error").Value, 1u);
 }
@@ -345,7 +361,7 @@ TEST(IncrementalTest, TypeEditFallsBackAsTypesChanged) {
   pta::Analyzer::Options Opts;
   support::Telemetry Telem(true);
   IncrOutput O = IncrementalEngine::reanalyze(Baseline, Edit, Opts, &Telem);
-  ASSERT_TRUE(O.Ok) << O.Error;
+  ASSERT_TRUE(O.Ok) << O.Diags.dump();
   EXPECT_EQ(O.Stats.FallbackReason, "types-changed");
   EXPECT_EQ(O.Blob, scratchBlob(Edit, Opts));
 }

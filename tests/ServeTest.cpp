@@ -544,6 +544,44 @@ TEST(ServerTest, IncrementalAnalyzeFallsBackWithReason) {
   EXPECT_EQ(Counters->getNumber("incr.fallback.types-changed", 0), 1);
 }
 
+TEST(ServerTest, AnalyzeAnswersAlikeWithAndWithoutABaseline) {
+  // Every analyze goes through the incremental engine's one entry, so a
+  // source that fails, or has no main(), gets the same answer whether or
+  // not a baseline exists.
+  ServerFixture F;
+  auto Req = [](int Id, const char *Src, bool Incremental) {
+    return "{\"id\":" + std::to_string(Id) +
+           ",\"method\":\"analyze\",\"incremental\":" +
+           (Incremental ? "true" : "false") + ",\"source\":\"" + Src +
+           "\"}";
+  };
+  ASSERT_TRUE(F.request(Req(1, "int main(void) { return 0; }", true))
+                  .getBool("ok", false));
+
+  JsonValue Plain = F.request(Req(2, "int main( {", false));
+  JsonValue Incr = F.request(Req(3, "int main( {", true));
+  EXPECT_FALSE(Plain.getBool("ok", true));
+  EXPECT_FALSE(Incr.getBool("ok", true));
+  EXPECT_EQ(Plain.getString("error", "plain"),
+            "expected parameter declaration");
+  EXPECT_EQ(Incr.getString("error", "incr"),
+            Plain.getString("error", "plain"));
+
+  // The incremental request comes first, against the analyzed baseline;
+  // distinct sources keep either request from being a cache hit.
+  JsonValue NoMainIncr =
+      F.request(Req(4, "int g; int f(void) { return g; }", true));
+  EXPECT_TRUE(NoMainIncr.getBool("ok", false));
+  EXPECT_FALSE(NoMainIncr.getBool("cached", true));
+  EXPECT_FALSE(NoMainIncr.getBool("analyzed", true));
+  EXPECT_EQ(NoMainIncr.getString("fallback_reason", ""), "no-main");
+  JsonValue NoMainPlain =
+      F.request(Req(5, "int g; int h(void) { return g; }", false));
+  EXPECT_TRUE(NoMainPlain.getBool("ok", false));
+  EXPECT_FALSE(NoMainPlain.getBool("cached", true));
+  EXPECT_FALSE(NoMainPlain.getBool("analyzed", true));
+}
+
 TEST(ServerTest, StatsReportsHitRatioAndUptime) {
   ServerFixture F;
   JsonValue St0 = F.request("{\"id\":1,\"method\":\"stats\"}");

@@ -1,9 +1,10 @@
 //===- ThreadPoolTest.cpp - work-stealing pool unit tests ----------------------===//
 //
-// The pool behind the in-process --batch (docs/PARALLEL.md):
-// inline degradation at width <= 1, completion of nested submissions,
-// exception capture and single rethrow from wait(), and reuse of the
-// pool across wait() barriers.
+// The in-process file-level pool (bench_parallel, mcptabench):
+// inline degradation at width <= 1, tasks running on worker threads at
+// width > 1, completion of nested submissions, exception capture and
+// single rethrow from wait(), and reuse of the pool across wait()
+// barriers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -22,38 +24,60 @@ namespace {
 
 TEST(ThreadPoolTest, InlinePoolRunsTasksImmediately) {
   ThreadPool Pool(1);
-  EXPECT_FALSE(Pool.parallel());
-  EXPECT_EQ(Pool.width(), 1u);
   int Ran = 0;
-  Pool.submit([&] { ++Ran; });
-  // Inline pools execute inside submit(), before wait() is ever called.
+  std::thread::id RanOn;
+  Pool.submit([&] {
+    ++Ran;
+    RanOn = std::this_thread::get_id();
+  });
+  // Inline pools execute inside submit(), on the caller's thread, before
+  // wait() is ever called.
   EXPECT_EQ(Ran, 1);
+  EXPECT_EQ(RanOn, std::this_thread::get_id());
   Pool.wait();
   EXPECT_EQ(Ran, 1);
-  EXPECT_EQ(Pool.stats().TasksExecuted, 1u);
 }
 
 TEST(ThreadPoolTest, ZeroThreadsMeansInline) {
   ThreadPool Pool(0);
-  EXPECT_FALSE(Pool.parallel());
-  EXPECT_EQ(Pool.width(), 1u);
   int Ran = 0;
-  Pool.submit([&] { ++Ran; });
+  std::thread::id RanOn;
+  Pool.submit([&] {
+    ++Ran;
+    RanOn = std::this_thread::get_id();
+  });
   EXPECT_EQ(Ran, 1);
+  EXPECT_EQ(RanOn, std::this_thread::get_id());
+  Pool.wait();
+}
+
+TEST(ThreadPoolTest, ParallelPoolRunsTasksOnWorkerThreads) {
+  ThreadPool Pool(4);
+  std::atomic<bool> Done{false};
+  std::thread::id RanOn;
+  Pool.submit([&] {
+    RanOn = std::this_thread::get_id();
+    Done.store(true, std::memory_order_release);
+  });
+  // Poll without calling wait(): the caller never helps drain, so only a
+  // worker thread can run the task.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!Done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(Done.load(std::memory_order_acquire));
+  EXPECT_NE(RanOn, std::this_thread::get_id());
   Pool.wait();
 }
 
 TEST(ThreadPoolTest, ParallelPoolRunsEveryTask) {
   ThreadPool Pool(4);
-  EXPECT_TRUE(Pool.parallel());
-  EXPECT_EQ(Pool.width(), 4u);
   std::atomic<int> Count{0};
   constexpr int N = 500;
   for (int I = 0; I < N; ++I)
     Pool.submit([&] { Count.fetch_add(1, std::memory_order_relaxed); });
   Pool.wait();
   EXPECT_EQ(Count.load(), N);
-  EXPECT_EQ(Pool.stats().TasksExecuted, uint64_t(N));
 }
 
 TEST(ThreadPoolTest, NestedSubmissionsFinishBeforeWaitReturns) {

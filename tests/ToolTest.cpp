@@ -347,6 +347,51 @@ TEST(ToolTest, IncrementalBaselineChainsRuns) {
   std::remove(Baseline.c_str());
 }
 
+TEST(ToolTest, IncrementalBaselineOnMainlessFileSucceedsEveryRun) {
+  // A program without main() is a result (analyzed: false), with or
+  // without a baseline.
+  std::string Src = writeTemp("int g; int f(void) { return g; }");
+  std::string Baseline = ::testing::TempDir() + "/pta_tool_nomain.snapshot";
+  std::remove(Baseline.c_str());
+  ToolRun R1 = runTool("--incremental-baseline=" + Baseline + " " + Src);
+  EXPECT_EQ(R1.ExitCode, 0) << R1.Output;
+  EXPECT_NE(R1.Output.find("incremental: baseline created"),
+            std::string::npos)
+      << R1.Output;
+  ToolRun R2 = runTool("--incremental-baseline=" + Baseline + " " + Src);
+  EXPECT_EQ(R2.ExitCode, 0) << R2.Output;
+  EXPECT_NE(R2.Output.find("incremental: full re-analysis"),
+            std::string::npos)
+      << R2.Output;
+  std::remove(Src.c_str());
+  std::remove(Baseline.c_str());
+}
+
+TEST(ToolTest, IncrementalBaselineCreatingRunRecordsTelemetry) {
+  std::string Src = writeTemp("int g; int *p;\n"
+                              "int main(void) { p = &g; return *p; }");
+  std::string Baseline = ::testing::TempDir() + "/pta_tool_telem.snapshot";
+  std::string Json = ::testing::TempDir() + "/pta_tool_incr_stats.json";
+  std::remove(Baseline.c_str());
+  ToolRun R = runTool("--incremental-baseline=" + Baseline + " --json " +
+                      Json + " " + Src);
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("incremental: baseline created"), std::string::npos)
+      << R.Output;
+  std::ifstream In(Json);
+  ASSERT_TRUE(In.good());
+  std::string J((std::istreambuf_iterator<char>(In)),
+                std::istreambuf_iterator<char>());
+  const std::string Name = "\"pta.stmt_visits\":";
+  size_t Pos = J.find(Name);
+  ASSERT_NE(Pos, std::string::npos) << J;
+  EXPECT_GT(std::strtoull(J.c_str() + Pos + Name.size(), nullptr, 10), 0u)
+      << J;
+  std::remove(Src.c_str());
+  std::remove(Baseline.c_str());
+  std::remove(Json.c_str());
+}
+
 TEST(ToolTest, BatchIncrementalBaselinesChainRuns) {
   std::string Dir = ::testing::TempDir() + "/pta_tool_batch_incr";
   std::string BaseDir = ::testing::TempDir() + "/pta_tool_batch_incr_base";
