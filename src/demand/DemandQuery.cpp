@@ -89,8 +89,9 @@ bool hasRecursionFromMain(const Program &Prog, const FunctionIR *Main) {
 
 } // namespace
 
-DemandEngine::DemandEngine(const simple::Program &Prog, DemandOptions Opts)
-    : Prog(Prog), Opts(std::move(Opts)) {
+DemandEngine::DemandEngine(const simple::Program &Prog, DemandOptions Opts,
+                           const incr::ProgramMeta *Meta)
+    : Prog(Prog), Opts(std::move(Opts)), Meta(Meta) {
   Main = findMain(Prog);
 
   // Name index for resolution gates: every variable the program
@@ -152,11 +153,22 @@ Relevance::Stats DemandEngine::relevanceStats() const {
   return Rel ? Rel->stats() : Relevance::Stats{};
 }
 
-const serve::ResultSnapshot &DemandEngine::exhaustiveSnapshot() {
+const incr::ProgramMeta &DemandEngine::meta() {
+  if (!Meta) {
+    OwnMeta = std::make_unique<incr::ProgramMeta>(incr::computeMeta(Prog));
+    Meta = OwnMeta.get();
+  }
+  return *Meta;
+}
+
+const serve::ResultSnapshot &
+DemandEngine::exhaustive(support::Telemetry *Telem) {
   if (!Exh) {
-    pta::Analyzer::Result Res = pta::Analyzer::run(Prog, Opts.Analyzer);
+    pta::Analyzer::Options AO = Opts.Analyzer;
+    AO.Telem = Telem;
+    pta::Analyzer::Result Res = pta::Analyzer::run(Prog, AO);
     Exh = std::make_unique<serve::ResultSnapshot>(serve::ResultSnapshot::capture(
-        Prog, Res, serve::optionsFingerprint(Opts.Analyzer)));
+        Prog, Res, serve::optionsFingerprint(AO), meta()));
   }
   return *Exh;
 }
@@ -210,7 +222,8 @@ void DemandEngine::answerFrom(const Query &Q, const serve::ResultSnapshot &S,
   A.Ok = true;
 }
 
-Answer DemandEngine::fallback(const Query &Q, const std::string &Reason) {
+Answer DemandEngine::fallback(const Query &Q, const std::string &Reason,
+                              support::Telemetry *Telem) {
   Answer A;
   A.FallbackReason = Reason;
   if (!Opts.RunExhaustiveOnFallback) {
@@ -218,17 +231,20 @@ Answer DemandEngine::fallback(const Query &Q, const std::string &Reason) {
     return A;
   }
   A.Strategy = "exhaustive";
-  answerFrom(Q, exhaustiveSnapshot(), A);
+  answerFrom(Q, exhaustive(Telem), A);
   return A;
 }
 
-Answer DemandEngine::query(const Query &Q) {
+Answer DemandEngine::query(const Query &Q, support::Telemetry *Telem) {
+  auto Fallback = [&](const std::string &Reason) {
+    return fallback(Q, Reason, Telem);
+  };
   // Statement-scoped queries need the per-statement set recording the
   // pruned run turns off.
   if (Q.K == Query::Kind::PointsTo && Q.StmtId >= 0)
-    return fallback(Q, "stmt-scope");
+    return Fallback("stmt-scope");
   if (!ProgramGate.empty())
-    return fallback(Q, ProgramGate);
+    return Fallback(ProgramGate);
 
   std::vector<int> Seeds;
   std::string Gate;
@@ -236,7 +252,7 @@ Answer DemandEngine::query(const Query &Q) {
     auto [StarsA, BaseA] = parseAliasExpr(Q.A);
     auto [StarsB, BaseB] = parseAliasExpr(Q.B);
     if (StarsA < 0 || StarsB < 0)
-      return fallback(Q, "unresolved-name");
+      return Fallback("unresolved-name");
     // Trivial non-aliases, exact by construction of the pair table:
     // pairs are between *distinct* expression strings, expressions
     // never exceed MaxAliasDerefs stars, and a plain name appears only
@@ -253,7 +269,7 @@ Answer DemandEngine::query(const Query &Q) {
                                       std::pair<int, std::string>(StarsB, BaseB)}) {
       int Root = resolveRoot(Base, Gate);
       if (Root < 0)
-        return fallback(Q, Gate);
+        return Fallback(Gate);
       Seeds.push_back(Root);
       if (Stars >= 2) {
         // A k-star expression's pair membership consults the triples of
@@ -266,10 +282,10 @@ Answer DemandEngine::query(const Query &Q) {
   } else {
     auto [Stars, Base] = parseAliasExpr(Q.Name);
     if (Stars != 0)
-      return fallback(Q, "unresolved-name");
+      return Fallback("unresolved-name");
     int Root = resolveRoot(Base, Gate);
     if (Root < 0)
-      return fallback(Q, Gate);
+      return Fallback(Gate);
     Seeds.push_back(Root);
   }
 
@@ -293,11 +309,11 @@ Answer DemandEngine::query(const Query &Q) {
   A.SkippedStmts = C.count("pta.stmt_skips") ? C["pta.stmt_skips"] : 0;
   A.SliceBasic = LV.SliceBasic;
   A.LiveBasic = LV.LiveBasic;
-  if (Opts.Analyzer.Telem)
-    Opts.Analyzer.Telem->mergeFrom(RunTelem);
+  if (Telem)
+    Telem->mergeFrom(RunTelem);
 
   if (!Res.Analyzed || Res.degraded()) {
-    Answer F = fallback(Q, "degraded");
+    Answer F = Fallback("degraded");
     F.VisitedStmts = A.VisitedStmts;
     F.SkippedStmts = A.SkippedStmts;
     F.SliceBasic = A.SliceBasic;
@@ -306,13 +322,13 @@ Answer DemandEngine::query(const Query &Q) {
   }
 
   serve::ResultSnapshot Snap = serve::ResultSnapshot::capture(
-      Prog, Res, serve::optionsFingerprint(AO));
+      Prog, Res, serve::optionsFingerprint(AO), meta());
   if (Q.K == Query::Kind::PointsTo && Snap.locationIdByName(Q.Name) < 0) {
     // The exhaustive location table can still mention the name (via
     // statement sets or invocation-graph records the pruned run does
     // not produce); let the fallback decide between an answer and the
     // unknown-location error.
-    Answer F = fallback(Q, "unmentioned");
+    Answer F = Fallback("unmentioned");
     F.VisitedStmts = A.VisitedStmts;
     F.SkippedStmts = A.SkippedStmts;
     F.SliceBasic = A.SliceBasic;

@@ -102,9 +102,11 @@ struct Query {
 struct DemandOptions {
   /// Analyzer configuration for both the pruned run and the exhaustive
   /// fallback. The demand run itself always forces RecordStmtSets=false
-  /// and Seeder=nullptr; Telem (when set) receives the pruned run's
-  /// pta.* counters merged in. Non-default FnPtr/ContextSensitive
-  /// settings gate every query to the fallback ("options").
+  /// and Seeder=nullptr. Telem is the sink of query(Q) and
+  /// exhaustiveSnapshot(); a long-lived engine leaves it null and passes
+  /// each query's sink to query(Q, Telem) instead. Non-default
+  /// FnPtr/ContextSensitive settings gate every query to the fallback
+  /// ("options").
   pta::Analyzer::Options Analyzer;
   /// When true (default), a fallback runs the exhaustive analysis and
   /// answers from it (Strategy="exhaustive"). When false, the caller
@@ -143,17 +145,26 @@ struct Answer {
 };
 
 /// Per-program query engine. Builds its gates eagerly (cheap scans) and
-/// the Relevance solution lazily on the first non-gated query; both are
-/// reused across queries, as is the exhaustive fallback snapshot, so a
-/// query burst against one program pays each cost once. Not thread-safe;
-/// serve constructs one per request.
+/// the Relevance solution and program metadata lazily on the first
+/// query that needs them; all are reused across queries, as is the
+/// exhaustive fallback snapshot, so a query burst against one program
+/// pays each cost once. Not thread-safe: the serve daemon keeps one per
+/// resident program and serializes its queries on a mutex.
 class DemandEngine {
 public:
-  /// \p Prog must outlive the engine.
-  DemandEngine(const simple::Program &Prog, DemandOptions Opts);
+  /// \p Prog must outlive the engine. \p Meta, when given, is
+  /// incr::computeMeta(Prog) already in hand and must outlive the engine
+  /// too; otherwise the engine computes it once, on first use.
+  DemandEngine(const simple::Program &Prog, DemandOptions Opts,
+               const incr::ProgramMeta *Meta = nullptr);
   ~DemandEngine();
 
-  Answer query(const Query &Q);
+  /// Answers \p Q. The pruned run's pta.* counters, and the exhaustive
+  /// run's when this query is the first to need it, are recorded into
+  /// \p Telem (may be null); the engine keeps no pointer to it.
+  Answer query(const Query &Q, support::Telemetry *Telem);
+  /// As above, recording into DemandOptions::Analyzer.Telem.
+  Answer query(const Query &Q) { return query(Q, Opts.Analyzer.Telem); }
 
   /// The whole-program gate ("" when demand can run): "no-main",
   /// "options", "fnptr", or "recursion".
@@ -162,14 +173,20 @@ public:
   /// The exhaustive result, run on first use and cached (also used by
   /// fallbacks). Never null; Analyzed=0 inside when the program has no
   /// main.
-  const serve::ResultSnapshot &exhaustiveSnapshot();
+  const serve::ResultSnapshot &exhaustiveSnapshot() {
+    return exhaustive(Opts.Analyzer.Telem);
+  }
 
   /// Relevance statistics (zeros until the first non-gated query forces
   /// the build).
   Relevance::Stats relevanceStats() const;
 
 private:
-  Answer fallback(const Query &Q, const std::string &Reason);
+  /// exhaustiveSnapshot(), recording a first run into \p Telem.
+  const serve::ResultSnapshot &exhaustive(support::Telemetry *Telem);
+  Answer fallback(const Query &Q, const std::string &Reason,
+                  support::Telemetry *Telem);
+  const incr::ProgramMeta &meta();
   /// Answers \p Q from \p S (demand or exhaustive snapshot alike).
   void answerFrom(const Query &Q, const serve::ResultSnapshot &S, Answer &A);
   /// Resolves a plain variable name to a relevance root; on failure
@@ -183,6 +200,9 @@ private:
   const simple::FunctionIR *Main = nullptr;
   std::unique_ptr<Relevance> Rel;
   std::unique_ptr<serve::ResultSnapshot> Exh;
+  /// The caller's metadata, or OwnMeta once computed.
+  const incr::ProgramMeta *Meta;
+  std::unique_ptr<incr::ProgramMeta> OwnMeta;
   /// Display name -> every VarDecl carrying it, program-wide (globals,
   /// params, locals, temps). >1 entry = ambiguous.
   std::map<std::string, std::vector<const cfront::VarDecl *>> VarsByName;

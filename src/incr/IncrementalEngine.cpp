@@ -972,26 +972,39 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
                                         support::Telemetry *Telem) {
   IncrOutput O;
   std::string OptsFP = serve::optionsFingerprint(Opts);
+  // The program is parsed into O.Frontend at most once; every path that
+  // analyzes it reads its metadata from O.Meta.
+  Pipeline &FE = O.Frontend;
+  auto Parse = [&]() -> bool {
+    FE = Pipeline::frontend(Source);
+    if (!FE.Prog || FE.Diags.hasErrors()) {
+      O.Diags = std::move(FE.Diags);
+      FE = Pipeline();
+      return false;
+    }
+    O.Meta = computeMeta(*FE.Prog);
+    return true;
+  };
+  auto Finish = [&](const pta::Analyzer::Result &Res) {
+    O.Snapshot = serve::ResultSnapshot::capture(*FE.Prog, Res, OptsFP, O.Meta);
+    O.Blob = serve::serialize(O.Snapshot);
+    O.Ok = true;
+  };
 
-  auto FullRun = [&](std::string Reason) -> IncrOutput & {
+  auto FullRun = [&](std::string Reason) -> IncrOutput {
     // Without a baseline there is nothing to fall back from.
     if (Telem && Baseline)
       Telem->add("incr.fallback." + Reason, 1);
-    pta::Analyzer::Options FOpts = Opts;
-    FOpts.Seeder = nullptr;
-    if (Telem)
-      FOpts.Telem = Telem;
-    Pipeline P = Pipeline::analyzeSource(Source, FOpts);
     O.Stats.UsedIncremental = false;
     O.Stats.FallbackReason = std::move(Reason);
-    if (P.Diags.hasErrors() || !P.Prog) {
-      O.Diags = std::move(P.Diags);
-      return O;
+    if (FE.Prog || Parse()) {
+      pta::Analyzer::Options FOpts = Opts;
+      FOpts.Seeder = nullptr;
+      if (Telem)
+        FOpts.Telem = Telem;
+      Finish(pta::Analyzer::run(*FE.Prog, FOpts));
     }
-    O.Snapshot = serve::ResultSnapshot::capture(*P.Prog, P.Analysis, OptsFP);
-    O.Blob = serve::serialize(O.Snapshot);
-    O.Ok = true;
-    return O;
+    return std::move(O);
   };
 
   if (!Baseline)
@@ -1006,32 +1019,29 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
   if (Baseline->degraded())
     return FullRun("baseline-degraded");
 
-  Pipeline FE = Pipeline::frontend(Source);
-  if (!FE.Prog || FE.Diags.hasErrors()) {
+  if (!Parse()) {
     if (Telem)
       Telem->add("incr.fallback.frontend-error", 1);
-    O.Diags = std::move(FE.Diags);
     O.Stats.FallbackReason = "frontend-error";
     return O;
   }
 
-  ProgramMeta LiveMeta = computeMeta(*FE.Prog);
-  if (LiveMeta.TypesFingerprint != Baseline->Meta.TypesFingerprint)
+  if (O.Meta.TypesFingerprint != Baseline->Meta.TypesFingerprint)
     return FullRun("types-changed");
   const cfront::FunctionDecl *Main = FE.Unit->findFunction("main");
   if (!Main || !FE.Prog->findFunction(Main))
     return FullRun("no-main");
 
-  std::set<std::string> Dirty = computeDirtySet(*Baseline, LiveMeta);
+  std::set<std::string> Dirty = computeDirtySet(*Baseline, O.Meta);
   uint64_t DirtyLive = 0;
-  for (const FunctionMeta &F : LiveMeta.Functions)
+  for (const FunctionMeta &F : O.Meta.Functions)
     if (F.Defined && Dirty.count(F.Name))
       ++DirtyLive;
   O.Stats.DirtyFunctions = DirtyLive;
   if (Telem)
     Telem->add("incr.dirty_functions", DirtyLive);
 
-  IncrSession Session(*Baseline, LiveMeta, Dirty);
+  IncrSession Session(*Baseline, O.Meta, Dirty);
   pta::Analyzer::Options IOpts = Opts;
   IOpts.Seeder = &Session;
   if (Telem)
@@ -1053,9 +1063,7 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
     Telem->add("incr.memo_reuse", O.Stats.MemoReuse);
     Telem->add("incr.seed_hits", O.Stats.SeedHits);
   }
-  O.Snapshot = serve::ResultSnapshot::capture(*FE.Prog, Res, OptsFP);
-  O.Blob = serve::serialize(O.Snapshot);
-  O.Ok = true;
+  Finish(Res);
   O.Stats.UsedIncremental = true;
   return O;
 }

@@ -39,6 +39,7 @@
 #ifndef MCPTA_INCR_INCREMENTALENGINE_H
 #define MCPTA_INCR_INCREMENTALENGINE_H
 
+#include "driver/Pipeline.h"
 #include "serve/Serialize.h"
 #include "support/Diagnostics.h"
 #include "support/Telemetry.h"
@@ -82,6 +83,13 @@ struct IncrOutput {
   /// Set when !Ok: the diagnostics of the failed frontend run, errors
   /// included. Each surface renders them in its own form.
   DiagnosticsEngine Diags;
+  /// Set when Ok: the parsed and lowered program the snapshot was
+  /// computed from, with its analysis state dropped (Frontend.Analysis
+  /// is empty), and its computeMeta. A caller that keeps answering
+  /// questions about the same text (the serve daemon's resident
+  /// program) takes them instead of parsing the source again.
+  Pipeline Frontend;
+  ProgramMeta Meta;
 };
 
 /// The dirty closure: names of functions whose analysis results may
@@ -98,10 +106,12 @@ public:
   /// the serve and incremental surfaces. Always produces a complete
   /// snapshot (incremental when every gate holds, a full analysis
   /// otherwise — see IncrStats); a null \p Baseline is a full analysis
-  /// with FallbackReason "no-baseline". Ok is false only when the source
-  /// does not parse or lower. \p Telem (optional) receives
-  /// incr.dirty_functions / incr.memo_reuse / incr.seed_hits /
-  /// incr.fallback.* counters and is forwarded to the analyzer.
+  /// with FallbackReason "no-baseline". The source is parsed at most
+  /// once: a fallback after the frontend ran analyzes that program. Ok
+  /// is false only when the source does not parse or lower. \p Telem
+  /// (optional) receives incr.dirty_functions / incr.memo_reuse /
+  /// incr.seed_hits / incr.fallback.* counters and is forwarded to the
+  /// analyzer.
   static IncrOutput reanalyze(const serve::ResultSnapshot *Baseline,
                               const std::string &Source,
                               const pta::Analyzer::Options &Opts,

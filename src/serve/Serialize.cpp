@@ -144,6 +144,14 @@ uint32_t parseStringEntityId(const std::string &Name) {
 ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
                                        const pta::Analyzer::Result &Res,
                                        std::string OptionsFingerprint) {
+  return capture(Prog, Res, std::move(OptionsFingerprint),
+                 incr::computeMeta(Prog));
+}
+
+ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
+                                       const pta::Analyzer::Result &Res,
+                                       std::string OptionsFingerprint,
+                                       incr::ProgramMeta Meta) {
   ResultSnapshot S;
   S.OptionsFingerprint = std::move(OptionsFingerprint);
   S.Analyzed = Res.Analyzed ? 1 : 0;
@@ -319,7 +327,7 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
   for (auto &[Fn, Msgs] : Res.WarningsByFn.sortedByName())
     S.WarningsByFn.emplace(Fn, std::move(Msgs));
 
-  S.Meta = incr::computeMeta(Prog);
+  S.Meta = std::move(Meta);
 
   if (Res.MainOut)
     for (const auto &[A, B] : clients::aliasPairs(*Res.MainOut, Locs))

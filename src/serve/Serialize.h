@@ -214,6 +214,13 @@ struct ResultSnapshot {
   static ResultSnapshot capture(const simple::Program &Prog,
                                 const pta::Analyzer::Result &Res,
                                 std::string OptionsFingerprint);
+  /// As above, with \p Meta = incr::computeMeta(Prog) already in hand:
+  /// callers that keep a program's metadata (the incremental engine, the
+  /// demand engine) compute it once per program instead of per capture.
+  static ResultSnapshot capture(const simple::Program &Prog,
+                                const pta::Analyzer::Result &Res,
+                                std::string OptionsFingerprint,
+                                incr::ProgramMeta Meta);
 
   //===--------------------------------------------------------------------===//
   // Queries (what the serve daemon answers without re-analysis)

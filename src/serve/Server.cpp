@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -212,6 +213,29 @@ LineRead readBoundedLine(std::istream &In, std::string &Line, size_t Max) {
 }
 
 } // namespace
+
+/// The analyzed program the daemon keeps between requests. Source is
+/// fixed at construction. The rest is built at most once, under Mu: an
+/// analyze that ran the frontend hands its parse and metadata over
+/// before the slot is shared; otherwise the first demand query parses,
+/// and the engine (with its Relevance solution and exhaustive fallback)
+/// is built by the first demand query either way. Requests hold the
+/// slot by shared_ptr, so an analyze of another text can replace it
+/// while a query still reads the old program.
+struct Server::ResidentProgram {
+  explicit ResidentProgram(std::string Source) : Source(std::move(Source)) {}
+
+  const std::string Source;
+  /// Serializes the demand queries on this program: the engine is not
+  /// thread-safe.
+  std::mutex Mu;
+  /// Parsed and lowered (FE.Prog null until then); no analysis state.
+  Pipeline FE;
+  /// incr::computeMeta(*FE.Prog) when the analyze computed it; the
+  /// engine computes its own otherwise.
+  std::optional<incr::ProgramMeta> Meta;
+  std::unique_ptr<demand::DemandEngine> Engine;
+};
 
 struct Server::Response {
   std::string IdJson = "null";
@@ -883,12 +907,24 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
   }
 
   std::shared_ptr<const ResultSnapshot> Baseline;
-  if (WantIncremental && !Snap) {
+  // The resident program this request replaces, destroyed outside
+  // StateMu. A compute releases the previous program before it parses
+  // (one program in memory at a time); the text stays resident, so a
+  // source that fails to parse leaves demand queries where they were.
+  std::shared_ptr<ResidentProgram> Released;
+  if (!Snap) {
     std::lock_guard<std::mutex> Lock(StateMu);
-    auto BaselineIt = BaselineByFingerprint.find(FP);
-    if (BaselineIt != BaselineByFingerprint.end())
-      Baseline = BaselineIt->second;
+    if (WantIncremental) {
+      auto BaselineIt = BaselineByFingerprint.find(FP);
+      if (BaselineIt != BaselineByFingerprint.end())
+        Baseline = BaselineIt->second;
+    }
+    if (Resident) {
+      Released = std::move(Resident);
+      Resident = std::make_shared<ResidentProgram>(Released->Source);
+    }
   }
+  Released.reset();
 
   // True when the watchdog cancelled this request mid-flight. Checked
   // after the compute paths; a cancelled (degraded) result is returned
@@ -898,6 +934,7 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
     return Cancel && Cancel->load(std::memory_order_relaxed);
   };
   bool Cancelled = false;
+  std::shared_ptr<ResidentProgram> Program;
 
   if (Snap) {
     Resp.Cached = true;
@@ -918,6 +955,9 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
     if (Baseline && !O.Stats.FallbackReason.empty())
       Recorder->record("incr.fallback", Ctx.Cid,
                        "reason=" + O.Stats.FallbackReason);
+    Program = std::make_shared<ResidentProgram>(Source);
+    Program->FE = std::move(O.Frontend);
+    Program->Meta = std::move(O.Meta);
     Cancelled = WasCancelled();
     if (Cancelled) {
       Snap = std::make_shared<const ResultSnapshot>(std::move(O.Snapshot));
@@ -949,7 +989,14 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
     std::lock_guard<std::mutex> Lock(StateMu);
     LastKey = ServedKey;
     LastSnapshot = Snap;
-    LastSource = Source;
+    // A cache hit keeps the resident program when it holds this text;
+    // otherwise the text becomes resident and the first demand query
+    // parses it.
+    if (Program || !Resident || Resident->Source != Source) {
+      Released = std::move(Resident);
+      Resident = Program ? std::move(Program)
+                         : std::make_shared<ResidentProgram>(Source);
+    }
     // Whatever this request produced (or re-validated) is the baseline
     // for the next incremental request under the same options — unless
     // the watchdog cut it short: a cancelled result is timing-dependent
@@ -957,6 +1004,7 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
     if (!Cancelled)
       BaselineByFingerprint[ServedFromBaseKey ? BaseFP : FP] = Snap;
   }
+  Released.reset();
 
   Resp.Degraded = Snap->degraded();
   // Degradations go to the daemon log once per (kind, context) for the
@@ -1091,10 +1139,14 @@ bool Server::handleDemandQuery(const JsonValue &Req, Response &Resp,
     Resp.fail(SourceError);
     return true;
   }
-  if (!HaveSource) {
+  std::shared_ptr<ResidentProgram> Program;
+  {
     std::lock_guard<std::mutex> Lock(StateMu);
-    Source = LastSource;
-    HaveSource = !Source.empty();
+    if (Resident && (HaveSource ? Resident->Source == Source
+                                : !Resident->Source.empty())) {
+      Program = Resident;
+      HaveSource = true;
+    }
   }
   if (!HaveSource) {
     if (!Explicit)
@@ -1128,17 +1180,38 @@ bool Server::handleDemandQuery(const JsonValue &Req, Response &Resp,
 
   Ctx.Telem->add("demand.queries", 1);
   auto Start = std::chrono::steady_clock::now();
-  Pipeline FE = Pipeline::frontend(Source);
-  if (!FE.Prog) {
-    Resp.fail(firstError(FE.Diags, "demand: source does not parse"));
-    return true;
+  // A text other than the resident one gets a program of its own, dropped
+  // with this request.
+  if (!Program)
+    Program = std::make_shared<ResidentProgram>(std::move(Source));
+  demand::Answer A;
+  bool ExhaustiveDegraded = false;
+  {
+    std::lock_guard<std::mutex> Lock(Program->Mu);
+    if (Program->FE.Prog) {
+      Ctx.Telem->add("demand.program_reuse", 1);
+    } else {
+      Program->FE = Pipeline::frontend(Program->Source);
+      if (!Program->FE.Prog) {
+        Resp.fail(
+            firstError(Program->FE.Diags, "demand: source does not parse"));
+        Program->FE = Pipeline();
+        return true;
+      }
+    }
+    if (!Program->Engine) {
+      demand::DemandOptions DO;
+      DO.Analyzer = Cfg.DefaultOpts;
+      DO.Analyzer.Telem = nullptr;
+      Program->Engine = std::make_unique<demand::DemandEngine>(
+          *Program->FE.Prog, DO, Program->Meta ? &*Program->Meta : nullptr);
+    }
+    A = Program->Engine->query(Q, Ctx.Telem);
+    // A fallback answered from the exhaustive run, which may itself have
+    // degraded under resource budgets.
+    if (A.Ok && A.Strategy != "demand")
+      ExhaustiveDegraded = Program->Engine->exhaustiveSnapshot().degraded();
   }
-
-  demand::DemandOptions DO;
-  DO.Analyzer = Cfg.DefaultOpts;
-  DO.Analyzer.Telem = Ctx.Telem;
-  demand::DemandEngine Engine(*FE.Prog, DO);
-  demand::Answer A = Engine.query(Q);
   Ctx.Telem->latency("demand.latency").recordMs(msSince(Start));
 
   if (A.answeredByDemand()) {
@@ -1168,9 +1241,7 @@ bool Server::handleDemandQuery(const JsonValue &Req, Response &Resp,
     Resp.member("visited_stmts", std::to_string(A.VisitedStmts));
     Resp.member("skipped_stmts", std::to_string(A.SkippedStmts));
   } else {
-    // The fallback answered from the exhaustive run, which may itself
-    // have degraded under resource budgets.
-    Resp.Degraded = Engine.exhaustiveSnapshot().degraded();
+    Resp.Degraded = ExhaustiveDegraded;
   }
   if (IsAlias)
     Resp.member("aliased", A.Aliased ? "true" : "false");
@@ -1389,11 +1460,12 @@ void Server::handleEvents(const JsonValue &Req, Response &Resp) {
 
 void Server::handleInvalidate(Response &Resp) {
   uint64_t Removed = Cache->invalidate();
+  std::shared_ptr<ResidentProgram> Released;
   {
     std::lock_guard<std::mutex> Lock(StateMu);
     LastKey.clear();
     LastSnapshot.reset();
-    LastSource.clear();
+    Released = std::move(Resident);
   }
   Resp.member("removed_blobs", std::to_string(Removed));
 }

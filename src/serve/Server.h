@@ -20,7 +20,9 @@
 /// `points_to` run the demand-driven engine (src/demand/,
 /// docs/DEMAND.md) over the last analyzed source and answer from a
 /// liveness-pruned analysis, falling back to exhaustive with a
-/// recorded reason. An `analyze`
+/// recorded reason. That program stays resident between requests —
+/// its parse, ProgramMeta and demand engine — so queries after an
+/// analyze do not parse it again (docs/SERVING.md). An `analyze`
 /// request carrying `"incremental": true` re-analyzes against the
 /// previous result with the same options fingerprint through the
 /// IncrementalEngine (docs/INCREMENTAL.md) instead of running from
@@ -183,6 +185,8 @@ private:
   /// RAII registration of an analyze request in the watchdog's
   /// in-flight registry.
   class InFlightGuard;
+  /// One analyzed program kept resident between requests (Resident).
+  struct ResidentProgram;
 
   void handleAnalyze(const JsonValue &Req, Response &Resp, std::ostream &Log,
                      RequestCtx &Ctx);
@@ -192,7 +196,8 @@ private:
                       const RequestCtx &Ctx);
   /// Demand-strategy path shared by alias/points_to (docs/DEMAND.md).
   /// Resolves the query's source (request "source"/"corpus", else the
-  /// last analyzed source), runs the DemandEngine, and fills \p Resp
+  /// last analyzed source), runs the DemandEngine — the resident
+  /// program's when the text is the resident one — and fills \p Resp
   /// with the answer plus "strategy"/"fallback_reason" members. In auto
   /// mode (\p Explicit = false, entered when admission tightened the
   /// request) an unresolvable source returns false and the caller falls
@@ -268,11 +273,13 @@ private:
   std::mutex StateMu;
   std::string LastKey;
   std::shared_ptr<const ResultSnapshot> LastSnapshot;
-  /// Source text of the most recent analyze, kept so a later
-  /// `{"strategy":"demand"}` query (or the admission ladder's automatic
-  /// demand pick) can re-frontend and slice it without the client
-  /// resending the program. Cleared by `invalidate` alongside LastKey.
-  std::string LastSource;
+  /// The resident program: the text of the most recent successful
+  /// analyze, so a later `{"strategy":"demand"}` query (or the admission
+  /// ladder's automatic demand pick) answers about it without the client
+  /// resending the program, plus that text's parse, ProgramMeta and
+  /// demand engine, kept between requests so queries do not rebuild
+  /// them. Null before the first analyze and after `invalidate`.
+  std::shared_ptr<ResidentProgram> Resident;
   /// Most recent snapshot per options fingerprint: the baseline an
   /// `analyze {"incremental": true}` request re-analyzes against. Keyed
   /// by fingerprint (not cache key) because an edited source hashes to

@@ -22,6 +22,7 @@
 #include "corpus/Corpus.h"
 #include "demand/DemandQuery.h"
 #include "driver/Pipeline.h"
+#include "support/Telemetry.h"
 #include "wlgen/WorkloadGen.h"
 
 #include <gtest/gtest.h>
@@ -262,6 +263,52 @@ TEST(DemandTest, IncrstressPruningIsPinned) {
     EXPECT_EQ(A.SliceBasic, P.Slice) << Tag;
   }
   EXPECT_EQ(F.Engine->relevanceStats().Edges, 2132u);
+}
+
+TEST(DemandTest, EachQueryRecordsIntoItsOwnSink) {
+  // A long-lived engine takes its telemetry sink per query and keeps no
+  // pointer to it: a query after the first sink is destroyed records
+  // into its own sink only (a kept pointer would write into the dead
+  // one, which ASan reports).
+  EngineFixture F("int x; int y;\n"
+                  "int main(void) { int *p; int *q; p = &x; q = &y; "
+                  "return *p + *q; }\n");
+  ASSERT_TRUE(F.Engine);
+  {
+    support::Telemetry First(/*Enabled=*/true);
+    Answer A = F.Engine->query(Query::pointsTo("p"), &First);
+    ASSERT_TRUE(A.answeredByDemand());
+    EXPECT_EQ(First.countersSnapshot()["pta.stmt_visits"], A.VisitedStmts);
+  }
+  support::Telemetry Second(/*Enabled=*/true);
+  Answer B = F.Engine->query(Query::pointsTo("q"), &Second);
+  ASSERT_TRUE(B.answeredByDemand());
+  EXPECT_GT(B.VisitedStmts, 0u);
+  EXPECT_EQ(Second.countersSnapshot()["pta.stmt_visits"], B.VisitedStmts);
+  // A fallback's exhaustive run lands in the sink of the query that ran it.
+  Answer C = F.Engine->query(Query::pointsTo("p", /*StmtId=*/0), &Second);
+  EXPECT_EQ(C.FallbackReason, "stmt-scope");
+  EXPECT_EQ(Second.countersSnapshot()["pta.stmt_visits"],
+            B.VisitedStmts + 6u);
+}
+
+TEST(DemandTest, RepeatedFallbacksRunTheExhaustiveAnalysisOnce) {
+  EngineFixture F("int id(int a) { return a; }\n"
+                  "int main(void) { int (*fp)(int); int r; "
+                  "fp = &id; r = (*fp)(1); return r; }\n");
+  ASSERT_TRUE(F.Engine);
+  ASSERT_EQ(F.Engine->programGate(), "fnptr");
+  support::Telemetry First(/*Enabled=*/true), Second(/*Enabled=*/true);
+  Answer A = F.Engine->query(Query::pointsTo("fp"), &First);
+  Answer B = F.Engine->query(Query::alias("*fp", "r"), &Second);
+  EXPECT_EQ(A.FallbackReason, "fnptr");
+  EXPECT_EQ(B.FallbackReason, "fnptr");
+  auto C1 = First.countersSnapshot();
+  EXPECT_EQ(C1["pta.stmt_visits"], 7u);
+  EXPECT_EQ(C1["pta.body_analyses"], 2u);
+  // The second fallback answers from the kept exhaustive result.
+  for (const auto &[Name, V] : Second.countersSnapshot())
+    EXPECT_NE(Name.rfind("pta.", 0), 0u) << Name << " = " << V;
 }
 
 //===----------------------------------------------------------------------===//

@@ -352,18 +352,71 @@ TEST(IncrementalTest, FrontendErrorReportsFailure) {
   EXPECT_EQ(Telem.counter("incr.fallback.frontend-error").Value, 1u);
 }
 
-TEST(IncrementalTest, TypeEditFallsBackAsTypesChanged) {
-  const char *Base = "struct s { int a; };\n"
-                     "int main(void) { struct s v; v.a = 1; return v.a; }\n";
-  const char *Edit = "struct s { int a; int b; };\n"
-                     "int main(void) { struct s v; v.a = 1; return v.a; }\n";
+/// A fallback taken after the frontend ran analyzes that parse: the
+/// blob is the from-scratch blob, the counters are a scratch run's plus
+/// the fallback's, and the output hands the parse and its metadata over.
+void expectFallbackIsAFullRun(const std::string &Base, const std::string &Edit,
+                              const std::string &Reason) {
   ResultSnapshot Baseline = snapshotOf(Base);
   pta::Analyzer::Options Opts;
   support::Telemetry Telem(true);
   IncrOutput O = IncrementalEngine::reanalyze(Baseline, Edit, Opts, &Telem);
   ASSERT_TRUE(O.Ok) << O.Diags.dump();
-  EXPECT_EQ(O.Stats.FallbackReason, "types-changed");
-  EXPECT_EQ(O.Blob, scratchBlob(Edit, Opts));
+  EXPECT_EQ(O.Stats.FallbackReason, Reason);
+
+  support::Telemetry Scratch(true);
+  pta::Analyzer::Options SOpts = Opts;
+  SOpts.Telem = &Scratch;
+  Pipeline P = Pipeline::analyzeSource(Edit, SOpts);
+  ASSERT_TRUE(P.Prog);
+  EXPECT_EQ(O.Blob, serialize(ResultSnapshot::capture(
+                        *P.Prog, P.Analysis, optionsFingerprint(Opts))));
+  std::map<std::string, uint64_t, std::less<>> Want =
+      Scratch.countersSnapshot();
+  Want["incr.fallback." + Reason] += 1;
+  EXPECT_EQ(Telem.countersSnapshot(), Want);
+
+  ASSERT_TRUE(O.Frontend.Prog);
+  EXPECT_FALSE(O.Frontend.Analysis.Analyzed);
+  EXPECT_TRUE(O.Meta == O.Snapshot.Meta);
+  EXPECT_TRUE(O.Meta == metaOf(Edit));
+}
+
+TEST(IncrementalTest, TypeEditFallsBackAsTypesChanged) {
+  expectFallbackIsAFullRun(
+      "struct s { int a; };\n"
+      "int main(void) { struct s v; v.a = 1; return v.a; }\n",
+      "struct s { int a; int b; };\n"
+      "int main(void) { struct s v; v.a = 1; return v.a; }\n",
+      "types-changed");
+}
+
+TEST(IncrementalTest, NoMainFallbackAnalyzesTheParsedProgram) {
+  expectFallbackIsAFullRun(
+      "int g; int *p;\nint main(void) { p = &g; return *p; }\n",
+      "int g; int *p;\nint f(void) { p = &g; return *p; }\n", "no-main");
+}
+
+TEST(IncrementalTest, IncrementalAndFullRunsHandTheParseOver) {
+  const corpus::CorpusProgram *CP = corpus::find("hash");
+  ASSERT_NE(CP, nullptr);
+  pta::Analyzer::Options Opts;
+  IncrOutput Full = IncrementalEngine::reanalyze(nullptr, CP->Source, Opts);
+  ASSERT_TRUE(Full.Ok);
+  ASSERT_TRUE(Full.Frontend.Prog);
+  EXPECT_TRUE(Full.Meta == Full.Snapshot.Meta);
+  IncrOutput Incr =
+      IncrementalEngine::reanalyze(Full.Snapshot, CP->Source, Opts);
+  ASSERT_TRUE(Incr.Ok);
+  EXPECT_TRUE(Incr.Stats.UsedIncremental) << Incr.Stats.FallbackReason;
+  ASSERT_TRUE(Incr.Frontend.Prog);
+  EXPECT_FALSE(Incr.Frontend.Analysis.Analyzed);
+  EXPECT_TRUE(Incr.Meta == Full.Meta);
+  // A source that does not parse hands nothing over.
+  IncrOutput Bad =
+      IncrementalEngine::reanalyze(Full.Snapshot, "int main( {", Opts);
+  EXPECT_FALSE(Bad.Ok);
+  EXPECT_FALSE(Bad.Frontend.Prog);
 }
 
 } // namespace

@@ -21,9 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -1241,6 +1243,224 @@ TEST(ServerTest, InvalidateClearsTheDemandSource) {
                           "\"name\":\"p\",\"strategy\":\"demand\"}");
   EXPECT_FALSE(R.getBool("ok", true));
   EXPECT_NE(R.getString("error", "").find("source"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// The resident program (docs/SERVING.md)
+//===----------------------------------------------------------------------===//
+
+/// An analyze request line for \p Src, with \p Extra members appended.
+std::string analyzeLine(int Id, const std::string &Src,
+                        const std::string &Extra = "") {
+  return "{\"id\":" + std::to_string(Id) +
+         ",\"method\":\"analyze\",\"source\":\"" +
+         support::Telemetry::jsonEscape(Src) + "\"" + Extra + "}";
+}
+
+/// A points_to request line for \p Name on strategy \p Strategy, with
+/// \p Extra members appended.
+std::string pointsToLine(int Id, const std::string &Name,
+                         const std::string &Strategy,
+                         const std::string &Extra = "") {
+  return "{\"id\":" + std::to_string(Id) +
+         ",\"method\":\"points_to\",\"name\":\"" + Name +
+         "\",\"strategy\":\"" + Strategy + "\"" + Extra + "}";
+}
+
+/// A query response's answer, comparable across strategies: the
+/// targets ("x!,y?" — '!' definite, '?' possible) or alias verdict, or
+/// the error.
+std::string answerOf(const JsonValue &R) {
+  if (!R.getBool("ok", false))
+    return "error: " + R.getString("error", "");
+  if (const JsonValue *A = R.find("aliased"))
+    return A->asBool() ? "aliased" : "not aliased";
+  std::string Out;
+  if (const JsonValue *T = R.find("targets"))
+    for (const JsonValue &E : T->elements())
+      Out += (Out.empty() ? "" : ",") + E.getString("target", "") +
+             (E.getBool("definite", false) ? "!" : "?");
+  return Out;
+}
+
+/// `int x, y, z; int *p;` with main pointing p at \p Var.
+std::string pointsAt(const char *Var) {
+  return std::string("int x; int y; int z; int *p;\n"
+                     "int main(void) { p = &") +
+         Var + "; return 0; }\n";
+}
+
+TEST(ServerTest, ResidentProgramNeverServesAStaleProgram) {
+  ServerFixture F;
+  const std::string A = pointsAt("x"), B = pointsAt("y"), C = pointsAt("z");
+  const std::string Inc = ",\"incremental\":true";
+  auto Demand = [&](int Id, const std::string &Extra = "") {
+    return answerOf(F.request(pointsToLine(Id, "p", "demand", Extra)));
+  };
+
+  // The analyze's own parse answers the query that follows it.
+  ASSERT_TRUE(F.request(analyzeLine(1, A, Inc)).getBool("ok", false));
+  EXPECT_EQ(Demand(2), "x!");
+  // An incremental edit replaces the resident program.
+  JsonValue RB = F.request(analyzeLine(3, B, Inc));
+  ASSERT_TRUE(RB.getBool("ok", false));
+  EXPECT_TRUE(RB.getBool("incremental", false));
+  EXPECT_EQ(Demand(4), "y!");
+  // A cache hit on an earlier text makes that text resident again.
+  JsonValue RA = F.request(analyzeLine(5, A, Inc));
+  ASSERT_TRUE(RA.getBool("cached", false));
+  EXPECT_EQ(Demand(6), "x!");
+  // An explicit source equal to the resident text is the resident one.
+  EXPECT_EQ(Demand(7, ",\"source\":\"" + support::Telemetry::jsonEscape(A) +
+                          "\""),
+            "x!");
+  // A source that fails to parse leaves the last analyzed text resident.
+  EXPECT_FALSE(F.request(analyzeLine(8, "int main( {", Inc))
+                   .getBool("ok", true));
+  EXPECT_EQ(Demand(9), "x!");
+  // Another explicit text answers about itself and leaves the resident
+  // program alone.
+  EXPECT_EQ(Demand(10, ",\"source\":\"" +
+                           support::Telemetry::jsonEscape(C) + "\""),
+            "z!");
+  EXPECT_EQ(Demand(11), "x!");
+  // invalidate drops it.
+  F.request("{\"id\":12,\"method\":\"invalidate\"}");
+  EXPECT_NE(Demand(13).find("source"), std::string::npos);
+
+  // Queries 2, 4, 7 and 11 found the resident program parsed; 6 and 9
+  // parsed it (after a cache hit, after a failed parse) and 10 parsed
+  // its own text.
+  auto Counters = F.S.telemetry().countersSnapshot();
+  EXPECT_EQ(Counters["demand.queries"], 7u);
+  EXPECT_EQ(Counters["demand.program_reuse"], 4u);
+}
+
+TEST(ServerTest, DemandAnswersEqualSnapshotAnswersOnTheCorpus) {
+  // Through the daemon: after each corpus analyze, demand queries run on
+  // the resident program and answer exactly as the snapshot does.
+  ServerFixture F;
+  int Id = 0;
+  uint64_t Queries = 0;
+  for (const corpus::CorpusProgram &CP : corpus::corpus()) {
+    JsonValue An = F.request("{\"id\":" + std::to_string(++Id) +
+                             ",\"method\":\"analyze\",\"corpus\":\"" +
+                             CP.Name + "\"}");
+    ASSERT_TRUE(An.getBool("ok", false)) << CP.Name;
+    // main's own variables first (cheap pruned runs), then globals.
+    Pipeline FE = Pipeline::frontend(CP.Source);
+    ASSERT_TRUE(FE.Prog) << CP.Name;
+    std::vector<std::string> Names;
+    auto Add = [&](const std::string &N) {
+      if (Names.size() < 4 && !N.empty() && N[0] != '.' &&
+          std::find(Names.begin(), Names.end(), N) == Names.end())
+        Names.push_back(N);
+    };
+    for (const simple::FunctionIR &Fn : FE.Prog->functions())
+      if (Fn.Decl && Fn.Decl->name() == "main")
+        for (const cfront::VarDecl *L : Fn.Locals)
+          Add(L->name());
+    for (const cfront::VarDecl *G : FE.Prog->globals())
+      Add(G->name());
+    std::vector<std::string> Lines;
+    for (const std::string &N : Names)
+      Lines.push_back(",\"method\":\"points_to\",\"name\":\"" + N + "\"");
+    for (size_t I = 0; I + 1 < Names.size(); ++I)
+      Lines.push_back(",\"method\":\"alias\",\"a\":\"*" + Names[I] +
+                      "\",\"b\":\"*" + Names[I + 1] + "\"");
+    for (const std::string &L : Lines) {
+      std::string Head = "{\"id\":" + std::to_string(++Id) + L;
+      JsonValue D = F.request(Head + ",\"strategy\":\"demand\"}");
+      JsonValue S = F.request(Head + ",\"strategy\":\"exhaustive\"}");
+      EXPECT_EQ(answerOf(D), answerOf(S)) << CP.Name << L;
+      ++Queries;
+    }
+  }
+  auto Counters = F.S.telemetry().countersSnapshot();
+  EXPECT_EQ(Counters["demand.queries"], Queries);
+  EXPECT_EQ(Counters["demand.program_reuse"], Queries);
+}
+
+TEST(ServerTest, RepeatedDemandFallbacksRunTheExhaustiveAnalysisOnce) {
+  // A function-pointer program gates every demand query to the
+  // exhaustive fallback; the resident engine keeps that result, so only
+  // the first fallback adds analyzer traffic.
+  ServerFixture F;
+  const std::string Src = "int id(int a) { return a; }\n"
+                          "int main(void) { int (*fp)(int); int r; "
+                          "fp = &id; r = (*fp)(1); return r; }\n";
+  ASSERT_TRUE(F.request(analyzeLine(1, Src)).getBool("ok", false));
+  auto PtaCounters = [&] {
+    std::map<std::string, uint64_t> Out;
+    for (const auto &[Name, V] : F.S.telemetry().countersSnapshot())
+      if (Name.rfind("pta.", 0) == 0)
+        Out[Name] = V;
+    return Out;
+  };
+  std::map<std::string, uint64_t> C0 = PtaCounters();
+  JsonValue Q1 = F.request(pointsToLine(2, "fp", "demand"));
+  EXPECT_EQ(Q1.getString("fallback_reason", ""), "fnptr");
+  std::map<std::string, uint64_t> C1 = PtaCounters();
+  JsonValue Q2 = F.request(pointsToLine(3, "fp", "demand"));
+  EXPECT_EQ(Q2.getString("fallback_reason", ""), "fnptr");
+  EXPECT_EQ(answerOf(Q2), answerOf(Q1));
+  std::map<std::string, uint64_t> C2 = PtaCounters();
+
+  // The first fallback runs the exhaustive analysis once more than the
+  // analyze did; the second reads it back.
+  EXPECT_EQ(C1["pta.stmt_visits"], 2 * C0["pta.stmt_visits"]);
+  EXPECT_EQ(C1["pta.body_analyses"], 2 * C0["pta.body_analyses"]);
+  EXPECT_EQ(C0["pta.stmt_visits"], 7u);
+  EXPECT_EQ(C2, C1);
+  auto Counters = F.S.telemetry().countersSnapshot();
+  EXPECT_EQ(Counters["demand.fallback.fnptr"], 2u);
+  EXPECT_EQ(Counters["demand.program_reuse"], 2u);
+}
+
+TEST(ServerTest, ConcurrentEditsAndDemandQueriesAnswerTheirOwnProgram) {
+  // Two workers: incremental edits and demand queries overlap, so the
+  // resident program is replaced while queries read it. A query naming
+  // its text answers about that text; a sourceless one about one of the
+  // analyzed texts (the first is analyzed before the workers start, so
+  // one always is).
+  const char *Vars[] = {"x", "y", "z"};
+  Server::Config Cfg;
+  Cfg.Threads = 2;
+  Server S(Cfg);
+  bool Shut = false;
+  std::ostringstream SeedLog;
+  ASSERT_TRUE(parseResponse(S.handleLine(analyzeLine(1000, pointsAt("x"),
+                                                     ",\"incremental\":true"),
+                                         Shut, SeedLog))
+                  .getBool("ok", false));
+  std::string Input;
+  const int Edits = 12;
+  for (int I = 0; I < Edits; ++I) {
+    std::string Src = pointsAt(Vars[I % 3]) + "int pad" +
+                      std::to_string(I) + "(void) { return 0; }\n";
+    Input += analyzeLine(3 * I + 1, Src, ",\"incremental\":true") + "\n";
+    Input += pointsToLine(3 * I + 2, "p", "demand",
+                          ",\"source\":\"" +
+                              support::Telemetry::jsonEscape(Src) + "\"") +
+             "\n";
+    Input += pointsToLine(3 * I + 3, "p", "demand") + "\n";
+  }
+  Input += "{\"id\":0,\"method\":\"shutdown\"}\n";
+  std::istringstream In(Input);
+  std::ostringstream Out, Log;
+  ASSERT_EQ(S.run(In, Out, Log), 0);
+
+  std::map<int, JsonValue> ById;
+  for (const JsonValue &R : parseResponses(Out.str()))
+    ById[static_cast<int>(R.getNumber("id", -1))] = R;
+  ASSERT_EQ(ById.size(), size_t(3 * Edits + 1));
+  for (int I = 0; I < Edits; ++I) {
+    EXPECT_TRUE(ById[3 * I + 1].getBool("ok", false)) << I;
+    EXPECT_EQ(answerOf(ById[3 * I + 2]), std::string(Vars[I % 3]) + "!")
+        << I;
+    std::string Any = answerOf(ById[3 * I + 3]);
+    EXPECT_TRUE(Any == "x!" || Any == "y!" || Any == "z!") << I << ": " << Any;
+  }
 }
 
 TEST(ServerTest, DegradationWarningsAreDeduplicated) {
