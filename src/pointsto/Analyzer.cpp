@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <numeric>
 #include <set>
 
 using namespace mcpta;
@@ -34,6 +35,171 @@ struct FnSummary {
   unsigned MemoEpoch = 0;
   bool Valid = false;
 };
+
+/// Result::StmtIn under construction: each statement's IN merged over
+/// every visit, kept during the run as a plain sorted entry run per
+/// reached statement. A run grows geometrically
+/// (PointsToSet::mergeIntoRun) and becomes the statement's PointsToSet
+/// at hand-over. Only reached statements get a run, so a run that
+/// visits few statements (a demand-pruned one) pays little more than
+/// Result::StmtIn's own index.
+///
+/// A statement that receives the IN of an earlier recording statement
+/// on every visit shares that statement's run instead of folding the
+/// same sets again (see shareFolds): it is reached exactly when the
+/// other is, with the same INs, so the merged sets are equal.
+class StmtInAccumulator {
+public:
+  /// Sizes the index for \p Prog's statements; \p Share enables fold
+  /// sharing.
+  void start(const Program &Prog, bool Share);
+
+  /// With sharing, computes the shared folds of \p Body (a function's
+  /// body or the global initializers) from its SIMPLE tree, once per
+  /// run, before its first evaluation: a run that evaluates few bodies
+  /// (an incremental one) walks few trees.
+  void shareBody(const BlockStmt *Body) {
+    if (!Body || Root.empty() || BodyShared[Body->id()])
+      return;
+    BodyShared[Body->id()] = 1;
+    shareFolds(Body, NoShare);
+  }
+
+  /// Folds one visit's IN into statement \p Id's set.
+  void fold(unsigned Id, const PointsToSet &In) {
+    if (!Root.empty() && Root[Id] != Id)
+      return; // Root[Id] folds this very IN
+    unsigned &K = Slot[Id];
+    size_t Cap = 0;
+    if (K == NoSlot) {
+      K = static_cast<unsigned>(Runs.size());
+      Runs.emplace_back(In.entries(), In.entries() + In.size());
+      SlotStmt.push_back(Id);
+    } else {
+      Cap = Runs[K].capacity();
+      PointsToSet::mergeIntoRun(Runs[K], In);
+    }
+    // The runs count toward mem.set_heap_bytes_peak like the heap
+    // blocks they become.
+    if (Runs[K].capacity() != Cap)
+      PointsToSet::addHeapBytes(static_cast<int64_t>(
+          (Runs[K].capacity() - Cap) * sizeof(PointsToSet::Entry)));
+  }
+
+  /// Moves every reached statement's set into \p Out (indexed by
+  /// statement id; unreached statements stay unset). A statement
+  /// sharing another's run gets a copy-on-write copy of its set.
+  void handOver(std::vector<std::optional<PointsToSet>> &Out);
+
+private:
+  static constexpr unsigned NoSlot = ~0u;
+  /// As a shareFolds argument: no statement's IN is known to be shared.
+  static constexpr unsigned NoShare = ~0u;
+
+  /// Records that \p S (and, for a block, its head) receives exactly the
+  /// IN recorded at root statement \p Into (NoShare: no such statement),
+  /// then walks \p S's children.
+  void shareFolds(const Stmt *S, unsigned Into);
+  /// The same over a statement sequence run in order (a block body or a
+  /// switch case): the head receives \p Into, and the successor of a
+  /// statement that passes its IN through unchanged receives that IN.
+  void shareList(const std::vector<Stmt *> &Body, unsigned Into);
+
+  /// Per statement id: the index of its run, or NoSlot before its
+  /// first fold.
+  std::vector<unsigned> Slot;
+  /// The runs in first-fold order, and the statement each belongs to.
+  std::vector<std::vector<PointsToSet::Entry>> Runs;
+  std::vector<unsigned> SlotStmt;
+  /// With sharing: per statement id, the statement whose run holds its
+  /// set — itself, or an earlier statement it shares the run of (always
+  /// its own root). Empty without sharing.
+  std::vector<unsigned> Root;
+  /// With sharing: per block id, whether shareBody walked that body.
+  std::vector<uint8_t> BodyShared;
+};
+
+void StmtInAccumulator::start(const Program &Prog, bool Share) {
+  Slot.assign(Prog.numStmts(), NoSlot);
+  if (!Share)
+    return;
+  Root.resize(Prog.numStmts());
+  std::iota(Root.begin(), Root.end(), 0u);
+  BodyShared.assign(Prog.numStmts(), 0);
+}
+
+/// True for a statement the kernel passes its IN through unchanged on
+/// every visit: a non-call assignment whose lhs holds no pointer (Figure
+/// 1's first case, and an aggregate copy with no pointer component).
+static bool passesInThrough(const Stmt *S) {
+  const auto *A = dynCastStmt<AssignStmt>(S);
+  return A && A->RK != AssignStmt::RhsKind::Call &&
+         (!A->Lhs.Ty || !A->Lhs.Ty->isPointerBearing());
+}
+
+void StmtInAccumulator::shareFolds(const Stmt *S, unsigned Into) {
+  if (!S)
+    return;
+  switch (S->kind()) {
+  case Stmt::Kind::Block: // records nothing; its head gets its IN
+    shareList(castStmt<BlockStmt>(S)->Body, Into);
+    return;
+  case Stmt::Kind::Break:
+  case Stmt::Kind::Continue: // record nothing
+    return;
+  default:
+    break;
+  }
+  if (Into != NoShare)
+    Root[S->id()] = Into;
+  switch (S->kind()) {
+  case Stmt::Kind::If: {
+    // Both branches start from the if's own IN.
+    const auto *I = castStmt<IfStmt>(S);
+    shareFolds(I->Then, Root[S->id()]);
+    shareFolds(I->Else, Root[S->id()]);
+    return;
+  }
+  case Stmt::Kind::Loop: {
+    // The body starts from the generalized loop-head state.
+    const auto *L = castStmt<LoopStmt>(S);
+    shareFolds(L->Body, NoShare);
+    shareFolds(L->Trailer, NoShare);
+    return;
+  }
+  case Stmt::Kind::Switch:
+    // A case starts from the switch's IN merged with the fall-through.
+    for (const SwitchStmt::Case &C : castStmt<SwitchStmt>(S)->Cases)
+      shareList(C.Body, NoShare);
+    return;
+  default:
+    return;
+  }
+}
+
+void StmtInAccumulator::shareList(const std::vector<Stmt *> &Body,
+                                  unsigned Into) {
+  for (const Stmt *C : Body) {
+    shareFolds(C, Into);
+    Into = passesInThrough(C) ? Root[C->id()] : NoShare;
+  }
+}
+
+void StmtInAccumulator::handOver(std::vector<std::optional<PointsToSet>> &Out) {
+  Out.resize(Slot.size());
+  for (size_t K = 0; K < Runs.size(); ++K) {
+    // The set keeps exactly its entries: a long-lived result carries no
+    // growth slack. Its heap block counts its own bytes from here.
+    std::vector<PointsToSet::Entry> &Run = Runs[K];
+    PointsToSet::addHeapBytes(
+        -static_cast<int64_t>(Run.capacity() * sizeof(PointsToSet::Entry)));
+    Run.shrink_to_fit();
+    Out[SlotStmt[K]] = PointsToSet::fromSortedRun(std::move(Run));
+  }
+  for (unsigned I = 0; I < Root.size(); ++I)
+    if (Root[I] != I && Slot[Root[I]] != NoSlot)
+      Out[I] = *Out[Root[I]];
+}
 
 class AnalyzerImpl : public BodyKernel::Env {
 public:
@@ -93,6 +259,10 @@ private:
   OptSet evaluateCallCI(IGNode *Node, const PointsToSet &FuncInput);
   OptSet runRecursionFixpoint(IGNode *Node, const PointsToSet &FuncInput);
   OptSet processBody(IGNode *Node, const PointsToSet &FuncInput);
+
+  /// The global initializers, then main's body: the part of run() that
+  /// records StmtIn.
+  void analyzeFromGlobals();
 
   /// Conservative models for library functions without bodies.
   OptSet applyExtern(const cf::FunctionDecl *Callee, const CallInfo &CI,
@@ -181,6 +351,8 @@ private:
   HotCounters C;
   /// Process-wide PointsToSet traffic at run start (pta.set.* deltas).
   PointsToSet::StatsSnapshot SetStatsBegin;
+  /// Result::StmtIn while the run builds it (Options::RecordStmtSets).
+  StmtInAccumulator StmtIn;
 
   /// The extracted intraprocedural kernel (Figure 1 rules).
   BodyKernel Kernel;
@@ -279,13 +451,12 @@ void AnalyzerImpl::noteTrips() {
 
 void AnalyzerImpl::recordStmtIn(const Stmt *S, const OptSet &In) {
   budgetTick();
-  if (HStmtIn && In)
-    HStmtIn->record(In->size());
-  if (!Opts.RecordStmtSets)
+  if (!In)
     return;
-  if (Res.StmtIn.size() <= S->id())
-    Res.StmtIn.resize(Prog.numStmts());
-  mergeInto(Res.StmtIn[S->id()], In);
+  if (HStmtIn)
+    HStmtIn->record(In->size());
+  if (Opts.RecordStmtSets)
+    StmtIn.fold(S->id(), *In);
 }
 
 //===----------------------------------------------------------------------===//
@@ -704,6 +875,8 @@ OptSet AnalyzerImpl::processBody(IGNode *Node,
       S.insert(Sub, Locs.null(), Sub->isSummary() ? Def::P : Def::D);
   }
 
+  if (Opts.RecordStmtSets)
+    StmtIn.shareBody(FIR->Body);
   FlowState FS = Kernel.process(FIR->Body, OptSet(std::move(S)), Node);
   OptSet Out = std::move(FS.Normal);
   mergeInto(Out, FS.Ret);
@@ -778,9 +951,16 @@ void AnalyzerImpl::run() {
   if (Opts.Seeder)
     Opts.Seeder->begin(Prog, *Res.IG, Locs);
   support::Telemetry::Span PtaSpan(Telem, "pointsto");
+  // Under a statement-liveness filter a dead statement records nothing,
+  // so no statement may stand in for another's folds.
   if (Opts.RecordStmtSets)
-    Res.StmtIn.resize(Prog.numStmts());
+    StmtIn.start(Prog, /*Share=*/!Opts.LiveStmts);
+  analyzeFromGlobals();
+  if (Opts.RecordStmtSets)
+    StmtIn.handOver(Res.StmtIn);
+}
 
+void AnalyzerImpl::analyzeFromGlobals() {
   // Startup state: globals' pointer components are NULL unless
   // initialized; then the lowered global initializers run.
   PointsToSet S;
@@ -792,6 +972,8 @@ void AnalyzerImpl::run() {
   }
 
   IGNode *Root = Res.IG->root();
+  if (Opts.RecordStmtSets)
+    StmtIn.shareBody(Prog.globalInit());
   FlowState InitFS =
       Kernel.process(Prog.globalInit(), OptSet(std::move(S)), Root);
   OptSet MainIn = std::move(InitFS.Normal);
@@ -814,6 +996,8 @@ void AnalyzerImpl::run() {
   }
   ++C.BodyAnalyses;
   ++Root->EvalCount; // main is processed directly, bypassing evaluateCall
+  if (Opts.RecordStmtSets)
+    StmtIn.shareBody(MainIR->Body);
   FlowState FS = Kernel.process(MainIR->Body, OptSet(std::move(S2)), Root);
   OptSet Out = std::move(FS.Normal);
   mergeInto(Out, FS.Ret);

@@ -19,6 +19,17 @@ static const cf::FunctionDecl *ownerName(const IGNode *Ign) {
 void BodyKernel::applyAssignRule(PointsToSet &S,
                                  const std::vector<LocDef> &Llocs,
                                  const std::vector<LocDef> &Rlocs) {
+  if (Llocs.size() == 1 && Llocs[0].D == Def::D) {
+    // One definite L-location: kill_set is its whole source run and
+    // gen_set replaces it, so the update is one splice of that run.
+    const Location *L = Llocs[0].Loc;
+    Gen.clear();
+    for (const LocDef &R : Rlocs)
+      Gen.push_back(PointsToSet::Entry::make(
+          PointsToSet::key(L, R.Loc), R.Loc->isSummary() ? Def::P : R.D));
+    S.replaceFrom(L, Gen);
+    return;
+  }
   // kill_set: all relationships of definite L-locations.
   for (const LocDef &L : Llocs)
     if (L.D == Def::D)

@@ -145,7 +145,9 @@ public:
   /// The transfer function: IN map + statement (tree) → flow state.
   FlowState process(const simple::Stmt *S, OptSet In, IGNode *Ign);
 
-  /// Applies the basic kill/change/gen rule of Figure 1.
+  /// Applies the basic kill/change/gen rule of Figure 1. A strong update
+  /// (a single definite L-location) replaces that location's source run
+  /// in one splice (PointsToSet::replaceFrom).
   void applyAssignRule(PointsToSet &S, const std::vector<LocDef> &Llocs,
                        const std::vector<LocDef> &Rlocs);
 
@@ -184,6 +186,8 @@ private:
   /// Reused evaluation buffers: an assignment's L- and R-locations, and
   /// the storage locations of an aggregate copy's two sides.
   std::vector<LocDef> Llocs, Rlocs, LhsStorage, RhsStorage;
+  /// The gen pairs of a strong update, reused like the buffers above.
+  std::vector<PointsToSet::Entry> Gen;
 };
 
 } // namespace pta

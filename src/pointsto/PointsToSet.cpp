@@ -19,7 +19,113 @@ inline bool entryLess(const PointsToSet::Entry &E, uint64_t K) {
 
 constexpr uint64_t PBit = static_cast<uint64_t>(Def::P);
 
+thread_local uint64_t ThreadKernelCalls = 0;
+
+using Entry = PointsToSet::Entry;
+
+/// Where a changing merge writes: Out has room for the merged run, and
+/// From holds the receiving run's entries (From == Out when that run was
+/// grown in place).
+struct MergeTarget {
+  Entry *Out;
+  const Entry *From;
+};
+
+/// The Merge law over sorted entry runs, the one routine behind
+/// mergeWith and mergeIntoRun: merges B[0, M) into A[0, N), a pair
+/// definite iff definite in both operands (Figure 1 / Definition 3.3).
+/// An allocation-free scan decides first whether anything changes; most
+/// folds change nothing and return false there, without calling Place.
+/// Otherwise Place(NewN) says where the NewN merged entries go, and
+/// they are written walking both inputs from the back, so each write
+/// lands above every still-unread entry of From.
+template <typename PlaceFn>
+bool mergeRuns(const Entry *A, size_t N, const Entry *B, size_t M,
+               PlaceFn Place) {
+  const Entry *AE = A + N;
+  const Entry *BE = B + M;
+
+  // Count the pairs only B has and look for a definite pair that
+  // weakens. Two entries hold the same pair iff their words differ at
+  // most in the flag bit; otherwise the words order as their pairs do.
+  size_t Extra = 0;
+  bool Weakens = false;
+  const Entry *I = A;
+  const Entry *J = B;
+  while (I != AE && J != BE) {
+    uint64_t X = I->Bits;
+    uint64_t Y = J->Bits;
+    if ((X ^ Y) <= PBit) {
+      Weakens |= X < Y; // definite in A, possible in B
+      ++I;
+      ++J;
+    } else if (X < Y) {
+      Weakens |= !(X & PBit);
+      ++I;
+    } else {
+      ++Extra;
+      ++J;
+    }
+  }
+  Extra += static_cast<size_t>(BE - J);
+  for (; I != AE && !Weakens; ++I)
+    Weakens = !(I->Bits & PBit);
+  if (Extra == 0 && !Weakens)
+    return false;
+
+  size_t NewN = N + Extra;
+  MergeTarget T = Place(NewN);
+  const Entry *P = T.From + N;
+  const Entry *Q = BE;
+  Entry *W = T.Out + NewN;
+  while (Q != B) {
+    if (P != T.From && (P - 1)->key() > (Q - 1)->key()) {
+      --P;
+      *--W = {P->Bits | PBit};
+    } else if (P != T.From && (P - 1)->key() == (Q - 1)->key()) {
+      --P;
+      --Q;
+      *--W = {P->Bits | Q->Bits}; // meet: P if either is P
+    } else {
+      --Q;
+      *--W = {Q->Bits | PBit};
+    }
+  }
+  while (P != T.From) {
+    --P;
+    *--W = {P->Bits | PBit};
+  }
+  return true;
+}
+
+/// Sorts \p Raw by pair and folds repeated pairs into one entry, P
+/// unless every copy is D — the set inserting each entry in turn builds.
+void canonicalize(std::vector<Entry> &Raw) {
+  // Copies of one pair sort adjacent, D (bit 0 clear) before P, so the
+  // last copy carries insert's verdict: P if any copy is P.
+  std::sort(Raw.begin(), Raw.end(), [](const Entry &A, const Entry &B) {
+    return A.Bits < B.Bits;
+  });
+  size_t Out = 0;
+  for (size_t I = 0; I < Raw.size(); ++I) {
+    if (Out && Raw[Out - 1].key() == Raw[I].key())
+      --Out;
+    Raw[Out++] = Raw[I];
+  }
+  Raw.resize(Out);
+}
+
+/// True if \p Run is strictly increasing by pair (sorted, no repeats).
+bool strictlySorted(const std::vector<Entry> &Run) {
+  for (size_t I = 1; I < Run.size(); ++I)
+    if (Run[I - 1].key() >= Run[I].key())
+      return false;
+  return true;
+}
+
 } // namespace
+
+uint64_t PointsToSet::threadKernelCalls() { return ThreadKernelCalls; }
 
 const PointsToSet::Entry *PointsToSet::findKey(PairKey K) const {
   const Entry *B = entries();
@@ -55,20 +161,16 @@ void PointsToSet::adopt(std::vector<Entry> V) {
 }
 
 PointsToSet PointsToSet::fromEntries(std::vector<Entry> Raw) {
-  // Copies of one pair sort adjacent, D (bit 0 clear) before P, so the
-  // last copy carries insert's verdict: P if any copy is P.
-  std::sort(Raw.begin(), Raw.end(), [](const Entry &A, const Entry &B) {
-    return A.Bits < B.Bits;
-  });
-  size_t Out = 0;
-  for (size_t I = 0; I < Raw.size(); ++I) {
-    if (Out && Raw[Out - 1].key() == Raw[I].key())
-      --Out;
-    Raw[Out++] = Raw[I];
-  }
-  Raw.resize(Out);
+  canonicalize(Raw);
   PointsToSet S;
   S.adopt(std::move(Raw));
+  return S;
+}
+
+PointsToSet PointsToSet::fromSortedRun(std::vector<Entry> Run) {
+  assert(strictlySorted(Run) && "a sorted run holds each pair once");
+  PointsToSet S;
+  S.adopt(std::move(Run));
   return S;
 }
 
@@ -114,7 +216,7 @@ bool PointsToSet::insertKey(PairKey K, Def D) {
 }
 
 bool PointsToSet::killFrom(const Location *Src) {
-  stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
+  ++ThreadKernelCalls;
   uint64_t Lo = static_cast<uint64_t>(Src->id()) << 32;
   uint64_t Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
   const Entry *B = entries();
@@ -134,8 +236,64 @@ bool PointsToSet::killFrom(const Location *Src) {
   return true;
 }
 
+bool PointsToSet::replaceFrom(const Location *Src, std::vector<Entry> &Gen) {
+  ++ThreadKernelCalls;
+  if (!strictlySorted(Gen))
+    canonicalize(Gen);
+  uint64_t Lo = static_cast<uint64_t>(Src->id()) << 32;
+  uint64_t Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
+  assert(std::all_of(Gen.begin(), Gen.end(),
+                     [&](const Entry &X) { return X.src() == Src->id(); }) &&
+         "every gen pair originates at the updated source");
+  const Entry *B = entries();
+  size_t N = size();
+  size_t First = std::lower_bound(B, B + N, Lo, entryLess) - B;
+  size_t Last = std::lower_bound(B, B + N, Hi, entryLess) - B;
+  size_t M = Gen.size();
+  size_t NewN = N - (Last - First) + M;
+  if (M)
+    notePeak(NewN);
+  if (Last - First == M && std::equal(Gen.begin(), Gen.end(), B + First))
+    return false;
+
+  if (!Heap && NewN <= InlineCap) {
+    Entry Tail[InlineCap];
+    std::copy(InlineBuf + Last, InlineBuf + N, Tail);
+    std::copy(Gen.begin(), Gen.end(), InlineBuf + First);
+    std::copy(Tail, Tail + (N - Last), InlineBuf + First + M);
+    InlineN = static_cast<uint32_t>(NewN);
+    return true;
+  }
+  if (Heap && Heap.unique()) {
+    // The one splice: overwrite the old run's slots, then erase or
+    // insert only the difference in length.
+    std::vector<Entry> &Run = Heap->E;
+    size_t Common = std::min(Last - First, M);
+    std::copy(Gen.begin(), Gen.begin() + Common, Run.begin() + First);
+    if (M < Last - First)
+      Run.erase(Run.begin() + First + M, Run.begin() + Last);
+    else
+      Run.insert(Run.begin() + Last, Gen.begin() + Common, Gen.end());
+    Heap->sync();
+    return true;
+  }
+  // An inline set outgrowing the inline tier, or a shared block: one
+  // private block of exactly the new size. Replacing a shared block is a
+  // CoW detach, as killFrom's would have been.
+  if (Heap)
+    stats().CowDetaches.fetch_add(1, std::memory_order_relaxed);
+  std::vector<Entry> Out;
+  Out.reserve(NewN);
+  Out.insert(Out.end(), B, B + First);
+  Out.insert(Out.end(), Gen.begin(), Gen.end());
+  Out.insert(Out.end(), B + Last, B + N);
+  Heap = RepPtr(new Rep(std::move(Out)));
+  InlineN = 0;
+  return true;
+}
+
 bool PointsToSet::killFromAll(const std::vector<LocationId> &SortedSrcIds) {
-  stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
+  ++ThreadKernelCalls;
   if (SortedSrcIds.empty() || empty())
     return false;
   const Entry *B = entries();
@@ -165,7 +323,7 @@ bool PointsToSet::killFromAll(const std::vector<LocationId> &SortedSrcIds) {
 }
 
 void PointsToSet::demoteFrom(const Location *Src) {
-  stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
+  ++ThreadKernelCalls;
   uint64_t Lo = static_cast<uint64_t>(Src->id()) << 32;
   uint64_t Hi = (static_cast<uint64_t>(Src->id()) + 1) << 32;
   const Entry *B = entries();
@@ -185,7 +343,7 @@ void PointsToSet::demoteFrom(const Location *Src) {
 }
 
 void PointsToSet::demoteFromAll(const std::vector<LocationId> &SortedSrcIds) {
-  stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
+  ++ThreadKernelCalls;
   if (SortedSrcIds.empty() || empty())
     return;
   const Entry *B = entries();
@@ -244,99 +402,58 @@ bool PointsToSet::hasTargets(const Location *Src) const {
 }
 
 bool PointsToSet::mergeWith(const PointsToSet &Other) {
-  stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
+  ++ThreadKernelCalls;
   // Merging with the very same entries is the fixed-point steady state:
   // a pair present (and definite) in both operands keeps its flag, so
   // nothing changes.
   if (Heap && Heap == Other.Heap)
     return false;
 
-  const Entry *A = entries();
-  const Entry *AE = A + size();
-  const Entry *B = Other.entries();
-  const Entry *BE = B + Other.size();
-
-  // Allocation-free change scan: count the pairs only Other has and look
-  // for a definite pair that weakens (definite iff definite in both,
-  // Figure 1 / Definition 3.3). Most folds change nothing and stop here.
-  // Two entries hold the same pair iff their words differ at most in
-  // the flag bit; otherwise the words order as their pairs do.
-  size_t Extra = 0;
-  bool Weakens = false;
-  const Entry *I = A;
-  const Entry *J = B;
-  while (I != AE && J != BE) {
-    uint64_t X = I->Bits;
-    uint64_t Y = J->Bits;
-    if ((X ^ Y) <= PBit) {
-      Weakens |= X < Y; // definite here, possible in Other
-      ++I;
-      ++J;
-    } else if (X < Y) {
-      Weakens |= !(X & PBit);
-      ++I;
-    } else {
-      ++Extra;
-      ++J;
-    }
-  }
-  Extra += static_cast<size_t>(BE - J);
-  for (; I != AE && !Weakens; ++I)
-    Weakens = !(I->Bits & PBit);
-  if (Extra == 0 && !Weakens)
+  // A shared block, or an inline set outgrowing the inline tier, is
+  // rebuilt into one private block of exactly the merged size. That is
+  // not a CoW detach, and is not counted as one.
+  std::vector<Entry> Rebuilt;
+  bool Changed = mergeRuns(
+      entries(), size(), Other.entries(), Other.size(),
+      [&](size_t NewN) -> MergeTarget {
+        notePeak(NewN);
+        if (!Heap && NewN <= InlineCap) {
+          InlineN = static_cast<uint32_t>(NewN);
+          return {InlineBuf, InlineBuf};
+        }
+        if (Heap && Heap.unique()) {
+          std::vector<Entry> &Run = Heap->E;
+          if (Run.capacity() < NewN)
+            Run.reserve(NewN); // exact: no geometric slack
+          Run.resize(NewN);
+          return {Run.data(), Run.data()};
+        }
+        Rebuilt.resize(NewN);
+        return {Rebuilt.data(), entries()};
+      });
+  if (!Changed)
     return false;
-
-  size_t N = size();
-  size_t NewN = N + Extra;
-  notePeak(NewN);
-
-  // Writes the merged run to Out[0, NewN), walking both inputs from the
-  // back. Out may be this set's own run (From), already grown to NewN:
-  // each write lands above every still-unread entry of From.
-  auto fill = [&](Entry *Out, const Entry *From) {
-    const Entry *P = From + N;
-    const Entry *Q = BE;
-    Entry *W = Out + NewN;
-    while (Q != B) {
-      if (P != From && (P - 1)->key() > (Q - 1)->key()) {
-        --P;
-        *--W = {P->Bits | PBit};
-      } else if (P != From && (P - 1)->key() == (Q - 1)->key()) {
-        --P;
-        --Q;
-        *--W = {P->Bits | Q->Bits}; // meet: P if either is P
-      } else {
-        --Q;
-        *--W = {Q->Bits | PBit};
-      }
-    }
-    while (P != From) {
-      --P;
-      *--W = {P->Bits | PBit};
-    }
-  };
-
-  if (!Heap && NewN <= InlineCap) {
-    fill(InlineBuf, InlineBuf);
-    InlineN = static_cast<uint32_t>(NewN);
-    return true;
-  }
-  if (Heap && Heap.unique()) {
-    std::vector<Entry> &Run = Heap->E;
-    if (Run.capacity() < NewN)
-      Run.reserve(NewN); // exact: no geometric slack in StmtIn blocks
-    Run.resize(NewN);
-    fill(Run.data(), Run.data());
+  if (!Rebuilt.empty())
+    adopt(std::move(Rebuilt));
+  else if (Heap)
     Heap->sync();
-    return true;
-  }
-  // Shared block, or an inline set outgrowing the inline tier: adopt one
-  // private block of exactly the merged size. That is a rebuild, not a
-  // CoW detach, and is not counted as one.
-  std::vector<Entry> Out(NewN);
-  fill(Out.data(), A);
-  adopt(std::move(Out));
   return true;
+}
+
+bool PointsToSet::mergeIntoRun(std::vector<Entry> &Run,
+                               const PointsToSet &In) {
+  ++ThreadKernelCalls;
+  return mergeRuns(Run.data(), Run.size(), In.entries(), In.size(),
+                   [&](size_t NewN) -> MergeTarget {
+                     notePeak(NewN);
+                     // Grow by half: amortized like a doubling, with
+                     // less slack held while the run is building.
+                     if (Run.capacity() < NewN)
+                       Run.reserve(
+                           std::max(NewN, Run.capacity() + Run.capacity() / 2));
+                     Run.resize(NewN);
+                     return {Run.data(), Run.data()};
+                   });
 }
 
 PointsToSet
@@ -345,7 +462,7 @@ PointsToSet::mergeAll(const std::vector<const PointsToSet *> &Sets) {
     return PointsToSet();
   if (Sets.size() == 1)
     return *Sets[0]; // shares the operand's heap block
-  stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
+  ++ThreadKernelCalls;
 
   // K-way merge over the sorted runs: each output pair is the union
   // member at the minimal outstanding key, definite iff present and
@@ -389,7 +506,7 @@ PointsToSet::mergeAll(const std::vector<const PointsToSet *> &Sets) {
 }
 
 bool PointsToSet::subsetOf(const PointsToSet &Other) const {
-  stats().KernelCalls.fetch_add(1, std::memory_order_relaxed);
+  ++ThreadKernelCalls;
   if (Heap && Heap == Other.Heap)
     return true;
   if (size() > Other.size())

@@ -28,15 +28,17 @@
 ///     a set (per-statement IN snapshots, memoized IG inputs/outputs,
 ///     the unmap base copy) is then O(1); the copy materializes only if
 ///     one side is later mutated.
-/// The batch kernels (mergeWith/mergeAll/subsetOf/killFromAll/
-/// demoteFromAll) are linear merges and scans over the sorted entries
-/// instead of per-element ordered-map operations. mergeWith — the
-/// per-statement IN fold, most of whose calls change nothing — first
-/// scans both runs without writing; it allocates only when the set
-/// changes, and then merges in place (from the back, growing the block
-/// to exactly the merged size) when it owns its block or the result
-/// fits inline. A shared block is replaced by one private block of the
-/// merged contents, which is not counted as a CoW detach. Process-wide
+/// The batch kernels (mergeWith/mergeIntoRun/mergeAll/subsetOf/
+/// killFromAll/demoteFromAll/replaceFrom) are linear merges and scans
+/// over the sorted entries instead of per-element ordered-map
+/// operations. mergeWith and mergeIntoRun (the per-statement StmtIn
+/// fold, most of whose calls change nothing) share one merge routine:
+/// it first scans both runs without writing, and writes only when the
+/// set changes, merging in place from the back. mergeWith grows an
+/// owned block to exactly the merged size, merges inline when the
+/// result fits, and replaces a shared block by one private block of
+/// the merged contents, which is not counted as a CoW detach;
+/// mergeIntoRun grows its plain run geometrically. Process-wide
 /// traffic counters (PointsToSet::stats) surface as the pta.set.*
 /// telemetry.
 ///
@@ -132,6 +134,7 @@ public:
   /// Process-wide representation traffic, published per analysis run as
   /// the pta.set.* telemetry counters (the analyzer snapshots them at
   /// run start and reports the deltas; PeakPairs is reset per run).
+  /// Kernel calls are counted per thread instead (threadKernelCalls).
   /// Relaxed atomics: concurrent analyses in one process (in-process
   /// --batch tasks, serve workers) all update them, and these counters
   /// only need to count — no
@@ -141,7 +144,6 @@ public:
     std::atomic<uint64_t> PeakPairs{0};   ///< largest single set materialized
     std::atomic<uint64_t> CowShares{0};   ///< copies answered by sharing
     std::atomic<uint64_t> CowDetaches{0}; ///< shared blocks copied on mutation
-    std::atomic<uint64_t> KernelCalls{0}; ///< batch kernel invocations
     /// Live heap-tier footprint: the sum of every Rep block's vector
     /// capacity in bytes. Maintained by Rep's constructors/destructor
     /// and re-synced after capacity-changing mutations.
@@ -157,7 +159,7 @@ public:
       S.PeakPairs = PeakPairs.load(std::memory_order_relaxed);
       S.CowShares = CowShares.load(std::memory_order_relaxed);
       S.CowDetaches = CowDetaches.load(std::memory_order_relaxed);
-      S.KernelCalls = KernelCalls.load(std::memory_order_relaxed);
+      S.KernelCalls = threadKernelCalls();
       S.HeapBytes = HeapBytes.load(std::memory_order_relaxed);
       S.HeapBytesPeak = HeapBytesPeak.load(std::memory_order_relaxed);
       return S;
@@ -166,6 +168,27 @@ public:
   static Stats &stats() {
     static Stats S;
     return S;
+  }
+
+  /// Kernel invocations made on the calling thread so far. Every StmtIn
+  /// fold is one, so they are counted in a plain thread-local counter:
+  /// a locked process-wide increment per fold was a measurable share of
+  /// a run. An analysis runs start to finish on its calling thread, so
+  /// the difference of two reads is exactly that run's count, also when
+  /// analyses run side by side in one process.
+  static uint64_t threadKernelCalls();
+
+  /// Adds \p Delta bytes to Stats::HeapBytes and raises HeapBytesPeak
+  /// to the new total. Heap blocks report through it, and so does entry
+  /// storage kept outside any set (the analyzer's StmtIn accumulator).
+  static void addHeapBytes(int64_t Delta) {
+    Stats &S = stats();
+    uint64_t D = static_cast<uint64_t>(Delta);
+    uint64_t Total = S.HeapBytes.fetch_add(D, std::memory_order_relaxed) + D;
+    uint64_t Peak = S.HeapBytesPeak.load(std::memory_order_relaxed);
+    while (Total > Peak && !S.HeapBytesPeak.compare_exchange_weak(
+                               Peak, Total, std::memory_order_relaxed))
+      ;
   }
 
   PointsToSet() = default;
@@ -223,6 +246,15 @@ public:
   /// Removes every pair originating at Src. Returns true if any removed.
   bool killFrom(const Location *Src);
 
+  /// Strong update of one source: replaces every pair originating at
+  /// \p Src with \p Gen, whose entries must all originate at Src — the
+  /// effect of killFrom(Src) and then inserting each of Gen in turn,
+  /// done in one splice. \p Gen may be in any order (it is sorted in
+  /// place when it is not; a repeated pair is P unless every copy is
+  /// D). Returns true if the set changed; an unchanged run is neither
+  /// written nor detached.
+  bool replaceFrom(const Location *Src, std::vector<Entry> &Gen);
+
   /// Batch kernel: removes every pair originating at any id in
   /// \p SortedSrcIds (ascending, unique) in one linear scan. Returns
   /// true if any removed.
@@ -271,6 +303,19 @@ public:
   /// sorted entry runs decides that first; only a change writes, in
   /// place when this set owns its block.
   bool mergeWith(const PointsToSet &Other);
+
+  /// The same fold into a plain sorted entry run: \p Run becomes the
+  /// merge of Run and \p In. Where mergeWith grows its block to the
+  /// exact merged size, Run grows geometrically (by half its capacity),
+  /// so a run folded into many times (a StmtIn accumulator slot)
+  /// reallocates O(log n) times.
+  /// Returns true if Run changed.
+  static bool mergeIntoRun(std::vector<Entry> &Run, const PointsToSet &In);
+
+  /// The set holding exactly \p Run, which must be sorted and free of
+  /// repeated pairs (as mergeIntoRun keeps it). Adopts the run's
+  /// storage, capacity included, without copying it.
+  static PointsToSet fromSortedRun(std::vector<Entry> Run);
 
   /// Batch kernel: the simultaneous merge of every set in \p Sets — the
   /// union of all pairs, definite iff present and definite in every
@@ -334,16 +379,11 @@ private:
     /// Reconciles HeapBytes with this block's current capacity; call
     /// after any mutation that may have reallocated.
     void sync() {
-      Stats &S = stats();
       uint64_t Now = E.capacity() * sizeof(Entry);
-      uint64_t Total = S.HeapBytes.fetch_add(Now - TrackedBytes,
-                                             std::memory_order_relaxed) +
-                       (Now - TrackedBytes);
+      if (Now == TrackedBytes)
+        return; // most mutations keep the capacity: no shared write
+      addHeapBytes(static_cast<int64_t>(Now - TrackedBytes));
       TrackedBytes = Now;
-      uint64_t Peak = S.HeapBytesPeak.load(std::memory_order_relaxed);
-      while (Total > Peak && !S.HeapBytesPeak.compare_exchange_weak(
-                                 Peak, Total, std::memory_order_relaxed))
-        ;
     }
   };
 
@@ -408,7 +448,7 @@ private:
   Entry *detachForWrite();
   /// Replaces the contents with \p V, choosing inline vs heap storage.
   void adopt(std::vector<Entry> V);
-  void notePeak(size_t N) {
+  static void notePeak(size_t N) {
     Stats &S = stats();
     uint64_t Peak = S.PeakPairs.load(std::memory_order_relaxed);
     while (N > Peak && !S.PeakPairs.compare_exchange_weak(

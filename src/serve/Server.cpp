@@ -217,7 +217,8 @@ LineRead readBoundedLine(std::istream &In, std::string &Line, size_t Max) {
 /// The analyzed program the daemon keeps between requests. Source is
 /// fixed at construction. The rest is built at most once, under Mu: an
 /// analyze that ran the frontend hands its parse and metadata over
-/// before the slot is shared; otherwise the first demand query parses,
+/// before the slot is shared (a cache hit hands over the cached
+/// snapshot's metadata); otherwise the first demand query parses,
 /// and the engine (with its Relevance solution and exhaustive fallback)
 /// is built by the first demand query either way. Requests hold the
 /// slot by shared_ptr, so an analyze of another text can replace it
@@ -231,8 +232,9 @@ struct Server::ResidentProgram {
   std::mutex Mu;
   /// Parsed and lowered (FE.Prog null until then); no analysis state.
   Pipeline FE;
-  /// incr::computeMeta(*FE.Prog) when the analyze computed it; the
-  /// engine computes its own otherwise.
+  /// incr::computeMeta(*FE.Prog) when the analyze computed it or
+  /// served a cached snapshot (which carries it); the engine computes
+  /// its own otherwise.
   std::optional<incr::ProgramMeta> Meta;
   std::unique_ptr<demand::DemandEngine> Engine;
 };
@@ -990,12 +992,15 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
     LastKey = ServedKey;
     LastSnapshot = Snap;
     // A cache hit keeps the resident program when it holds this text;
-    // otherwise the text becomes resident and the first demand query
-    // parses it.
+    // otherwise the text becomes resident with the snapshot's meta, and
+    // the first demand query parses it.
     if (Program || !Resident || Resident->Source != Source) {
       Released = std::move(Resident);
-      Resident = Program ? std::move(Program)
-                         : std::make_shared<ResidentProgram>(Source);
+      if (!Program) {
+        Program = std::make_shared<ResidentProgram>(Source);
+        Program->Meta = Snap->Meta;
+      }
+      Resident = std::move(Program);
     }
     // Whatever this request produced (or re-validated) is the baseline
     // for the next incremental request under the same options — unless

@@ -433,6 +433,136 @@ TEST_F(PointsToSetTest, MergeWithWritePathsMatchNaiveReference) {
       }
 }
 
+/// replaceFrom, the strong-update splice, against its definition: kill
+/// every pair of the source, then insert each gen pair in turn. Covers
+/// inline sets, inline sets promoted to the heap tier, owned and shared
+/// heap blocks, runs that grow, shrink or keep their length (including
+/// an unchanged run, which must not detach a shared block), gen lists in
+/// any order with repeated pairs, and an empty gen list.
+TEST_F(PointsToSetTest, ReplaceFromMatchesKillThenInsert) {
+  enum Tier { Inline, Owned, Shared };
+  enum Length { Grow, Shrink, Keep, Same, Empty };
+  const std::atomic<uint64_t> &Detaches = PointsToSet::stats().CowDetaches;
+  bool SawPromotion = false, SawGrowOwned = false, SawShrinkOwned = false,
+       SawSharedChange = false, SawSharedSame = false;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed)
+    for (Tier T : {Inline, Owned, Shared})
+      for (Length Len : {Grow, Shrink, Keep, Same, Empty}) {
+        Rng R(Seed * 16 + T * 5 + Len);
+        PointsToSet A;
+        NaiveSet Ref;
+        if (T != Inline) // five v5 pairs push A onto the heap tier, then go
+          for (int I = 0; I < 5; ++I)
+            A.insertKey(PointsToSet::keyIds(L[5]->id(), L[I]->id()), Def::D);
+        for (uint32_t I = 0, N = T == Inline ? R.next(4) : R.next(12); I < N;
+             ++I) {
+          PointsToSet::PairKey K =
+              PointsToSet::keyIds(L[R.next(5)]->id(), L[R.next(6)]->id());
+          Def D = R.next(2) ? Def::D : Def::P;
+          A.insertKey(K, D);
+          Ref.insert(K, D);
+        }
+        if (T != Inline)
+          A.killFrom(L[5]);
+
+        const Location *Src = L[R.next(5)];
+        std::vector<PointsToSet::Entry> Old;
+        for (const auto &[K, D] : Ref.M)
+          if (static_cast<LocationId>(K >> 32) == Src->id())
+            Old.push_back(PointsToSet::Entry::make(K, D));
+        size_t Want = 0;
+        switch (Len) {
+        case Grow:
+          Want = Old.size() + 1 + R.next(4);
+          break;
+        case Shrink:
+          Want = Old.empty() ? 0 : R.next(static_cast<uint32_t>(Old.size()));
+          break;
+        case Keep:
+        case Same:
+          Want = Old.size();
+          break;
+        case Empty:
+          break;
+        }
+        std::vector<PointsToSet::Entry> Gen;
+        if (Len == Same) {
+          Gen = Old;
+        } else {
+          // Distinct targets (v0..v5 and a repeat of one of them), then
+          // shuffled: gen lists need not be sorted or free of repeats.
+          for (size_t I = 0; I < Want && I < 6; ++I)
+            Gen.push_back(PointsToSet::Entry::make(
+                PointsToSet::key(Src, L[(I + Seed) % 6]),
+                R.next(2) ? Def::D : Def::P));
+          if (!Gen.empty() && R.next(3) == 0)
+            Gen.push_back(PointsToSet::Entry::make(
+                Gen[0].key(), R.next(2) ? Def::D : Def::P));
+          for (size_t I = Gen.size(); I > 1; --I)
+            std::swap(Gen[I - 1], Gen[R.next(static_cast<uint32_t>(I))]);
+        }
+
+        NaiveSet Expected = Ref;
+        Expected.killFrom(Src->id());
+        for (const PointsToSet::Entry &E : Gen)
+          Expected.insert(E.key(), E.def());
+        bool RefChanged = Expected.M != Ref.M;
+
+        PointsToSet Copy;
+        if (T == Shared)
+          Copy = A;
+        std::vector<PointsToSet::Entry> CopyBefore = entriesOf(Copy);
+        size_t SizeBefore = A.size();
+        uint64_t DetachesBefore = Detaches.load();
+
+        bool Changed = A.replaceFrom(Src, Gen);
+        EXPECT_EQ(Changed, RefChanged)
+            << "seed " << Seed << " tier " << T << " length " << Len;
+        ASSERT_EQ(entriesOf(A), entriesOf(Expected))
+            << "seed " << Seed << " tier " << T << " length " << Len;
+        if (Len == Same) {
+          EXPECT_FALSE(Changed);
+        }
+        EXPECT_EQ(Detaches.load() - DetachesBefore,
+                  T == Shared && Changed ? 1u : 0u)
+            << "only a changed shared block detaches";
+        EXPECT_EQ(entriesOf(Copy), CopyBefore)
+            << "the live copy keeps its entries";
+
+        SawPromotion |= T == Inline && SizeBefore <= 4 && A.size() > 4;
+        SawGrowOwned |= T == Owned && A.size() > SizeBefore;
+        SawShrinkOwned |= T == Owned && A.size() < SizeBefore;
+        SawSharedChange |= T == Shared && Changed;
+        SawSharedSame |= T == Shared && Len == Same;
+      }
+  EXPECT_TRUE(SawPromotion);
+  EXPECT_TRUE(SawGrowOwned);
+  EXPECT_TRUE(SawShrinkOwned);
+  EXPECT_TRUE(SawSharedChange);
+  EXPECT_TRUE(SawSharedSame);
+}
+
+/// mergeIntoRun folds into a plain run by the same law as mergeWith.
+TEST_F(PointsToSetTest, MergeIntoRunMatchesMergeWith) {
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    Rng R(Seed);
+    PointsToSet Set;
+    std::vector<PointsToSet::Entry> Run;
+    for (int Fold = 0; Fold < 8; ++Fold) {
+      PointsToSet In;
+      for (uint32_t I = 0, N = R.next(10); I < N; ++I)
+        In.insertKey(
+            PointsToSet::keyIds(L[R.next(6)]->id(), L[R.next(6)]->id()),
+            R.next(2) ? Def::D : Def::P);
+      bool Changed = Set.mergeWith(In);
+      bool RunChanged = PointsToSet::mergeIntoRun(Run, In);
+      EXPECT_EQ(RunChanged, Changed) << "seed " << Seed << " fold " << Fold;
+      ASSERT_EQ(Run, entriesOf(Set)) << "seed " << Seed << " fold " << Fold;
+    }
+    EXPECT_EQ(entriesOf(PointsToSet::fromSortedRun(Run)), entriesOf(Set));
+  }
+}
+
 TEST_F(PointsToSetTest, RandomizedMergeAllMatchesSequentialFold) {
   for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
     Rng R(Seed);

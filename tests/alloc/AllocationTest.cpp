@@ -61,10 +61,12 @@ using namespace mcpta;
 
 namespace {
 
-/// Per statement visit, with RecordStmtSets on. Merging a changed StmtIn
-/// set, growing a set past the inline tier and detaching a shared block
-/// must allocate; evaluating an assignment's L/R-locations must not.
-constexpr double MaxAllocationsPerVisit = 0.75;
+/// Per statement visit, with RecordStmtSets on. Growing a StmtIn run,
+/// growing a set past the inline tier and detaching a shared block must
+/// allocate; evaluating an assignment's L/R-locations must not. The
+/// measured rate is 0.347; the bound keeps the same relative margin
+/// (0.75 over 0.529) the previous bound had.
+constexpr double MaxAllocationsPerVisit = 0.49;
 
 TEST(AllocationTest, IncrstressAllocationsPerStatementVisit) {
   const corpus::CorpusProgram *CP = corpus::find("incrstress");
