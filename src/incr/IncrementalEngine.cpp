@@ -25,14 +25,36 @@
 // baseline's, so grafting the recorded subtree — kinds, recursion
 // edges, memoized IN/OUT, evaluation counts — reproduces its exact
 // final state, and the skipped bodies' per-statement contributions are
-// exactly the baseline's rows for those functions (restored by merge
-// afterwards). The remaining gap is baseline evaluations of restored
-// functions *outside* any fired graft: checkCoverage() proves each one
-// is mirrored by an equal live evaluation, which makes
+// exactly the baseline's rows for those functions (restored afterwards,
+// merged into live rows where both exist). The remaining gap is
+// baseline evaluations of restored functions *outside* any fired graft:
+// checkCoverage() proves each one is mirrored by an equal live
+// evaluation, which makes
 //   scratch contexts = live contexts  ∪  grafted baseline contexts
 // an equality of per-statement joins and warning sets, not just an
 // inclusion. Whenever any of this cannot be established the engine
 // discards the run and re-analyzes from scratch, recording why.
+//
+// Restored rows need not become live sets. A restored function with no
+// live row keeps its baseline rows in canonical form (CarriedRows).
+// Every baseline id a row uses resolves to the live location with the
+// same structural key, so capture's remap of the row through
+// baseline-canon -> new-canon ids equals the flattening of the live set
+// it would have built; capture re-sorts a row only when the remap
+// breaks its order (a rename can move a key in canonical order). The
+// function's read/write sets depend only on its IR
+// (fingerprint-equal) and its rows (the baseline's, up to that
+// renaming). Their names are structural except two program-wide
+// counters that can shift under a clean function: `str$N` literals and
+// the function's own `$tN` temporaries (a temp no row names, e.g. an
+// int one, still appears in the sets). So the baseline's entries are
+// reused only while the string remap is the identity and the
+// function's locals, temps included, have the baseline's names at
+// every index; otherwise the rows are materialized as live sets and
+// the client recomputes them, as for a function that also has live
+// rows. (Today the fingerprint hashes raw local names, so a clean
+// function's temps never move; the check keeps the reuse from
+// depending on that.)
 //
 //===----------------------------------------------------------------------===//
 
@@ -188,21 +210,26 @@ public:
   /// before restore(); a failure demands a full re-analysis.
   bool checkCoverage(const pta::Analyzer::Result &Res);
 
-  /// Merges the skipped evaluations' per-statement rows and warnings
-  /// back into \p Res. Returns false when some baseline row cannot be
-  /// mapped into the live program (full re-analysis required).
-  bool restore(pta::Analyzer::Result &Res);
+  /// Brings the skipped evaluations' per-statement rows and warnings
+  /// back into the run. A restored function none of whose statements has
+  /// a live set keeps its baseline rows in canonical form (\p Carried,
+  /// for capture), as long as no string-literal id moved and its local
+  /// names are the baseline's; every other
+  /// restored row is built as a live set and merged into \p Res. Returns
+  /// false when some baseline row cannot be mapped into the live program
+  /// (full re-analysis required).
+  bool restore(pta::Analyzer::Result &Res, serve::CarriedRows &Carried);
+  uint64_t rowsCarried() const { return RowsCarried; }
+  uint64_t rowsMaterialized() const { return RowsMaterialized; }
 
 private:
   bool applyGraft(pta::IGNode *LiveRoot, uint32_t D,
                   const pta::PointsToSet &Input);
   const pta::Location *resolveLive(uint32_t Bid);
   const pta::Location *resolveRecord(const serve::LocationRecord &R);
-  std::optional<pta::PointsToSet>
-  resolveSet(const std::vector<serve::Triple> &Ts);
+  std::optional<pta::PointsToSet> resolveSet(const serve::PackedSet &Ws);
   const std::string &rk(uint32_t Bid);
-  std::optional<std::string>
-  canonBaselineSet(const std::vector<serve::Triple> &Ts);
+  std::optional<std::string> canonBaselineSet(const serve::PackedSet &Ws);
   std::string canonLiveSet(const pta::PointsToSet &S);
   const std::string *donorCanon(uint32_t D);
   void collectStringTypes(const simple::Stmt *S);
@@ -243,6 +270,8 @@ private:
   bool Failed = false;
   uint64_t SeedHits = 0;
   uint64_t MemoReuse = 0;
+  uint64_t RowsCarried = 0;
+  uint64_t RowsMaterialized = 0;
 };
 
 void IncrSession::collectStringTypes(const simple::Stmt *S) {
@@ -504,15 +533,15 @@ const std::string &IncrSession::rk(uint32_t Bid) {
 }
 
 std::optional<std::string>
-IncrSession::canonBaselineSet(const std::vector<serve::Triple> &Ts) {
+IncrSession::canonBaselineSet(const serve::PackedSet &Ws) {
   std::vector<std::string> Lines;
-  Lines.reserve(Ts.size());
-  for (const serve::Triple &T : Ts) {
-    const std::string &A = rk(T.Src);
-    const std::string &B = rk(T.Dst);
+  Lines.reserve(Ws.size());
+  for (uint64_t W : Ws) {
+    const std::string &A = rk(serve::tripleSrc(W));
+    const std::string &B = rk(serve::tripleDst(W));
     if (A.empty() || B.empty())
       return std::nullopt;
-    Lines.push_back(A + ">" + B + (T.Definite ? ":D" : ":P"));
+    Lines.push_back(A + ">" + B + (serve::tripleDefinite(W) ? ":D" : ":P"));
   }
   std::sort(Lines.begin(), Lines.end());
   std::string Out;
@@ -687,19 +716,19 @@ IncrSession::resolveRecord(const serve::LocationRecord &R) {
 }
 
 std::optional<pta::PointsToSet>
-IncrSession::resolveSet(const std::vector<serve::Triple> &Ts) {
-  // One pass: map every triple to live ids (in triple order, since
+IncrSession::resolveSet(const serve::PackedSet &Ws) {
+  // One pass: map every word to live ids (in word order, since
   // resolveLive may mint locations), then sort and adopt once.
   std::vector<pta::PointsToSet::Entry> Es;
-  Es.reserve(Ts.size());
-  for (const serve::Triple &T : Ts) {
-    const pta::Location *Src = resolveLive(T.Src);
-    const pta::Location *Dst = resolveLive(T.Dst);
+  Es.reserve(Ws.size());
+  for (uint64_t W : Ws) {
+    const pta::Location *Src = resolveLive(serve::tripleSrc(W));
+    const pta::Location *Dst = resolveLive(serve::tripleDst(W));
     if (!Src || !Dst)
       return std::nullopt;
     Es.push_back(pta::PointsToSet::Entry::make(
         pta::PointsToSet::key(Src, Dst),
-        T.Definite ? pta::Def::D : pta::Def::P));
+        serve::tripleDefinite(W) ? pta::Def::D : pta::Def::P));
   }
   return pta::PointsToSet::fromEntries(std::move(Es));
 }
@@ -910,32 +939,87 @@ bool IncrSession::checkCoverage(const pta::Analyzer::Result &Res) {
   return true;
 }
 
-bool IncrSession::restore(pta::Analyzer::Result &Res) {
+bool IncrSession::restore(pta::Analyzer::Result &Res,
+                          serve::CarriedRows &Carried) {
+  // String-literal ids are program-wide counters that shift under clean
+  // functions, and read/write entries name literals by them ("str$N").
+  const bool StringsStay =
+      std::all_of(StringRemap.begin(), StringRemap.end(),
+                  [](const auto &P) { return P.first == P.second; });
+
+  // Every restored row as (live statement id, baseline row index), split
+  // by whether its function's rows are carried or built as live sets.
+  std::vector<std::pair<uint32_t, uint32_t>> Carry, Materialize;
   for (const std::string &Fn : RestoredFns) {
     auto BIt = BaseFns.find(Fn);
+    auto LIt = LiveFns.find(Fn);
     auto SIt = StmtRemap.find(Fn);
-    if (BIt == BaseFns.end() || SIt == StmtRemap.end())
+    if (BIt == BaseFns.end() || LIt == LiveFns.end() ||
+        SIt == StmtRemap.end())
       return false;
+    // Read/write entries also name the function's own locals, `$tN`
+    // temporaries included, which are program-wide counters too.
+    bool CarryFn = StringsStay &&
+                   BIt->second->LocalNames == LIt->second->LocalNames &&
+                   Baseline.Reads.count(Fn) && Baseline.Writes.count(Fn);
+    for (uint32_t LS : LIt->second->StmtIds)
+      if (LS < Res.StmtIn.size() && Res.StmtIn[LS])
+        CarryFn = false; // a live row: the function's client sets change
+    auto &Rows = CarryFn ? Carry : Materialize;
     for (uint32_t BS : BIt->second->StmtIds) {
       auto RowIt = StmtRowById.find(BS);
       if (RowIt == StmtRowById.end())
         continue; // statement never reached in the baseline
       auto MIt = SIt->second.find(BS);
-      if (MIt == SIt->second.end())
+      if (MIt == SIt->second.end() || MIt->second >= Res.StmtIn.size())
         return false;
-      uint32_t LiveId = MIt->second;
-      if (LiveId >= Res.StmtIn.size())
-        return false;
-      std::optional<pta::PointsToSet> Set =
-          resolveSet(Baseline.StmtIn[RowIt->second].Triples);
-      if (!Set)
-        return false;
-      if (Res.StmtIn[LiveId])
-        Res.StmtIn[LiveId]->mergeWith(*Set);
-      else
-        Res.StmtIn[LiveId] = std::move(*Set);
+      Rows.emplace_back(MIt->second, static_cast<uint32_t>(RowIt->second));
     }
+    if (CarryFn)
+      Carried.BaselineRW.push_back(Fn);
   }
+
+  // Carried rows stay in baseline canonical ids. Each id they use is
+  // resolved once, so an unmappable one still fails the restore, and
+  // capture learns the live location it names now.
+  const size_t NB = Baseline.Locations.size();
+  std::vector<uint8_t> Used(NB, 0);
+  for (const auto &[Live, Row] : Carry)
+    for (uint64_t W : Baseline.StmtIn[Row].Set) {
+      if (serve::tripleSrc(W) >= NB || serve::tripleDst(W) >= NB)
+        return false;
+      Used[serve::tripleSrc(W)] = Used[serve::tripleDst(W)] = 1;
+    }
+  Carried.LiveLoc.assign(NB, serve::CarriedRows::NotUsed);
+  for (uint32_t B = 0; B < NB; ++B)
+    if (Used[B]) {
+      const pta::Location *L = resolveLive(B);
+      if (!L)
+        return false;
+      Carried.LiveLoc[B] = L->id();
+    }
+  // Distinct structural keys resolve to distinct live locations; two
+  // baseline ids naming one would collide in the carried words.
+  std::vector<uint8_t> Taken(Locs->numLocations(), 0);
+  for (pta::LocationId L : Carried.LiveLoc)
+    if (L != serve::CarriedRows::NotUsed && Taken[L]++)
+      return false;
+
+  Carried.Baseline = &Baseline;
+  Carried.RowAt.assign(Res.StmtIn.size(), -1);
+  for (const auto &[Live, Row] : Carry)
+    Carried.RowAt[Live] = static_cast<int32_t>(Row);
+  for (const auto &[Live, Row] : Materialize) {
+    std::optional<pta::PointsToSet> Set = resolveSet(Baseline.StmtIn[Row].Set);
+    if (!Set)
+      return false;
+    if (Res.StmtIn[Live])
+      Res.StmtIn[Live]->mergeWith(*Set);
+    else
+      Res.StmtIn[Live] = std::move(*Set);
+  }
+  RowsCarried = Carry.size();
+  RowsMaterialized = Materialize.size();
 
   // The live warning log is keyed by FunctionDecl; resolve the baseline's
   // function names against the live program before re-attributing.
@@ -985,8 +1069,10 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
     O.Meta = computeMeta(*FE.Prog);
     return true;
   };
-  auto Finish = [&](const pta::Analyzer::Result &Res) {
-    O.Snapshot = serve::ResultSnapshot::capture(*FE.Prog, Res, OptsFP, O.Meta);
+  auto Finish = [&](const pta::Analyzer::Result &Res,
+                    const serve::CarriedRows *Carried) {
+    O.Snapshot =
+        serve::ResultSnapshot::capture(*FE.Prog, Res, OptsFP, O.Meta, Carried);
     O.Blob = serve::serialize(O.Snapshot);
     O.Ok = true;
   };
@@ -1002,7 +1088,7 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
       FOpts.Seeder = nullptr;
       if (Telem)
         FOpts.Telem = Telem;
-      Finish(pta::Analyzer::run(*FE.Prog, FOpts));
+      Finish(pta::Analyzer::run(*FE.Prog, FOpts), nullptr);
     }
     return std::move(O);
   };
@@ -1054,16 +1140,21 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
     return FullRun("analysis-failed");
   if (!Session.checkCoverage(Res))
     return FullRun("coverage");
-  if (!Session.restore(Res))
+  serve::CarriedRows Carried;
+  if (!Session.restore(Res, Carried))
     return FullRun("restore-failed");
 
   O.Stats.MemoReuse = Session.memoReuse();
   O.Stats.SeedHits = Session.seedHits();
+  O.Stats.RowsCarried = Session.rowsCarried();
+  O.Stats.RowsMaterialized = Session.rowsMaterialized();
   if (Telem) {
     Telem->add("incr.memo_reuse", O.Stats.MemoReuse);
     Telem->add("incr.seed_hits", O.Stats.SeedHits);
+    Telem->add("incr.rows_carried", O.Stats.RowsCarried);
+    Telem->add("incr.rows_materialized", O.Stats.RowsMaterialized);
   }
-  Finish(Res);
+  Finish(Res, &Carried);
   O.Stats.UsedIncremental = true;
   return O;
 }

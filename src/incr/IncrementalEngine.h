@@ -71,6 +71,12 @@ struct IncrStats {
   uint64_t MemoReuse = 0;
   /// Grafts that fired (donor subtrees spliced into the live graph).
   uint64_t SeedHits = 0;
+  /// Baseline per-statement rows of grafted functions: carried into the
+  /// snapshot in canonical form, or built as live sets (merged with a
+  /// live row, or because their function's read/write sets must be
+  /// recomputed).
+  uint64_t RowsCarried = 0;
+  uint64_t RowsMaterialized = 0;
 };
 
 struct IncrOutput {
@@ -110,8 +116,8 @@ public:
   /// once: a fallback after the frontend ran analyzes that program. Ok
   /// is false only when the source does not parse or lower. \p Telem
   /// (optional) receives incr.dirty_functions / incr.memo_reuse /
-  /// incr.seed_hits / incr.fallback.* counters and is forwarded to the
-  /// analyzer.
+  /// incr.seed_hits / incr.rows_carried / incr.rows_materialized /
+  /// incr.fallback.* counters and is forwarded to the analyzer.
   static IncrOutput reanalyze(const serve::ResultSnapshot *Baseline,
                               const std::string &Source,
                               const pta::Analyzer::Options &Opts,

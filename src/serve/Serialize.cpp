@@ -151,7 +151,8 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
 ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
                                        const pta::Analyzer::Result &Res,
                                        std::string OptionsFingerprint,
-                                       incr::ProgramMeta Meta) {
+                                       incr::ProgramMeta Meta,
+                                       const CarriedRows *Carried) {
   ResultSnapshot S;
   S.OptionsFingerprint = std::move(OptionsFingerprint);
   S.Analyzed = Res.Analyzed ? 1 : 0;
@@ -191,6 +192,12 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
   for (const auto &Set : Res.StmtIn)
     if (Set)
       addSet(*Set);
+  // Carried rows reference exactly the live locations their baseline ids
+  // resolved to; no need to walk their words.
+  if (Carried)
+    for (pta::LocationId L : Carried->LiveLoc)
+      if (L != CarriedRows::NotUsed)
+        addId(L);
   std::vector<const pta::IGNode *> Preorder;
   if (Res.IG)
     Preorder = Res.IG->preorder();
@@ -248,27 +255,28 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
     S.Locations.push_back(std::move(R));
   }
 
-  // Triples are remapped to canonical ids and re-sorted: the entry run
-  // is in live-id order, which is creation-order history. Each triple is
-  // packed as (Src << 32) | (Dst << 1) | isP for the sort, the same
-  // word layout as a PointsToSet entry.
-  std::vector<uint64_t> Packed;
+  // Every set is emitted by one routine: each packed word's ids go
+  // through a map to canonical ids, and the result is re-sorted unless
+  // the map is known to keep the words' order. A live entry run is in
+  // live-id order, which is creation-order history, so it always sorts.
+  auto canonical = [](size_t N, auto WordAt, const uint32_t *Map,
+                      bool KeepsOrder) {
+    PackedSet Out(N);
+    for (size_t I = 0; I < N; ++I) {
+      const uint64_t W = WordAt(I);
+      Out[I] = (static_cast<uint64_t>(Map[W >> 32]) << 32) |
+               (static_cast<uint64_t>(Map[(W & 0xffffffffu) >> 1]) << 1) |
+               (W & 1);
+    }
+    if (!KeepsOrder)
+      std::sort(Out.begin(), Out.end());
+    return Out;
+  };
   auto flatten = [&](const pta::PointsToSet &PS) {
     const pta::PointsToSet::Entry *E = PS.entries();
-    const size_t N = PS.size();
-    Packed.resize(N);
-    for (size_t I = 0; I < N; ++I)
-      Packed[I] = (static_cast<uint64_t>(CanonId[E[I].src()]) << 32) |
-                  (static_cast<uint64_t>(CanonId[E[I].dst()]) << 1) |
-                  static_cast<uint64_t>(E[I].def());
-    std::sort(Packed.begin(), Packed.end());
-    std::vector<Triple> Out(N);
-    for (size_t I = 0; I < N; ++I) {
-      Out[I].Src = static_cast<uint32_t>(Packed[I] >> 32);
-      Out[I].Dst = static_cast<uint32_t>((Packed[I] & 0xffffffffu) >> 1);
-      Out[I].Definite = (Packed[I] & 1) ? uint8_t(0) : uint8_t(1);
-    }
-    return Out;
+    return canonical(
+        PS.size(), [E](size_t I) { return E[I].Bits; }, CanonId.data(),
+        /*KeepsOrder=*/false);
   };
 
   if (Res.MainOut) {
@@ -276,9 +284,38 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
     S.MainOut = flatten(*Res.MainOut);
   }
 
-  for (uint32_t Id = 0; Id < Res.StmtIn.size(); ++Id)
-    if (Res.StmtIn[Id])
+  // Carried rows are already canonical over the baseline's ids: they go
+  // through one baseline-canon -> new-canon vector. When it is the
+  // identity on the ids they use, a row is copied as is; while it keeps
+  // their order, a row is remapped without sorting.
+  std::vector<uint32_t> BaseToCanon;
+  bool Identity = true, KeepsOrder = true;
+  if (Carried) {
+    BaseToCanon.assign(Carried->LiveLoc.size(), 0);
+    int64_t Prev = -1;
+    for (uint32_t B = 0; B < Carried->LiveLoc.size(); ++B) {
+      if (Carried->LiveLoc[B] == CarriedRows::NotUsed)
+        continue;
+      const uint32_t C = CanonId[Carried->LiveLoc[B]];
+      BaseToCanon[B] = C;
+      Identity = Identity && C == B;
+      KeepsOrder = KeepsOrder && static_cast<int64_t>(C) > Prev;
+      Prev = C;
+    }
+  }
+  for (uint32_t Id = 0; Id < Res.StmtIn.size(); ++Id) {
+    if (Res.StmtIn[Id]) {
       S.StmtIn.push_back({Id, flatten(*Res.StmtIn[Id])});
+    } else if (Carried && Id < Carried->RowAt.size() &&
+               Carried->RowAt[Id] >= 0) {
+      const PackedSet &Row = Carried->Baseline->StmtIn[Carried->RowAt[Id]].Set;
+      S.StmtIn.push_back(
+          {Id, Identity ? Row
+                        : canonical(
+                              Row.size(), [&Row](size_t I) { return Row[I]; },
+                              BaseToCanon.data(), KeepsOrder)});
+    }
+  }
 
   // Parent and RecEdge become preorder positions. Path holds the current
   // node's ancestors with their positions; a recursion back edge targets
@@ -338,6 +375,14 @@ ResultSnapshot ResultSnapshot::capture(const simple::Program &Prog,
     S.Reads.emplace(Fn, std::vector<std::string>(Names.begin(), Names.end()));
   for (const auto &[Fn, Names] : RW.Writes)
     S.Writes.emplace(Fn, std::vector<std::string>(Names.begin(), Names.end()));
+  // A function whose rows are all carried has no live set for the client
+  // to read; its entries are the baseline's, valid as they stand because
+  // its rows are the baseline's and no string-literal id moved.
+  if (Carried)
+    for (const std::string &Fn : Carried->BaselineRW) {
+      S.Reads[Fn] = Carried->Baseline->Reads.at(Fn);
+      S.Writes[Fn] = Carried->Baseline->Writes.at(Fn);
+    }
 
   return S;
 }
@@ -359,22 +404,26 @@ ResultSnapshot::pointsToTargets(std::string_view Name, int64_t StmtId) const {
   int64_t Id = locationIdByName(Name);
   if (Id < 0)
     return Out;
-  const std::vector<Triple> *Set = nullptr;
+  const PackedSet *Set = nullptr;
   if (StmtId < 0) {
     if (HasMainOut)
       Set = &MainOut;
   } else {
     for (const StmtSetRecord &R : StmtIn)
       if (R.StmtId == static_cast<uint32_t>(StmtId)) {
-        Set = &R.Triples;
+        Set = &R.Set;
         break;
       }
   }
   if (!Set)
     return Out;
-  for (const Triple &T : *Set)
-    if (T.Src == static_cast<uint32_t>(Id) && T.Dst < Locations.size())
-      Out.emplace_back(Locations[T.Dst].Name, T.Definite != 0);
+  // The words are sorted, so the source's pairs form one contiguous run.
+  const uint32_t Src = static_cast<uint32_t>(Id);
+  for (auto It = std::lower_bound(Set->begin(), Set->end(),
+                                  static_cast<uint64_t>(Src) << 32);
+       It != Set->end() && tripleSrc(*It) == Src; ++It)
+    if (tripleDst(*It) < Locations.size())
+      Out.emplace_back(Locations[tripleDst(*It)].Name, tripleDefinite(*It));
   return Out;
 }
 
@@ -402,6 +451,24 @@ namespace {
 
 constexpr char Magic[4] = {'M', 'C', 'P', 'T'};
 
+/// The number of per-source runs in \p Ws. The v3 set encoding writes
+/// id-sorted runs: the words are sorted by (Src, Dst), so each source's
+/// pairs are contiguous and its id is written once per run instead of
+/// once per pair.
+uint32_t numRuns(const PackedSet &Ws) {
+  uint32_t Runs = 0;
+  for (size_t I = 0; I < Ws.size(); ++I)
+    Runs += I == 0 || tripleSrc(Ws[I]) != tripleSrc(Ws[I - 1]);
+  return Runs;
+}
+
+/// The bytes of a set's encoding: the run count, then per run its
+/// source id and pair count, then 5 bytes per (dst, definite) pair.
+size_t setBytes(uint32_t Runs, size_t Pairs) {
+  return 4 + 8 * static_cast<size_t>(Runs) + 5 * Pairs;
+}
+
+/// Appends little-endian fields to a buffer.
 class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(static_cast<char>(V)); }
@@ -418,76 +485,109 @@ public:
     u32(static_cast<uint32_t>(V >> 32));
   }
   void bytes(std::string_view S) { Buf.append(S.data(), S.size()); }
+  /// Grows the buffer by the set's exact size and stores every field in
+  /// place.
+  void set(const PackedSet &Ws) {
+    const size_t N = Ws.size();
+    const uint32_t Runs = numRuns(Ws);
+    const size_t At = Buf.size();
+    Buf.resize(At + setBytes(Runs, N));
+    char *P = put32(Buf.data() + At, Runs);
+    for (size_t I = 0; I < N;) {
+      const uint32_t Src = tripleSrc(Ws[I]);
+      size_t J = I + 1;
+      while (J < N && tripleSrc(Ws[J]) == Src)
+        ++J;
+      P = put32(P, Src);
+      P = put32(P, static_cast<uint32_t>(J - I));
+      for (; I < J; ++I) {
+        P = put32(P, tripleDst(Ws[I]));
+        *P++ = tripleDefinite(Ws[I]) ? 1 : 0;
+      }
+    }
+  }
 
+  void reserve(size_t N) { Buf.reserve(N); }
+  size_t size() const { return Buf.size(); }
   std::string take() { return std::move(Buf); }
 
 private:
+  static char *put32(char *P, uint32_t V) {
+    P[0] = static_cast<char>(V);
+    P[1] = static_cast<char>(V >> 8);
+    P[2] = static_cast<char>(V >> 16);
+    P[3] = static_cast<char>(V >> 24);
+    return P + 4;
+  }
+
   std::string Buf;
 };
 
+/// Counts the bytes a ByteWriter would append, storing nothing.
+class ByteCounter {
+public:
+  void u8(uint8_t) { ++N; }
+  void u32(uint32_t) { N += 4; }
+  void i32(int32_t) { N += 4; }
+  void u64(uint64_t) { N += 8; }
+  void bytes(std::string_view S) { N += S.size(); }
+  void set(const PackedSet &Ws) { N += setBytes(numRuns(Ws), Ws.size()); }
+  size_t size() const { return N; }
+
+private:
+  size_t N = 0;
+};
+
 /// Interns strings in first-use order, so the emitted table (and with
-/// it the whole blob) is a pure function of the snapshot contents.
+/// it the whole blob) is a pure function of the snapshot contents. The
+/// pass that fills the table records each call's index; after replay()
+/// the same sequence of calls is answered from that record, so a second
+/// pass over the snapshot does no lookups.
 class StringInterner {
 public:
   uint32_t intern(const std::string &S) {
-    auto [It, Inserted] = Index.emplace(S, Table.size());
+    if (Replaying)
+      return Order[Next++];
+    auto [It, Inserted] = Index.try_emplace(S, Table.size());
     if (Inserted)
       Table.push_back(S);
+    Order.push_back(It->second);
     return It->second;
+  }
+  void replay() {
+    Replaying = true;
+    Next = 0;
   }
   const std::vector<std::string> &table() const { return Table; }
 
 private:
   std::map<std::string, uint32_t> Index;
   std::vector<std::string> Table;
+  std::vector<uint32_t> Order;
+  size_t Next = 0;
+  bool Replaying = false;
 };
 
-/// v3 set encoding: id-sorted per-source runs. \p Ts is sorted by
-/// (Src, Dst) — the order the flat PointsToSet representation yields —
-/// so each source's pairs are contiguous and the source id is written
-/// once per run instead of once per pair.
-void writeTriples(ByteWriter &W, const std::vector<Triple> &Ts) {
-  uint32_t NumRuns = 0;
-  for (size_t I = 0; I < Ts.size(); ++NumRuns) {
-    size_t J = I + 1;
-    while (J < Ts.size() && Ts[J].Src == Ts[I].Src)
-      ++J;
-    I = J;
-  }
-  W.u32(NumRuns);
-  for (size_t I = 0; I < Ts.size();) {
-    size_t J = I + 1;
-    while (J < Ts.size() && Ts[J].Src == Ts[I].Src)
-      ++J;
-    W.u32(Ts[I].Src);
-    W.u32(static_cast<uint32_t>(J - I));
-    for (size_t K = I; K < J; ++K) {
-      W.u32(Ts[K].Dst);
-      W.u8(Ts[K].Definite);
-    }
-    I = J;
-  }
-}
-
-void writeStrList(ByteWriter &W, StringInterner &Strings,
+template <class Writer>
+void writeStrList(Writer &W, StringInterner &Strings,
                   const std::vector<std::string> &L) {
   W.u32(static_cast<uint32_t>(L.size()));
   for (const std::string &S : L)
     W.u32(Strings.intern(S));
 }
 
-void writeU32List(ByteWriter &W, const std::vector<uint32_t> &L) {
+template <class Writer>
+void writeU32List(Writer &W, const std::vector<uint32_t> &L) {
   W.u32(static_cast<uint32_t>(L.size()));
   for (uint32_t V : L)
     W.u32(V);
 }
 
-} // namespace
-
-std::string serve::serialize(const ResultSnapshot &S) {
-  StringInterner Strings;
-  ByteWriter Body;
-
+/// Writes (or counts) everything after the string table. Strings are
+/// interned as they are first used, so the table is complete once this
+/// has run.
+template <class Writer>
+void writeBody(Writer &Body, StringInterner &Strings, const ResultSnapshot &S) {
   Body.u8(S.Analyzed);
   Body.u32(S.NumStmts);
 
@@ -514,12 +614,12 @@ std::string serve::serialize(const ResultSnapshot &S) {
   }
 
   Body.u8(S.HasMainOut);
-  writeTriples(Body, S.MainOut);
+  Body.set(S.MainOut);
 
   Body.u32(static_cast<uint32_t>(S.StmtIn.size()));
   for (const StmtSetRecord &R : S.StmtIn) {
     Body.u32(R.StmtId);
-    writeTriples(Body, R.Triples);
+    Body.set(R.Set);
   }
 
   Body.u32(static_cast<uint32_t>(S.IG.size()));
@@ -532,8 +632,8 @@ std::string serve::serialize(const ResultSnapshot &S) {
     Body.u32(N.EvalCount);
     Body.u8(N.HasInput);
     Body.u8(N.HasOutput);
-    writeTriples(Body, N.Input);
-    writeTriples(Body, N.Output);
+    Body.set(N.Input);
+    Body.set(N.Output);
   }
 
   Body.u32(static_cast<uint32_t>(S.Degradations.size()));
@@ -589,8 +689,25 @@ std::string serve::serialize(const ResultSnapshot &S) {
         Body.u32(Strings.intern(N));
     }
   }
+}
+
+} // namespace
+
+std::string serve::serialize(const ResultSnapshot &S) {
+  // Counting the body's bytes also fills the string table, so the
+  // header, the table and the body are then written once into a buffer
+  // of exactly their size. A blob of a large program is tens of MB: one
+  // buffer, written once, is both faster and smaller at its peak than a
+  // body buffer that grows and is then copied behind the table.
+  StringInterner Strings;
+  ByteCounter Counted;
+  writeBody(Counted, Strings, S);
+  size_t Bytes = 16 + S.OptionsFingerprint.size() + Counted.size();
+  for (const std::string &Str : Strings.table())
+    Bytes += 4 + Str.size();
 
   ByteWriter Out;
+  Out.reserve(Bytes);
   Out.bytes(std::string_view(Magic, sizeof(Magic)));
   Out.u32(version::kResultFormatVersion);
   Out.u32(static_cast<uint32_t>(S.OptionsFingerprint.size()));
@@ -600,7 +717,9 @@ std::string serve::serialize(const ResultSnapshot &S) {
     Out.u32(static_cast<uint32_t>(Str.size()));
     Out.bytes(Str);
   }
-  Out.bytes(Body.take());
+  Strings.replay();
+  writeBody(Out, Strings, S);
+  assert(Out.size() == Bytes && "the counting pass sized the blob");
   return Out.take();
 }
 
@@ -689,11 +808,11 @@ private:
   std::string Err;
 };
 
-/// Reads a points-to set, encoded as per-source runs (see writeTriples),
-/// into the snapshot's (Src, Dst)-sorted triple vector. The reader
-/// enforces the runs' sortedness, so a round trip is exactly
-/// order-preserving.
-bool readTriples(ByteReader &R, std::vector<Triple> &Out, size_t NumLocs) {
+/// Reads a points-to set, encoded as per-source runs (see
+/// ByteWriter::set), into packed words. The reader enforces the runs'
+/// sortedness, so a round trip is exactly order-preserving, and keeps
+/// every destination id below 2^31 so it packs.
+bool readSet(ByteReader &R, PackedSet &Out, size_t NumLocs) {
   // Min run size: src id + pair count + one 5-byte pair.
   uint32_t NumRuns = R.count(13);
   int64_t PrevSrc = -1;
@@ -708,17 +827,15 @@ bool readTriples(ByteReader &R, std::vector<Triple> &Out, size_t NumLocs) {
     PrevSrc = Src;
     int64_t PrevDst = -1;
     for (uint32_t J = 0; J < N && R.ok(); ++J) {
-      Triple T;
-      T.Src = Src;
-      T.Dst = R.u32();
-      T.Definite = R.u8();
-      if (R.ok() && (T.Dst >= NumLocs || T.Definite > 1 ||
-                     static_cast<int64_t>(T.Dst) <= PrevDst)) {
+      uint32_t Dst = R.u32();
+      uint8_t Definite = R.u8();
+      if (R.ok() && (Dst >= NumLocs || Dst > 0x7fffffffu || Definite > 1 ||
+                     static_cast<int64_t>(Dst) <= PrevDst)) {
         R.fail("corrupt points-to run");
         return false;
       }
-      PrevDst = T.Dst;
-      Out.push_back(T);
+      PrevDst = Dst;
+      Out.push_back(packTriple(Src, Dst, Definite != 0));
     }
   }
   return R.ok();
@@ -824,7 +941,7 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
   Out.HasMainOut = R.u8();
   if (R.ok() && Out.HasMainOut > 1)
     R.fail("corrupt MainOut flag");
-  readTriples(R, Out.MainOut, Out.Locations.size());
+  readSet(R, Out.MainOut, Out.Locations.size());
 
   uint32_t NumStmtSets = R.count(8);
   Out.StmtIn.reserve(NumStmtSets);
@@ -835,7 +952,7 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
       R.fail("statement id out of range");
       break;
     }
-    readTriples(R, Rec.Triples, Out.Locations.size());
+    readSet(R, Rec.Set, Out.Locations.size());
     Out.StmtIn.push_back(std::move(Rec));
   }
 
@@ -860,8 +977,8 @@ bool serve::deserialize(std::string_view Blob, ResultSnapshot &Out,
       R.fail("corrupt invocation-graph node record");
       break;
     }
-    readTriples(R, N.Input, Out.Locations.size());
-    readTriples(R, N.Output, Out.Locations.size());
+    readSet(R, N.Input, Out.Locations.size());
+    readSet(R, N.Output, Out.Locations.size());
     Out.IG.push_back(std::move(N));
   }
 

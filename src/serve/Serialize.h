@@ -19,6 +19,17 @@
 /// points_to, read_write_sets, stats) without the source, the AST, or
 /// a re-run.
 ///
+/// In memory every set is a PackedSet: one 8-byte word per (x, y, D/P)
+/// relationship over canonical ids, in the same layout as a live
+/// PointsToSet entry, so capture remaps a live entry run word by word
+/// and the writer reads each per-source run straight off the words.
+/// (There is no separate triple struct: a word is the triple.) In a
+/// blob every set is its v3 encoding: the run count, then per source
+/// its id, its pair count and its (dst u32, definite u8) pairs, all
+/// little-endian. The writer counts the blob's bytes in a first pass,
+/// then writes it once into a buffer of exactly that size, storing each
+/// set's runs in place.
+///
 /// Version 2 changes (all in service of the incremental engine,
 /// src/incr/, whose oracle is byte-identity of snapshots):
 ///  - the location table is *canonical*: only locations referenced by
@@ -109,24 +120,30 @@ struct LocationRecord {
   }
 };
 
-/// One points-to relationship (x, y, D|P) over canonical location ids.
-struct Triple {
-  uint32_t Src = 0;
-  uint32_t Dst = 0;
-  uint8_t Definite = 0; ///< 1 = D, 0 = P
+/// A points-to set over canonical location ids: one packed word per
+/// relationship (x, y, D|P), in the pta::PointsToSet::Entry layout
+/// (Src << 32) | (Dst << 1) | isP, sorted ascending — that is, by
+/// (Src, Dst) — so each source's pairs are contiguous, as the v3
+/// per-source runs need. Dst must be below 2^31.
+using PackedSet = std::vector<uint64_t>;
 
-  bool operator==(const Triple &O) const {
-    return Src == O.Src && Dst == O.Dst && Definite == O.Definite;
-  }
-};
+inline uint64_t packTriple(uint32_t Src, uint32_t Dst, bool Definite) {
+  return (static_cast<uint64_t>(Src) << 32) | (static_cast<uint64_t>(Dst) << 1) |
+         (Definite ? 0u : 1u);
+}
+inline uint32_t tripleSrc(uint64_t W) { return static_cast<uint32_t>(W >> 32); }
+inline uint32_t tripleDst(uint64_t W) {
+  return static_cast<uint32_t>((W & 0xffffffffu) >> 1);
+}
+inline bool tripleDefinite(uint64_t W) { return (W & 1) == 0; }
 
 /// The merged input points-to set recorded at one statement.
 struct StmtSetRecord {
   uint32_t StmtId = 0;
-  std::vector<Triple> Triples;
+  PackedSet Set;
 
   bool operator==(const StmtSetRecord &O) const {
-    return StmtId == O.StmtId && Triples == O.Triples;
+    return StmtId == O.StmtId && Set == O.Set;
   }
 };
 
@@ -144,8 +161,8 @@ struct IGNodeRecord {
   uint32_t EvalCount = 0;
   uint8_t HasInput = 0;
   uint8_t HasOutput = 0;
-  std::vector<Triple> Input;  ///< memoized IN, when stored
-  std::vector<Triple> Output; ///< memoized OUT, when stored
+  PackedSet Input;  ///< memoized IN, when stored
+  PackedSet Output; ///< memoized OUT, when stored
 
   bool operator==(const IGNodeRecord &O) const {
     return Function == O.Function && Kind == O.Kind &&
@@ -167,6 +184,27 @@ struct DegradationRecord {
   }
 };
 
+struct ResultSnapshot;
+
+/// Baseline per-statement rows that an incremental run carries into its
+/// snapshot in canonical form instead of rebuilding them as live sets
+/// (incr::IncrementalEngine). Capture emits each row at its live
+/// statement, remapped from baseline canonical ids to the new ones.
+struct CarriedRows {
+  const ResultSnapshot *Baseline = nullptr;
+  /// Per live statement id: index into Baseline->StmtIn, or -1. A
+  /// statement with a live set never has a carried row.
+  std::vector<int32_t> RowAt;
+  /// Per baseline canonical id: the live location it resolves to, for
+  /// every id the carried rows use; NotUsed for the others.
+  static constexpr uint32_t NotUsed = UINT32_MAX;
+  std::vector<pta::LocationId> LiveLoc;
+  /// Functions whose read/write-set entries are the baseline's: every
+  /// row they have is carried, and no string-literal id moved (the
+  /// entries name "str$N" locations by program-wide literal ids).
+  std::vector<std::string> BaselineRW;
+};
+
 /// Everything one analysis run produced, self-contained.
 struct ResultSnapshot {
   /// Fingerprint of the Analyzer options + limits that produced this
@@ -178,7 +216,7 @@ struct ResultSnapshot {
 
   std::vector<LocationRecord> Locations;
   uint8_t HasMainOut = 0;
-  std::vector<Triple> MainOut; ///< sorted by (Src, Dst)
+  PackedSet MainOut;
   std::vector<StmtSetRecord> StmtIn;
   std::vector<IGNodeRecord> IG;
   std::vector<DegradationRecord> Degradations;
@@ -217,10 +255,13 @@ struct ResultSnapshot {
   /// As above, with \p Meta = incr::computeMeta(Prog) already in hand:
   /// callers that keep a program's metadata (the incremental engine, the
   /// demand engine) compute it once per program instead of per capture.
+  /// \p Carried (optional) adds an incremental run's carried baseline
+  /// rows to the live ones in Res.StmtIn.
   static ResultSnapshot capture(const simple::Program &Prog,
                                 const pta::Analyzer::Result &Res,
                                 std::string OptionsFingerprint,
-                                incr::ProgramMeta Meta);
+                                incr::ProgramMeta Meta,
+                                const CarriedRows *Carried = nullptr);
 
   //===--------------------------------------------------------------------===//
   // Queries (what the serve daemon answers without re-analysis)

@@ -94,6 +94,18 @@ std::string scrapeCid(const std::string &Line) {
   return Cid;
 }
 
+/// True when \p Line is a shutdown request. Only a line that spells the
+/// word, or could through a \u escape, is parsed.
+bool isShutdownLine(const std::string &Line) {
+  if (Line.find("shutdown") == std::string::npos &&
+      Line.find("\\u") == std::string::npos)
+    return false;
+  JsonValue Req;
+  std::string Error;
+  return parseJson(Line, Req, Error) && Req.isObject() &&
+         Req.getString("method") == "shutdown";
+}
+
 /// The methods the daemon understands; per-method error counters and
 /// latency recorders key off this list so telemetry names stay bounded
 /// no matter what clients send.
@@ -336,7 +348,8 @@ int Server::run(std::istream &In, std::ostream &Out, std::ostream &Log) {
     std::lock_guard<std::mutex> LogLock(LogMu);
     Log << "pta-serve " << version::kToolVersion << " (result format "
         << version::kResultFormatName << ", version "
-        << version::kResultFormatVersion << ") ready; cache dir: "
+        << version::kResultFormatVersion << ", source digest "
+        << version::sourceDigest() << ") ready; cache dir: "
         << (Cfg.Cache.Dir.empty() ? "<memory only>" : Cfg.Cache.Dir.c_str())
         << "; threads: " << (Cfg.Threads ? Cfg.Threads : 1);
     if (Cfg.Threads > 1)
@@ -384,7 +397,6 @@ int Server::readLoop(std::istream &In, std::ostream &Out, std::ostream &Log) {
     std::lock_guard<std::mutex> OutLock(OutMu);
     Out << Response << "\n" << std::flush;
   };
-  std::atomic<bool> ShuttingDown{false};
 
   // With Threads > 1 the reader feeds a bounded queue drained by a worker
   // pool. Otherwise there is no queue: the reader answers each line
@@ -396,22 +408,15 @@ int Server::readLoop(std::istream &In, std::ostream &Out, std::ostream &Log) {
     Queue = std::make_unique<RequestQueue>(Cfg.QueueCap);
     Workers.reserve(Cfg.Threads);
     for (unsigned T = 0; T < Cfg.Threads; ++T) {
-      Workers.emplace_back([this, &Queue, &Write, &Log, &ShuttingDown] {
+      Workers.emplace_back([this, &Queue, &Write, &Log] {
         RequestQueue::Item It;
         while (Queue->pop(It)) {
           Admission Adm;
           Adm.QueueWaitMs = msSince(It.EnqueuedAt);
           Adm.QueueDepth = Queue->depth();
           Adm.QueueCap = Queue->capacity();
-          bool WantShutdown = false;
-          std::string Response = handleLine(It.Line, WantShutdown, Log, Adm);
-          if (WantShutdown) {
-            // Seal the queue: items already accepted keep draining (every
-            // admitted request gets its answer), new lines are rejected.
-            ShuttingDown.store(true, std::memory_order_relaxed);
-            Queue->close();
-          }
-          Write(Response);
+          bool WantShutdown = false; // the reader stops at the shutdown
+          Write(handleLine(It.Line, WantShutdown, Log, Adm));
         }
       });
     }
@@ -419,8 +424,12 @@ int Server::readLoop(std::istream &In, std::ostream &Out, std::ostream &Log) {
 
   // This thread is the reader: it owns the istream, bounds each line,
   // and never blocks on the queue — admission control sheds instead.
+  // Once it admits a shutdown it reads no further, as the unqueued
+  // reader does (a client may hold its end of the stream open); closing
+  // the queue below lets every admitted request drain to its answer.
   std::string Line;
-  while (!ShuttingDown.load(std::memory_order_relaxed)) {
+  bool AdmittedShutdown = false;
+  while (!AdmittedShutdown) {
     LineRead R = readBoundedLine(In, Line, Cfg.MaxLineBytes);
     if (R == LineRead::Eof)
       break;
@@ -453,12 +462,14 @@ int Server::readLoop(std::istream &In, std::ostream &Out, std::ostream &Log) {
       RequestQueue::Item It;
       It.Line = Line;
       It.Cid = scrapeCid(Line);
+      const bool IsShutdown = isShutdownLine(Line);
       It.EnqueuedAt = std::chrono::steady_clock::now();
       RequestQueue::Item Evicted;
       bool DidEvict = false;
       switch (Queue->pushFair(std::move(It), Evicted, DidEvict)) {
       case RequestQueue::PushResult::Ok:
         Telem->add("serve.admission.admitted", 1);
+        AdmittedShutdown = IsShutdown;
         if (DidEvict) {
           // Per-cid fairness: the queue was full and some tenant held
           // strictly more slots than this request's — its newest queued

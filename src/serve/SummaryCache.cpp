@@ -49,10 +49,14 @@ std::string hex64(uint64_t V) {
 } // namespace
 
 std::string SummaryCache::key(std::string_view Source,
-                              std::string_view OptionsFingerprint) {
-  // Separators keep (source, fingerprint) concatenation unambiguous.
+                              std::string_view OptionsFingerprint,
+                              std::string_view SourceDigest) {
+  // Separators keep (digest, fingerprint, source) concatenation
+  // unambiguous.
   std::string Material = std::string(version::kResultFormatName) + ":" +
                          std::to_string(version::kResultFormatVersion) + "\x1f";
+  Material.append(SourceDigest);
+  Material += '\x1f';
   Material.append(OptionsFingerprint);
   Material += '\x1f';
   Material.append(Source);

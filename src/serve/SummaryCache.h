@@ -12,12 +12,16 @@
 ///
 /// The key is a hash of everything that determines the result:
 ///
-///   key = H(format version ⊕ options fingerprint ⊕ source bytes)
+///   key = H(format version ⊕ source digest ⊕ options fingerprint ⊕
+///           source bytes)
 ///
 /// so byte-identical re-analyses hit, any change to the source, the
-/// AnalysisOptions, the AnalysisLimits, or the blob layout misses, and
-/// stale blobs from older format versions are simply never addressed
-/// (no migration logic needed). The store is corruption-tolerant by
+/// AnalysisOptions, the AnalysisLimits, the blob layout or the analyzer
+/// build misses, and stale blobs from older format versions or other
+/// builds are simply never addressed (no migration logic needed). The
+/// source digest (version::sourceDigest) hashes the library's own
+/// sources at build time: a change that alters results without a format
+/// bump still gets fresh keys. The store is corruption-tolerant by
 /// contract: a truncated or bit-flipped blob deserializes to an error,
 /// which lookup() converts into a miss plus a warning — a poisoned
 /// cache can cost time, never correctness or a crash. The corrupt blob
@@ -49,6 +53,7 @@
 #include "serve/Serialize.h"
 #include "support/FlightRecorder.h"
 #include "support/Telemetry.h"
+#include "support/Version.h"
 
 #include <array>
 #include <atomic>
@@ -133,11 +138,13 @@ public:
   };
 
   /// The content address for one (source, options) pair under the
-  /// current result-format version. 32 hex characters.
+  /// current result-format version and, by default, this build's source
+  /// digest. 32 hex characters.
   static std::string key(std::string_view Source,
                          const pta::Analyzer::Options &Opts);
-  static std::string key(std::string_view Source,
-                         std::string_view OptionsFingerprint);
+  static std::string
+  key(std::string_view Source, std::string_view OptionsFingerprint,
+      std::string_view SourceDigest = version::sourceDigest());
 
   /// Returns the cached snapshot for \p Key, consulting the LRU first
   /// and the disk tier second (a disk hit repopulates the LRU). Returns

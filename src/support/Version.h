@@ -44,6 +44,13 @@ inline constexpr const char *kResultFormatName = "mcpta-result-v3";
 /// rejected as unreadable (a cache miss, or a recreated baseline).
 inline constexpr uint32_t kResultFormatVersion = 3;
 
+/// Digest of the library's sources: 16 hex digits of a SHA-256 over
+/// every file under src/, generated at build time
+/// (support/SourceDigest.cmake). Part of every cache key, so blobs that
+/// another build stored are never served, and printed in the serve
+/// daemon's ready line.
+const char *sourceDigest();
+
 } // namespace version
 } // namespace mcpta
 

@@ -133,6 +133,9 @@ TEST(IncrementalTest, IdenticalSourceReusesEverythingButMain) {
   EXPECT_EQ(O.Stats.DirtyFunctions, 1u); // main
   EXPECT_GT(O.Stats.SeedHits, 0u);
   EXPECT_GT(O.Stats.MemoReuse, 0u);
+  // Nothing but main runs live, so every grafted row is carried.
+  EXPECT_GT(O.Stats.RowsCarried, 0u);
+  EXPECT_EQ(O.Stats.RowsMaterialized, 0u);
   EXPECT_EQ(O.Blob, serialize(Baseline));
 }
 
@@ -162,6 +165,181 @@ TEST(IncrementalTest, RandomWalkChainsSnapshots) {
     Baseline = std::move(O.Snapshot);
   }
   EXPECT_GE(Applied, 8u);
+}
+
+//===----------------------------------------------------------------------===//
+// Restored rows: carried in canonical form, or built as live sets
+//===----------------------------------------------------------------------===//
+
+/// The baseline rows and new rows of \p Fn's statements, paired by
+/// position in the function (statement ids may move between programs).
+std::vector<std::pair<const PackedSet *, const PackedSet *>>
+rowsOf(const ResultSnapshot &Base, const ResultSnapshot &New,
+       const std::string &Fn) {
+  auto Meta = [&Fn](const ResultSnapshot &S) -> const FunctionMeta * {
+    for (const FunctionMeta &F : S.Meta.Functions)
+      if (F.Name == Fn)
+        return &F;
+    return nullptr;
+  };
+  auto Row = [](const ResultSnapshot &S, uint32_t Id) -> const PackedSet * {
+    for (const StmtSetRecord &R : S.StmtIn)
+      if (R.StmtId == Id)
+        return &R.Set;
+    return nullptr;
+  };
+  std::vector<std::pair<const PackedSet *, const PackedSet *>> Out;
+  const FunctionMeta *B = Meta(Base), *N = Meta(New);
+  if (!B || !N || B->StmtIds.size() != N->StmtIds.size())
+    return Out;
+  for (size_t K = 0; K < B->StmtIds.size(); ++K)
+    Out.emplace_back(Row(Base, B->StmtIds[K]), Row(New, N->StmtIds[K]));
+  return Out;
+}
+
+TEST(IncrementalTest, RestoredRowMergesIntoALiveRow) {
+  // f is clean: its baseline context f(&a) is grafted, while the new
+  // call f(&b) evaluates it live, so each of f's statements has a live
+  // row that the restored baseline row merges into.
+  const std::string Base = "int a, b;\n"
+                           "int *f(int *p) { int *q; q = p; return q; }\n"
+                           "int main(void) {\n"
+                           "  int *x;\n"
+                           "  int *y;\n"
+                           "  x = f(&a);\n"
+                           "  return 0;\n"
+                           "}\n";
+  std::string Edit = Base;
+  Edit.replace(Edit.find("  return 0;"), 0, "  y = f(&b);\n");
+  IncrOutput O;
+  expectEquivalent(snapshotOf(Base), Edit, "merge", &O);
+  EXPECT_TRUE(O.Stats.UsedIncremental) << O.Stats.FallbackReason;
+  EXPECT_GT(O.Stats.SeedHits, 0u);
+  EXPECT_GT(O.Stats.RowsMaterialized, 0u);
+  EXPECT_EQ(O.Stats.RowsCarried, 0u);
+}
+
+TEST(IncrementalTest, GeneratedEditMergesRestoredRows) {
+  // The first generated program where a mutation kind merges restored
+  // rows into live ones (docs/INCREMENTAL.md): a rename in seed 51
+  // leaves a grafted function that other contexts also evaluate live.
+  wlgen::GenConfig C;
+  C.Seed = 51;
+  const std::string Base = wlgen::generateProgram(C);
+  const std::string Edit =
+      wlgen::mutateSource(Base, wlgen::MutationKind::RenameLocal, /*Salt=*/0);
+  ASSERT_NE(Edit, Base);
+  IncrOutput O;
+  expectEquivalent(snapshotOf(Base), Edit, "seed 51 RenameLocal", &O);
+  EXPECT_TRUE(O.Stats.UsedIncremental) << O.Stats.FallbackReason;
+  EXPECT_GT(O.Stats.RowsMaterialized, 0u);
+  EXPECT_GT(O.Stats.RowsCarried, 0u);
+}
+
+TEST(IncrementalTest, MovedStringIdsRecomputeCarriedReadWriteSets) {
+  // Inserting a function with a literal ahead of h renumbers h's literal
+  // (str$0 -> str$1) although h is clean, so h's baseline read set no
+  // longer names the right location: its rows are built as live sets
+  // and its read/write sets recomputed.
+  const std::string Base = "char *g;\n"
+                           "char c;\n"
+                           "void h(void) { char *s; s = \"hi\"; g = s; c = *s; }\n"
+                           "int main(void) {\n"
+                           "  h();\n"
+                           "  return 0;\n"
+                           "}\n";
+  std::string Edit = Base;
+  Edit.replace(Edit.find("void h"), 0, "void k(void) { char *t; t = \"x\"; }\n");
+  Edit.replace(Edit.find("  h();"), 0, "  k();\n");
+  ResultSnapshot Baseline = snapshotOf(Base);
+  IncrOutput O;
+  expectEquivalent(Baseline, Edit, "string shift", &O);
+  EXPECT_TRUE(O.Stats.UsedIncremental) << O.Stats.FallbackReason;
+  EXPECT_GT(O.Stats.RowsMaterialized, 0u);
+  EXPECT_EQ(O.Stats.RowsCarried, 0u);
+  ASSERT_TRUE(Baseline.Reads.count("h") && O.Snapshot.Reads.count("h"));
+  EXPECT_NE(Baseline.Reads.at("h"), O.Snapshot.Reads.at("h"));
+}
+
+TEST(IncrementalTest, ShiftedTempsKeepReadWriteSetsExact) {
+  // `$tN` temporaries are program-wide counters: a temp-creating edit to
+  // e, lowered before f, renumbers f's int temp, which no points-to row
+  // names but f's write set does. The new blob must name the new temp.
+  // (f's fingerprint hashes its locals' raw names, so f re-runs live;
+  // were it grafted, restore would rebuild its read/write sets because
+  // its local names moved.)
+  const std::string Base = "int y, z;\n"
+                           "int *gp;\n"
+                           "int e(void) { int x; x = y; return x; }\n"
+                           "int f(int *p) { int r; r = *p + *p * z; gp = p;"
+                           " return r; }\n"
+                           "int main(void) {\n"
+                           "  e();\n"
+                           "  f(&y);\n"
+                           "  return 0;\n"
+                           "}\n";
+  std::string Edit = Base;
+  Edit.replace(Edit.find("x = y;"), 6, "x = y + y * z;");
+  ResultSnapshot Baseline = snapshotOf(Base);
+  IncrOutput O;
+  expectEquivalent(Baseline, Edit, "temp shift", &O);
+  EXPECT_TRUE(O.Stats.UsedIncremental) << O.Stats.FallbackReason;
+  ASSERT_TRUE(Baseline.Writes.count("f") && O.Snapshot.Writes.count("f"));
+  EXPECT_NE(Baseline.Writes.at("f"), O.Snapshot.Writes.at("f"));
+}
+
+/// A clean callee named to sort after main, so main's locations precede
+/// its own in canonical order.
+const char *const ShiftBase = "int a, b;\n"
+                              "int *gp;\n"
+                              "void zf(int **pp) { int *q; q = *pp; gp = q; }\n"
+                              "int main(void) {\n"
+                              "  int *m;\n"
+                              "  m = &a;\n"
+                              "  zf(&m);\n"
+                              "  return 0;\n"
+                              "}\n";
+
+TEST(IncrementalTest, RenameLocalCarriesRowsInOrder) {
+  // A rename moves one of main's locations within main's block of the
+  // canonical order; zf's rows are carried and stay byte-identical.
+  std::string Edit = ShiftBase;
+  Edit.replace(Edit.find("int *m;"), 7, "int *zz;");
+  Edit.replace(Edit.find("m = &a;"), 1, "zz");
+  Edit.replace(Edit.find("zf(&m);"), 7, "zf(&zz);");
+  ResultSnapshot Baseline = snapshotOf(ShiftBase);
+  support::Telemetry Telem(true);
+  IncrOutput O = IncrementalEngine::reanalyze(Baseline, Edit, {}, &Telem);
+  ASSERT_TRUE(O.Ok);
+  EXPECT_TRUE(O.Stats.UsedIncremental) << O.Stats.FallbackReason;
+  EXPECT_EQ(O.Blob, scratchBlob(Edit));
+  EXPECT_GT(O.Stats.RowsCarried, 0u);
+  EXPECT_EQ(O.Stats.RowsMaterialized, 0u);
+  EXPECT_EQ(Telem.counter("incr.rows_carried").Value, O.Stats.RowsCarried);
+  EXPECT_EQ(Telem.counter("incr.rows_materialized").Value, 0u);
+}
+
+TEST(IncrementalTest, ShiftedCanonicalIdsRemapCarriedRows) {
+  // main gains a pointer local and a target: two locations that sort
+  // ahead of zf's, so every canonical id zf's carried rows use moves up
+  // and each row is remapped rather than copied.
+  std::string Edit = ShiftBase;
+  Edit.replace(Edit.find("  return 0;"), 0, "  int *n;\n  n = &b;\n");
+  ResultSnapshot Baseline = snapshotOf(ShiftBase);
+  IncrOutput O;
+  expectEquivalent(Baseline, Edit, "shift", &O);
+  EXPECT_TRUE(O.Stats.UsedIncremental) << O.Stats.FallbackReason;
+  EXPECT_GT(O.Stats.RowsCarried, 0u);
+  EXPECT_EQ(O.Stats.RowsMaterialized, 0u);
+  unsigned Remapped = 0;
+  for (const auto &[B, N] : rowsOf(Baseline, O.Snapshot, "zf")) {
+    ASSERT_EQ(B == nullptr, N == nullptr);
+    if (B && *B != *N) {
+      EXPECT_EQ(B->size(), N->size());
+      ++Remapped;
+    }
+  }
+  EXPECT_GT(Remapped, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -239,6 +239,117 @@ TEST(SerializeTest, OptionsFingerprintCoversEveryKnob) {
   EXPECT_EQ(optionsFingerprint(Base), optionsFingerprint(pta::Analyzer::Options{}));
 }
 
+/// The little-endian bytes of \p V.
+std::string le32(uint32_t V) {
+  return {static_cast<char>(V), static_cast<char>(V >> 8),
+          static_cast<char>(V >> 16), static_cast<char>(V >> 24)};
+}
+
+/// One run: its source id, its pair count, then (dst, definite) pairs.
+std::string run(uint32_t Src,
+                std::initializer_list<std::pair<uint32_t, bool>> Pairs) {
+  std::string Out = le32(Src) + le32(static_cast<uint32_t>(Pairs.size()));
+  for (const auto &[Dst, Definite] : Pairs)
+    Out += le32(Dst) + std::string(1, Definite ? '\1' : '\0');
+  return Out;
+}
+
+TEST(SerializeTest, PackedWordsUseThePointsToEntryLayout) {
+  EXPECT_EQ(packTriple(1, 2, /*Definite=*/true), (uint64_t(1) << 32) | (2u << 1));
+  EXPECT_EQ(packTriple(1, 2, /*Definite=*/false),
+            (uint64_t(1) << 32) | (2u << 1) | 1u);
+  const uint64_t W = packTriple(0xfffffffeu, 0x7fffffffu, false);
+  EXPECT_EQ(tripleSrc(W), 0xfffffffeu);
+  EXPECT_EQ(tripleDst(W), 0x7fffffffu);
+  EXPECT_FALSE(tripleDefinite(W));
+}
+
+/// A captured snapshot with at least ten canonical locations whose
+/// StmtIn is one row, statement 1, holding \p Set.
+ResultSnapshot withRow(const PackedSet &Set) {
+  ResultSnapshot S = captureSource("int a, b, c, d, e;\n"
+                                   "int main(void) {\n"
+                                   "  int *p; int *q; int *r; int *s; int *t;\n"
+                                   "  p = &a; q = &b; r = &c; s = &d; t = &e;\n"
+                                   "  return 0;\n"
+                                   "}\n");
+  EXPECT_GE(S.Locations.size(), 10u);
+  EXPECT_GT(S.NumStmts, 1u);
+  S.StmtIn = {{1, Set}};
+  return S;
+}
+
+TEST(SerializeTest, SetEncodingIsPerSourceRuns) {
+  // The v3 bytes of each set, built by hand: a run count, then per
+  // source its id, its pair count and 5-byte (dst, definite) pairs.
+  // serialize() must write exactly these bytes after the StmtIn row's
+  // count and statement id, and deserialize() must read the row back.
+  const uint32_t MaxDst = 0x7fffffffu; // 2^31 - 1, the largest that packs
+  struct Case {
+    const char *Name;
+    PackedSet Set;
+    std::string Bytes;
+  };
+  const Case Cases[] = {
+      {"empty", {}, le32(0)},
+      {"one run",
+       {packTriple(3, 1, true), packTriple(3, 4, true)},
+       le32(1) + run(3, {{1, true}, {4, true}})},
+      {"many runs",
+       {packTriple(0, 5, true), packTriple(2, 0, true), packTriple(2, 1, true),
+        packTriple(7, 7, true)},
+       le32(3) + run(0, {{5, true}}) + run(2, {{0, true}, {1, true}}) +
+           run(7, {{7, true}})},
+      {"mixed D/P",
+       {packTriple(1, 2, true), packTriple(1, 3, false),
+        packTriple(4, 0, false)},
+       le32(2) + run(1, {{2, true}, {3, false}}) + run(4, {{0, false}})},
+      {"largest dst",
+       {packTriple(9, 0, true), packTriple(9, MaxDst, false)},
+       le32(1) + run(9, {{0, true}, {MaxDst, false}})},
+  };
+  const std::string Row = le32(1) + le32(1); // one row, statement 1
+  const size_t EmptyBlob = serialize(withRow({})).size();
+  std::string Pre, Post; // the blob around the row's set bytes
+  for (const Case &C : Cases) {
+    ResultSnapshot S = withRow(C.Set);
+    const std::string Blob = serialize(S);
+    const size_t At = Blob.find(Row + C.Bytes);
+    ASSERT_NE(At, std::string::npos) << C.Name;
+    EXPECT_EQ(At, Blob.rfind(Row + C.Bytes)) << C.Name;
+    EXPECT_EQ(Blob.size(), EmptyBlob - 4 + C.Bytes.size()) << C.Name;
+    if (Pre.empty()) {
+      Pre = Blob.substr(0, At + Row.size());
+      Post = Blob.substr(At + Row.size() + C.Bytes.size());
+    }
+    if (tripleDst(C.Set.empty() ? 0 : C.Set.back()) >= S.Locations.size())
+      continue; // no snapshot has 2^31 locations to read it back against
+    ResultSnapshot Back;
+    std::string Err;
+    ASSERT_TRUE(deserialize(Blob, Back, Err)) << C.Name << ": " << Err;
+    EXPECT_TRUE(Back == S) << C.Name;
+  }
+
+  // The reader rejects every malformed set in a row.
+  const std::pair<const char *, std::string> Bad[] = {
+      {"dst does not pack", le32(1) + run(0, {{MaxDst + 1, true}})},
+      {"dst out of range", le32(1) + run(0, {{5000, true}})},
+      {"src out of range", le32(1) + run(5000, {{0, true}})},
+      {"unsorted runs", le32(2) + run(2, {{0, true}}) + run(1, {{0, true}})},
+      {"unsorted pairs", le32(1) + run(1, {{3, true}, {2, true}})},
+      {"definite byte", le32(1) + le32(1) + le32(1) + le32(0) + '\2'},
+      {"empty run", le32(1) + run(1, {})},
+  };
+  ResultSnapshot Back;
+  std::string Err;
+  ASSERT_TRUE(deserialize(Pre + le32(0) + Post, Back, Err)) << Err;
+  for (const auto &[Name, Bytes] : Bad) {
+    Err.clear();
+    EXPECT_FALSE(deserialize(Pre + Bytes + Post, Back, Err)) << Name;
+    EXPECT_FALSE(Err.empty()) << Name;
+  }
+}
+
 TEST(SerializeTest, EqualResultsSerializeIdentically) {
   // Two independent runs of the same (source, options) must produce the
   // same bytes — the determinism the content-addressed cache relies on.

@@ -18,15 +18,20 @@
 #include "serve/Json.h"
 #include "serve/Server.h"
 #include "serve/SummaryCache.h"
+#include "support/Version.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <thread>
 #include <vector>
 
@@ -81,6 +86,24 @@ TEST(SummaryCacheTest, SourceChangesMiss) {
   pta::Analyzer::Options Opts;
   EXPECT_NE(SummaryCache::key("int main(void) { return 0; }", Opts),
             SummaryCache::key("int main(void) { return 1; }", Opts));
+}
+
+TEST(SummaryCacheTest, SourceDigestChangesMiss) {
+  // Blobs written by another build of the analyzer are never addressed:
+  // the key mixes in the library's source digest, this build's by
+  // default.
+  const char *Src = "int main(void) { return 0; }";
+  const std::string FP = optionsFingerprint(pta::Analyzer::Options{});
+  const std::string Digest = version::sourceDigest();
+  EXPECT_EQ(Digest.size(), 16u);
+  EXPECT_EQ(Digest.find_first_not_of("0123456789abcdef"), std::string::npos);
+  EXPECT_EQ(SummaryCache::key(Src, FP), SummaryCache::key(Src, FP, Digest));
+  EXPECT_NE(SummaryCache::key(Src, FP, "0000000000000000"),
+            SummaryCache::key(Src, FP, "0000000000000001"));
+  EXPECT_NE(SummaryCache::key(Src, FP),
+            SummaryCache::key(Src, FP, Digest == "0000000000000000"
+                                           ? "0000000000000001"
+                                           : "0000000000000000"));
 }
 
 TEST(SummaryCacheTest, OptionChangesMiss) {
@@ -958,9 +981,9 @@ TEST(ServerTest, PoolDrainsInFlightRequestsOnShutdown) {
 }
 
 TEST(ServerTest, PostShutdownLinesAreRejectedNotServed) {
-  // Lines racing a shutdown through the pool are either answered (they
-  // were admitted before the queue sealed) or rejected with a shutdown
-  // error — never dropped silently mid-read, never half-served.
+  // Lines after a shutdown through the pool are never served: the reader
+  // stops at the admitted shutdown, so they are not even read, and the
+  // shutdown is the only request answered.
   TempCacheDir Dir("postshut");
   Server::Config Cfg;
   Cfg.Cache.Dir = Dir.Path;
@@ -972,17 +995,69 @@ TEST(ServerTest, PostShutdownLinesAreRejectedNotServed) {
   std::istringstream In(Input);
   std::ostringstream Out, Log;
   EXPECT_EQ(S.run(In, Out, Log), 0);
-  bool SawShutdownOk = false;
-  for (const JsonValue &R : parseResponses(Out.str())) {
-    if (R.getNumber("id", -1) == 1) {
-      EXPECT_TRUE(R.getBool("ok", false));
-      SawShutdownOk = true;
-    } else if (!R.getBool("ok", false)) {
-      EXPECT_NE(R.getString("error", "").find("shutting down"),
-                std::string::npos);
-    }
+  std::vector<JsonValue> Rs = parseResponses(Out.str());
+  ASSERT_EQ(Rs.size(), 1u) << Out.str();
+  EXPECT_EQ(Rs[0].getNumber("id", -1), 1);
+  EXPECT_TRUE(Rs[0].getBool("ok", false));
+}
+
+/// An input stream whose writer keeps it open: it hands out its text,
+/// then blocks in underflow() until release() instead of reporting EOF.
+class OpenPipeBuf : public std::streambuf {
+public:
+  explicit OpenPipeBuf(std::string Text) : Text(std::move(Text)) {
+    setg(this->Text.data(), this->Text.data(),
+         this->Text.data() + this->Text.size());
   }
-  EXPECT_TRUE(SawShutdownOk);
+  void release() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Released = true;
+    Cv.notify_all();
+  }
+
+protected:
+  int_type underflow() override {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Cv.wait(Lock, [this] { return Released; });
+    return traits_type::eof();
+  }
+
+private:
+  std::string Text;
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Released = false;
+};
+
+TEST(ServerTest, ShutdownReturnsWhileInputStaysOpen) {
+  // A client that sends shutdown and keeps its end of stdin open must
+  // still see the daemon exit, at every pool width; the request admitted
+  // ahead of the shutdown is answered first.
+  for (unsigned Threads : {1u, 2u}) {
+    Server::Config Cfg;
+    Cfg.Cache.Dir = "";
+    Cfg.Threads = Threads;
+    Server S(Cfg);
+    OpenPipeBuf Buf("{\"id\":1,\"method\":\"stats\"}\n"
+                    "{\"id\":2,\"method\":\"shutdown\"}\n");
+    std::istream In(&Buf);
+    std::ostringstream Out, Log;
+    std::promise<int> Code;
+    std::future<int> Done = Code.get_future();
+    std::thread Runner([&] { Code.set_value(S.run(In, Out, Log)); });
+    const bool Returned =
+        Done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    Buf.release(); // unblocks a reader that missed the shutdown
+    Runner.join();
+    EXPECT_TRUE(Returned) << "threads=" << Threads
+                          << ": run() waited for EOF after shutdown";
+    EXPECT_EQ(Done.get(), 0);
+    std::map<int, bool> OkById;
+    for (const JsonValue &R : parseResponses(Out.str()))
+      OkById[static_cast<int>(R.getNumber("id", -1))] = R.getBool("ok", false);
+    EXPECT_TRUE(OkById[1]) << "threads=" << Threads;
+    EXPECT_TRUE(OkById[2]) << "threads=" << Threads;
+  }
 }
 
 TEST(ServerTest, PoolAnswersAreIdenticalToSequentialAnswers) {
