@@ -167,10 +167,18 @@ DemandEngine::exhaustive(support::Telemetry *Telem) {
     pta::Analyzer::Options AO = Opts.Analyzer;
     AO.Telem = Telem;
     pta::Analyzer::Result Res = pta::Analyzer::run(Prog, AO);
-    Exh = std::make_unique<serve::ResultSnapshot>(serve::ResultSnapshot::capture(
-        Prog, Res, serve::optionsFingerprint(AO), meta()));
+    Exh = std::make_shared<const serve::ResultSnapshot>(
+        serve::ResultSnapshot::capture(Prog, Res,
+                                       serve::optionsFingerprint(AO), meta()));
   }
   return *Exh;
+}
+
+void DemandEngine::offerExhaustive(
+    std::shared_ptr<const serve::ResultSnapshot> S) {
+  if (!Exh && S &&
+      S->OptionsFingerprint == serve::optionsFingerprint(Opts.Analyzer))
+    Exh = std::move(S);
 }
 
 int DemandEngine::resolveRoot(const std::string &Name, std::string &GateOut) {
@@ -206,32 +214,26 @@ int DemandEngine::resolveRoot(const std::string &Name, std::string &GateOut) {
   return Root;
 }
 
-void DemandEngine::answerFrom(const Query &Q, const serve::ResultSnapshot &S,
-                              Answer &A) {
+Answer answerFrom(const Query &Q, const serve::ResultSnapshot &S) {
+  Answer A;
+  A.Degraded = S.degraded();
   if (Q.K == Query::Kind::Alias) {
     A.Aliased = S.aliased(Q.A, Q.B);
     A.Ok = true;
-    return;
-  }
-  if (S.locationIdByName(Q.Name) < 0) {
-    A.Ok = false;
+  } else if (S.locationIdByName(Q.Name) < 0) {
     A.Error = "unknown location '" + Q.Name + "'";
-    return;
+  } else {
+    A.Targets = S.pointsToTargets(Q.Name, Q.StmtId);
+    A.Ok = true;
   }
-  A.Targets = S.pointsToTargets(Q.Name, Q.StmtId);
-  A.Ok = true;
+  return A;
 }
 
 Answer DemandEngine::fallback(const Query &Q, const std::string &Reason,
                               support::Telemetry *Telem) {
-  Answer A;
-  A.FallbackReason = Reason;
-  if (!Opts.RunExhaustiveOnFallback) {
-    A.Error = "demand fallback: " + Reason;
-    return A;
-  }
+  Answer A = answerFrom(Q, exhaustive(Telem));
   A.Strategy = "exhaustive";
-  answerFrom(Q, exhaustive(Telem), A);
+  A.FallbackReason = Reason;
   return A;
 }
 
@@ -303,23 +305,20 @@ Answer DemandEngine::query(const Query &Q, support::Telemetry *Telem) {
   AO.Telem = &RunTelem;
   pta::Analyzer::Result Res = pta::Analyzer::run(Prog, AO);
 
-  Answer A;
   std::map<std::string, uint64_t, std::less<>> C = RunTelem.countersSnapshot();
-  A.VisitedStmts = C.count("pta.stmt_visits") ? C["pta.stmt_visits"] : 0;
-  A.SkippedStmts = C.count("pta.stmt_skips") ? C["pta.stmt_skips"] : 0;
-  A.SliceBasic = LV.SliceBasic;
-  A.LiveBasic = LV.LiveBasic;
   if (Telem)
     Telem->mergeFrom(RunTelem);
+  // The pruned run's statistics ride on whichever answer it leads to.
+  auto WithRunStats = [&](Answer A) {
+    A.VisitedStmts = C.count("pta.stmt_visits") ? C["pta.stmt_visits"] : 0;
+    A.SkippedStmts = C.count("pta.stmt_skips") ? C["pta.stmt_skips"] : 0;
+    A.SliceBasic = LV.SliceBasic;
+    A.LiveBasic = LV.LiveBasic;
+    return A;
+  };
 
-  if (!Res.Analyzed || Res.degraded()) {
-    Answer F = Fallback("degraded");
-    F.VisitedStmts = A.VisitedStmts;
-    F.SkippedStmts = A.SkippedStmts;
-    F.SliceBasic = A.SliceBasic;
-    F.LiveBasic = A.LiveBasic;
-    return F;
-  }
+  if (!Res.Analyzed || Res.degraded())
+    return WithRunStats(Fallback("degraded"));
 
   serve::ResultSnapshot Snap = serve::ResultSnapshot::capture(
       Prog, Res, serve::optionsFingerprint(AO), meta());
@@ -328,16 +327,11 @@ Answer DemandEngine::query(const Query &Q, support::Telemetry *Telem) {
     // statement sets or invocation-graph records the pruned run does
     // not produce); let the fallback decide between an answer and the
     // unknown-location error.
-    Answer F = Fallback("unmentioned");
-    F.VisitedStmts = A.VisitedStmts;
-    F.SkippedStmts = A.SkippedStmts;
-    F.SliceBasic = A.SliceBasic;
-    F.LiveBasic = A.LiveBasic;
-    return F;
+    return WithRunStats(Fallback("unmentioned"));
   }
+  Answer A = answerFrom(Q, Snap);
   A.Strategy = "demand";
-  answerFrom(Q, Snap, A);
-  return A;
+  return WithRunStats(std::move(A));
 }
 
 } // namespace demand

@@ -108,23 +108,22 @@ struct DemandOptions {
   /// FnPtr/ContextSensitive settings gate every query to the fallback
   /// ("options").
   pta::Analyzer::Options Analyzer;
-  /// When true (default), a fallback runs the exhaustive analysis and
-  /// answers from it (Strategy="exhaustive"). When false, the caller
-  /// already holds an exhaustive result and only wants the reason
-  /// (serve answers from its snapshot cache).
-  bool RunExhaustiveOnFallback = true;
 };
 
 /// The outcome of one query.
 struct Answer {
-  /// False only on an unanswered fallback (RunExhaustiveOnFallback off)
-  /// or an exhaustive-side error (unknown location).
+  /// False only on an unknown location (points_to naming a location the
+  /// answering snapshot does not hold); Error then says which.
   bool Ok = false;
   std::string Error;
-  /// "demand" or "exhaustive" (empty when unanswered).
+  /// "demand" or "exhaustive" when the engine answered; empty from
+  /// answerFrom(), whose caller knows which result it passed.
   std::string Strategy;
   /// Empty for a demand answer; the gate that fired otherwise.
   std::string FallbackReason;
+  /// The answering snapshot degraded under a resource budget. Only an
+  /// exhaustive snapshot can: a degraded pruned run falls back.
+  bool Degraded = false;
 
   /// Alias payload.
   bool Aliased = false;
@@ -143,6 +142,11 @@ struct Answer {
 
   bool answeredByDemand() const { return Ok && Strategy == "demand"; }
 };
+
+/// Answers \p Q from \p S: the one routine that answers alias and
+/// points_to from a result, whichever strategy produced it. Strategy
+/// and FallbackReason are left empty for the caller to fill.
+Answer answerFrom(const Query &Q, const serve::ResultSnapshot &S);
 
 /// Per-program query engine. Builds its gates eagerly (cheap scans) and
 /// the Relevance solution and program metadata lazily on the first
@@ -177,6 +181,13 @@ public:
     return exhaustive(Opts.Analyzer.Telem);
   }
 
+  /// Offers an exhaustive result of this program that the caller
+  /// already holds, so fallbacks answer from it instead of running the
+  /// analysis. Taken only while the engine has none and when \p S was
+  /// computed under this engine's options fingerprint; the caller vouches
+  /// that it is a complete run (not one a watchdog cut short).
+  void offerExhaustive(std::shared_ptr<const serve::ResultSnapshot> S);
+
   /// Relevance statistics (zeros until the first non-gated query forces
   /// the build).
   Relevance::Stats relevanceStats() const;
@@ -187,8 +198,6 @@ private:
   Answer fallback(const Query &Q, const std::string &Reason,
                   support::Telemetry *Telem);
   const incr::ProgramMeta &meta();
-  /// Answers \p Q from \p S (demand or exhaustive snapshot alike).
-  void answerFrom(const Query &Q, const serve::ResultSnapshot &S, Answer &A);
   /// Resolves a plain variable name to a relevance root; on failure
   /// returns -1 with the gate reason in \p GateOut.
   int resolveRoot(const std::string &Name, std::string &GateOut);
@@ -199,7 +208,7 @@ private:
   std::string ProgramGate;
   const simple::FunctionIR *Main = nullptr;
   std::unique_ptr<Relevance> Rel;
-  std::unique_ptr<serve::ResultSnapshot> Exh;
+  std::shared_ptr<const serve::ResultSnapshot> Exh;
   /// The caller's metadata, or OwnMeta once computed.
   const incr::ProgramMeta *Meta;
   std::unique_ptr<incr::ProgramMeta> OwnMeta;

@@ -638,6 +638,9 @@ int runQuery(const std::string &Source, const ToolConfig &Cfg,
   demand::DemandEngine Engine(*FE.Prog, DO);
 
   const bool IsAlias = !AliasA.empty() || !AliasB.empty();
+  const demand::Query Q = IsAlias ? demand::Query::alias(AliasA, AliasB)
+                                  : demand::Query::pointsTo(PointsToName);
+  demand::Answer A;
   if (Strategy == "exhaustive") {
     const serve::ResultSnapshot &S = Engine.exhaustiveSnapshot();
     if (!S.Analyzed) {
@@ -645,36 +648,19 @@ int runQuery(const std::string &Source, const ToolConfig &Cfg,
       return 1;
     }
     std::printf("strategy: exhaustive\n");
-    if (IsAlias) {
-      std::printf("alias(%s, %s): %s\n", AliasA.c_str(), AliasB.c_str(),
-                  S.aliased(AliasA, AliasB) ? "yes" : "no");
-    } else {
-      if (S.locationIdByName(PointsToName) < 0) {
-        std::fprintf(stderr, "error: unknown location '%s'\n",
-                     PointsToName.c_str());
-        return 1;
-      }
-      std::printf("points_to(%s):\n", PointsToName.c_str());
-      for (const auto &[Target, Definite] :
-           S.pointsToTargets(PointsToName))
-        std::printf("  %s (%s)\n", Target.c_str(),
-                    Definite ? "definite" : "possible");
-    }
-    return (Cfg.Strict && S.degraded()) ? 2 : 0;
+    A = demand::answerFrom(Q, S);
+  } else {
+    A = Engine.query(Q);
   }
-
-  demand::Answer A =
-      Engine.query(IsAlias ? demand::Query::alias(AliasA, AliasB)
-                           : demand::Query::pointsTo(PointsToName));
   if (!A.Ok) {
-    std::fprintf(stderr, "error: %s\n",
-                 A.Error.empty() ? "query failed" : A.Error.c_str());
+    std::fprintf(stderr, "error: %s\n", A.Error.c_str());
     return 1;
   }
-  std::printf("strategy: %s\n", A.Strategy.c_str());
+  if (!A.Strategy.empty())
+    std::printf("strategy: %s\n", A.Strategy.c_str());
   if (!A.FallbackReason.empty())
     std::printf("fallback_reason: %s\n", A.FallbackReason.c_str());
-  if (A.Strategy == "demand")
+  if (A.answeredByDemand())
     std::printf("visited_stmts: %llu\nskipped_stmts: %llu\n",
                 static_cast<unsigned long long>(A.VisitedStmts),
                 static_cast<unsigned long long>(A.SkippedStmts));
@@ -687,7 +673,7 @@ int runQuery(const std::string &Source, const ToolConfig &Cfg,
       std::printf("  %s (%s)\n", Target.c_str(),
                   Definite ? "definite" : "possible");
   }
-  return 0;
+  return (Cfg.Strict && A.Degraded) ? 2 : 0;
 }
 
 /// Serve-daemon knobs collected from the command line (--serve-* and

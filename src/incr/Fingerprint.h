@@ -31,6 +31,7 @@
 #define MCPTA_INCR_FINGERPRINT_H
 
 #include "simple/SimpleIR.h"
+#include "support/Hash.h"
 
 #include <cstdint>
 #include <string>
@@ -39,14 +40,8 @@
 namespace mcpta {
 namespace incr {
 
-/// FNV-1a, the format's only hash. Exposed for tests.
-inline uint64_t fnv1a(std::string_view S, uint64_t H = 0xcbf29ce484222325ull) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
+/// FNV-1a, the format's only hash (support/Hash.h).
+using support::fnv1a;
 
 /// Structural metadata of one declared function (defined or extern),
 /// serialized into mcpta-result-v3 snapshots.

@@ -68,6 +68,7 @@
 #ifndef MCPTA_SERVE_SERVER_H
 #define MCPTA_SERVE_SERVER_H
 
+#include "demand/DemandQuery.h"
 #include "serve/SummaryCache.h"
 #include "support/FaultInjection.h"
 #include "support/FlightRecorder.h"
@@ -93,8 +94,6 @@ public:
     /// Defaults for analyze requests; per-request "options"/"limits"
     /// members override individual fields.
     pta::Analyzer::Options DefaultOpts;
-    /// Flight-recorder ring capacity (most recent events retained).
-    size_t FlightRecorderCapacity = support::FlightRecorder::kDefaultCapacity;
     /// Worker threads. 0 or 1: the reader answers each line inline, in
     /// request order, with no queue; N > 1: the reader feeds a bounded
     /// queue drained by N workers, and responses may arrive out of order.
@@ -112,8 +111,6 @@ public:
     /// NDJSON input-line bound; longer lines are consumed and answered
     /// with a protocol error instead of growing the buffer unboundedly.
     size_t MaxLineBytes = 8u << 20;
-    /// Watchdog poll interval.
-    uint64_t WatchdogPollMs = 10;
     /// Fault-injection spec (support/FaultInjection.h grammar), or "on"
     /// to accept per-request "fault" specs with no server-wide arms.
     /// Empty disables fault injection entirely (per-request "fault" is
@@ -190,21 +187,14 @@ private:
 
   void handleAnalyze(const JsonValue &Req, Response &Resp, std::ostream &Log,
                      RequestCtx &Ctx);
-  void handleAlias(const JsonValue &Req, Response &Resp,
-                   const RequestCtx &Ctx);
-  void handlePointsTo(const JsonValue &Req, Response &Resp,
-                      const RequestCtx &Ctx);
-  /// Demand-strategy path shared by alias/points_to (docs/DEMAND.md).
-  /// Resolves the query's source (request "source"/"corpus", else the
-  /// last analyzed source), runs the DemandEngine — the resident
-  /// program's when the text is the resident one — and fills \p Resp
-  /// with the answer plus "strategy"/"fallback_reason" members. In auto
-  /// mode (\p Explicit = false, entered when admission tightened the
-  /// request) an unresolvable source returns false and the caller falls
-  /// through to the snapshot path; explicit mode fails the request
-  /// instead. Returns true when it produced the response.
-  bool handleDemandQuery(const JsonValue &Req, Response &Resp,
-                         const RequestCtx &Ctx, bool IsAlias, bool Explicit);
+  /// alias and points_to: one handler for both strategies. Reads the
+  /// query from the request, then answers it on the demand path
+  /// (explicit "strategy":"demand", or the admission ladder's auto pick)
+  /// by running the DemandEngine on the request's text or the resident
+  /// program, or else from the snapshot querySnapshot() resolves. Both
+  /// answer through demand::answerFrom and render in Response::answer.
+  void handleQuery(const JsonValue &Req, Response &Resp,
+                   const RequestCtx &Ctx, demand::Query::Kind K);
   void handleReadWriteSets(const JsonValue &Req, Response &Resp,
                            const RequestCtx &Ctx);
   void handleStats(Response &Resp);
@@ -271,14 +261,14 @@ private:
   /// synchronization and are NOT covered — analyses and cache IO run
   /// outside this lock so the worker pool actually overlaps.
   std::mutex StateMu;
-  std::string LastKey;
-  std::shared_ptr<const ResultSnapshot> LastSnapshot;
   /// The resident program: the text of the most recent successful
-  /// analyze, so a later `{"strategy":"demand"}` query (or the admission
-  /// ladder's automatic demand pick) answers about it without the client
-  /// resending the program, plus that text's parse, ProgramMeta and
-  /// demand engine, kept between requests so queries do not rebuild
-  /// them. Null before the first analyze and after `invalidate`.
+  /// analyze with its cache key and snapshot, which keyless queries
+  /// answer from, so a later `{"strategy":"demand"}` query (or the
+  /// admission ladder's automatic demand pick) also answers about it
+  /// without the client resending the program; plus that text's parse,
+  /// ProgramMeta and demand engine, kept between requests so queries do
+  /// not rebuild them. Null before the first analyze and after
+  /// `invalidate`.
   std::shared_ptr<ResidentProgram> Resident;
   /// Most recent snapshot per options fingerprint: the baseline an
   /// `analyze {"incremental": true}` request re-analyzes against. Keyed

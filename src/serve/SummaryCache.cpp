@@ -3,6 +3,7 @@
 #include "serve/SummaryCache.h"
 
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
 #include "support/Version.h"
 
 #include <cassert>
@@ -27,18 +28,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// FNV-1a over the key material, run twice with different offset bases
-/// for a 128-bit address. Not cryptographic — the cache defends against
-/// accidents, not adversaries; a collision requires ~2^64 distinct
-/// translation units in one cache directory.
-uint64_t fnv1a(std::string_view Data, uint64_t H) {
-  for (unsigned char C : Data) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 std::string hex64(uint64_t V) {
   char Buf[17];
   std::snprintf(Buf, sizeof(Buf), "%016llx",
@@ -60,8 +49,12 @@ std::string SummaryCache::key(std::string_view Source,
   Material.append(OptionsFingerprint);
   Material += '\x1f';
   Material.append(Source);
-  uint64_t H1 = fnv1a(Material, 0xcbf29ce484222325ull);
-  uint64_t H2 = fnv1a(Material, 0x9ae16a3b2f90404full);
+  // FNV-1a run twice with different offset bases for a 128-bit address.
+  // Not cryptographic — the cache defends against accidents, not
+  // adversaries; a collision requires ~2^64 distinct translation units
+  // in one cache directory.
+  uint64_t H1 = support::fnv1a(Material);
+  uint64_t H2 = support::fnv1a(Material, 0x9ae16a3b2f90404full);
   return hex64(H1) + hex64(H2);
 }
 
@@ -330,7 +323,8 @@ SummaryCache::store(const std::string &Key, ResultSnapshot Snapshot,
         event("cache.write_retry", Req,
               "key=" + Key + " attempt=" + std::to_string(Attempt + 1));
         uint64_t BackoffUs = 1000ull << (Attempt - 1);
-        BackoffUs += fnv1a(Key, 0xcbf29ce484222325ull + Attempt) % 400;
+        BackoffUs +=
+            support::fnv1a(Key, 0xcbf29ce484222325ull + Attempt) % 400;
         std::this_thread::sleep_for(std::chrono::microseconds(BackoffUs));
       }
       if (FI && FI->shouldFire("cache.write_io"))

@@ -2,6 +2,8 @@
 
 #include "support/FaultInjection.h"
 
+#include "support/Hash.h"
+
 #include <vector>
 
 using namespace mcpta;
@@ -17,15 +19,6 @@ uint64_t splitmix64(uint64_t X) {
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
   X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
   return X ^ (X >> 31);
-}
-
-uint64_t fnv1a(std::string_view Data) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (unsigned char C : Data) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
 }
 
 std::vector<std::string_view> split(std::string_view S, char Sep) {

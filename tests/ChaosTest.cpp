@@ -308,6 +308,65 @@ TEST(ChaosTest, WatchdogCancelsStalledRequestAndResultIsNotCached) {
       << "cancelled result must not have been cached";
 }
 
+TEST(ChaosTest, DemandFallbackNeverAnswersFromACancelledResult) {
+  // The daemon's defaults carry the 25 ms budget, so the analyze and the
+  // demand engine share one options fingerprint. A demand fallback
+  // answers from the resident snapshot only when the watchdog left it
+  // whole: after a cancelled analyze it runs the analysis itself.
+  TempCacheDir Dir("cancelled");
+  Server::Config Cfg;
+  Cfg.Cache.Dir = Dir.Path;
+  Cfg.FaultSpec = "on";
+  Cfg.DefaultOpts.Limits.TimeoutMs = 25;
+  Server S(Cfg);
+  std::ostringstream Log;
+  auto Request = [&](const std::string &Line) {
+    bool Shut = false;
+    return parseResponse(S.handleLine(Line, Shut, Log));
+  };
+  auto BodyAnalyses = [&] {
+    return S.telemetry().countersSnapshot()["pta.body_analyses"];
+  };
+  // Small enough to finish before the first budget checkpoint, so only
+  // the watchdog's verdict tells the two analyzes apart.
+  const std::string Analyze =
+      "{\"id\":1,\"method\":\"analyze\",\"source\":\"int id(int a) { "
+      "return a; } int main(void) { int (*fp)(int); int r; fp = &id; "
+      "r = (*fp)(1); return r; }\"";
+  const std::string Query = "{\"id\":2,\"method\":\"points_to\","
+                            "\"name\":\"fp\",\"strategy\":\"demand\"}";
+
+  std::string Reply;
+  std::thread Worker([&] {
+    bool Shut = false;
+    Reply = S.handleLine(
+        Analyze + ",\"fault\":\"serve.stall:always:ms=20000\"}", Shut, Log);
+  });
+  size_t Fired = 0;
+  auto GiveUp = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!Fired && std::chrono::steady_clock::now() < GiveUp) {
+    Fired = S.watchdogSweep();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  Worker.join();
+  ASSERT_EQ(Fired, 1u);
+  ASSERT_TRUE(parseResponse(Reply).getBool("ok", false));
+  ASSERT_EQ(S.telemetry().countersSnapshot()["serve.watchdog.uncached_results"],
+            1u);
+  uint64_t C0 = BodyAnalyses();
+  JsonValue Q1 = Request(Query);
+  EXPECT_EQ(Q1.getString("fallback_reason", ""), "fnptr");
+  EXPECT_GT(BodyAnalyses(), C0) << "the fallback ran its own analysis";
+
+  // The same analyze left whole: the fallback reads its snapshot.
+  ASSERT_FALSE(Request(Analyze + "}").getBool("cached", true));
+  uint64_t C1 = BodyAnalyses();
+  JsonValue Q2 = Request(Query);
+  EXPECT_EQ(Q2.getString("fallback_reason", ""), "fnptr");
+  EXPECT_FALSE(Q2.getBool("degraded", true));
+  EXPECT_EQ(BodyAnalyses(), C1);
+}
+
 TEST(ChaosTest, WatchdogSweepLeavesHealthyRequestsAlone) {
   ChaosFixture F;
   // Nothing in flight: a sweep is a no-op that still counts itself.

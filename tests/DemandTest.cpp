@@ -232,6 +232,42 @@ TEST(DemandTest, IncrstressPrunesToAHandfulOfStatements) {
   EXPECT_LT(AA.VisitedStmts, 100u);
 }
 
+TEST(DemandTest, AnswersCarryTheirSnapshotsDegradation) {
+  // Under a statement-visit budget the pruned run for main's p stays
+  // inside it, while the exhaustive run (a million visits) and the
+  // pruned run for a global (whose slice is the whole program) do not.
+  const corpus::CorpusProgram *CP = corpus::find("incrstress");
+  ASSERT_NE(CP, nullptr);
+  DemandOptions DO;
+  DO.Analyzer.Limits.MaxStmtVisits = 1000;
+  EngineFixture F(CP->Source, DO);
+  ASSERT_TRUE(F.Engine);
+
+  Answer D = F.Engine->query(Query::pointsTo("p"));
+  EXPECT_TRUE(D.answeredByDemand());
+  EXPECT_FALSE(D.Degraded);
+
+  Answer Scoped = F.Engine->query(Query::pointsTo("p", 0));
+  EXPECT_EQ(Scoped.FallbackReason, "stmt-scope");
+  EXPECT_TRUE(Scoped.Degraded);
+
+  Answer Global = F.Engine->query(Query::pointsTo("slot0"));
+  EXPECT_EQ(Global.FallbackReason, "degraded");
+  EXPECT_TRUE(Global.Degraded);
+
+  // answerFrom reports the snapshot it reads, whoever calls it.
+  const serve::ResultSnapshot &S = F.Engine->exhaustiveSnapshot();
+  EXPECT_TRUE(S.degraded());
+  Answer FromSnapshot = answerFrom(Query::alias("*p", "*q"), S);
+  EXPECT_TRUE(FromSnapshot.Ok);
+  EXPECT_TRUE(FromSnapshot.Degraded);
+  EXPECT_TRUE(FromSnapshot.Strategy.empty());
+
+  EngineFixture Clean(CP->Source);
+  ASSERT_TRUE(Clean.Engine);
+  EXPECT_FALSE(Clean.Engine->query(Query::pointsTo("p", 0)).Degraded);
+}
+
 TEST(DemandTest, IncrstressPruningIsPinned) {
   // The liveness pass's exact effect on a fixed query set: a looser
   // pass would show up here long before bench_demand's ratio gate, and

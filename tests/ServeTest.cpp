@@ -1458,8 +1458,9 @@ TEST(ServerTest, DemandAnswersEqualSnapshotAnswersOnTheCorpus) {
 
 TEST(ServerTest, RepeatedDemandFallbacksRunTheExhaustiveAnalysisOnce) {
   // A function-pointer program gates every demand query to the
-  // exhaustive fallback; the resident engine keeps that result, so only
-  // the first fallback adds analyzer traffic.
+  // exhaustive fallback. The analyze already ran that analysis under the
+  // engine's options, and the fallbacks answer from its snapshot: they
+  // add no analyzer traffic at all.
   ServerFixture F;
   const std::string Src = "int id(int a) { return a; }\n"
                           "int main(void) { int (*fp)(int); int r; "
@@ -1481,15 +1482,38 @@ TEST(ServerTest, RepeatedDemandFallbacksRunTheExhaustiveAnalysisOnce) {
   EXPECT_EQ(answerOf(Q2), answerOf(Q1));
   std::map<std::string, uint64_t> C2 = PtaCounters();
 
-  // The first fallback runs the exhaustive analysis once more than the
-  // analyze did; the second reads it back.
-  EXPECT_EQ(C1["pta.stmt_visits"], 2 * C0["pta.stmt_visits"]);
-  EXPECT_EQ(C1["pta.body_analyses"], 2 * C0["pta.body_analyses"]);
   EXPECT_EQ(C0["pta.stmt_visits"], 7u);
+  EXPECT_EQ(C1, C0);
   EXPECT_EQ(C2, C1);
   auto Counters = F.S.telemetry().countersSnapshot();
   EXPECT_EQ(Counters["demand.fallback.fnptr"], 2u);
   EXPECT_EQ(Counters["demand.program_reuse"], 2u);
+}
+
+TEST(ServerTest, DemandFallbackRunsItsOwnAnalysisUnderOtherOptions) {
+  // The resident snapshot was computed context-insensitively, the
+  // engine's options are the daemon defaults: the first fallback runs
+  // the exhaustive analysis itself (and answers as a default-options
+  // analyze does), the second reads that run back.
+  ServerFixture F;
+  const std::string Src = "int id(int a) { return a; }\n"
+                          "int main(void) { int (*fp)(int); int r; "
+                          "fp = &id; r = (*fp)(1); return r; }\n";
+  ASSERT_TRUE(F.request(analyzeLine(1, Src,
+                                    ",\"options\":{\"context_sensitive\":"
+                                    "false}"))
+                  .getBool("ok", false));
+  auto BodyAnalyses = [&] {
+    return F.S.telemetry().countersSnapshot()["pta.body_analyses"];
+  };
+  uint64_t C0 = BodyAnalyses();
+  JsonValue Q1 = F.request(pointsToLine(2, "fp", "demand"));
+  EXPECT_EQ(Q1.getString("fallback_reason", ""), "fnptr");
+  EXPECT_EQ(answerOf(Q1), "id!");
+  uint64_t C1 = BodyAnalyses();
+  EXPECT_GT(C1, C0);
+  EXPECT_EQ(answerOf(F.request(pointsToLine(3, "fp", "demand"))), "id!");
+  EXPECT_EQ(BodyAnalyses(), C1);
 }
 
 TEST(ServerTest, ConcurrentEditsAndDemandQueriesAnswerTheirOwnProgram) {
@@ -1535,6 +1559,172 @@ TEST(ServerTest, ConcurrentEditsAndDemandQueriesAnswerTheirOwnProgram) {
         << I;
     std::string Any = answerOf(ById[3 * I + 3]);
     EXPECT_TRUE(Any == "x!" || Any == "y!" || Any == "z!") << I << ": " << Any;
+  }
+}
+
+/// \p Line with the parts that vary between runs and builds masked:
+/// every elapsed_ms value reads 0, and \p Key (it hashes the build's
+/// source digest) reads @KEY@.
+std::string maskResponse(std::string Line, const std::string &Key) {
+  const std::string Elapsed = "\"elapsed_ms\":";
+  for (size_t Pos = Line.find(Elapsed); Pos != std::string::npos;
+       Pos = Line.find(Elapsed, Pos)) {
+    Pos += Elapsed.size();
+    Line.replace(Pos, Line.find_first_of(",}", Pos) - Pos, "0");
+  }
+  if (Key.empty())
+    return Line;
+  for (size_t Pos; (Pos = Line.find(Key)) != std::string::npos;)
+    Line.replace(Pos, Key.size(), "@KEY@");
+  return Line;
+}
+
+TEST(ServerTest, QueryResponsesArePinnedByteForByte) {
+  // Every alias/points_to path through the daemon, on both strategies,
+  // with its exact response bytes: the snapshot path, the demand path
+  // (answered, fallen back, failed) and every request error. One daemon
+  // serves the lines in order, so the generated cids are stable; @KEY@
+  // in a line stands for the key the last analyze returned.
+  const std::string Esc = support::Telemetry::jsonEscape(
+      "int x; int y; int *g;\n"
+      "int main(void) { int *p; int *q; p = &x; q = p; g = &y; return *p; }\n");
+  const std::string Other = support::Telemetry::jsonEscape(
+      "int a; int *r;\nint main(void) { r = &a; return 0; }\n");
+  const std::string FnPtr = support::Telemetry::jsonEscape(
+      "int id(int a) { return a; }\n"
+      "int main(void) { int (*fp)(int); int r; fp = &id; r = (*fp)(1); "
+      "return r; }\n");
+  const std::pair<std::string, std::string> Table[] = {
+      // No prior analyze.
+      {R"({"id":1,"method":"alias","a":"*p","b":"*q"})",
+       R"pin({"id":1,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r1","error":"no result to query: analyze first or pass a \"key\""})pin"},
+      {R"({"id":2,"method":"points_to","name":"p"})",
+       R"pin({"id":2,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r2","error":"no result to query: analyze first or pass a \"key\""})pin"},
+      {R"({"id":3,"method":"points_to","name":"p","strategy":"exhaustive"})",
+       R"pin({"id":3,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r3","error":"no result to query: analyze first or pass a \"key\""})pin"},
+      {R"({"id":4,"method":"alias","a":"*p","b":"*q","strategy":"demand"})",
+       R"pin({"id":4,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r4","error":"demand strategy needs a \"source\" or \"corpus\" member, or a prior analyze"})pin"},
+      {R"({"id":5,"method":"points_to","name":"p","strategy":"demand"})",
+       R"pin({"id":5,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r5","error":"demand strategy needs a \"source\" or \"corpus\" member, or a prior analyze"})pin"},
+      {R"({"id":6,"method":"points_to","name":"r","strategy":"demand","source":")" +
+           Other + "\"}",
+       R"pin({"id":6,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r6","strategy":"demand","visited_stmts":4,"skipped_stmts":0,"targets":[{"target":"a","definite":true}]})pin"},
+      {R"({"id":7,"method":"points_to","name":"p","strategy":"demand","corpus":"nosuch"})",
+       R"pin({"id":7,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r7","error":"unknown corpus program 'nosuch'"})pin"},
+      {R"({"id":8,"method":"alias","a":"*p","b":"*q","strategy":"psychic"})",
+       R"pin({"id":8,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r8","error":"unknown strategy 'psychic' (expected \"demand\" or \"exhaustive\")"})pin"},
+      {R"({"id":9,"method":"points_to","strategy":"exhaustive"})",
+       R"pin({"id":9,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r9","error":"no result to query: analyze first or pass a \"key\""})pin"},
+      // One analyzed program.
+      {R"({"id":10,"method":"analyze","source":")" + Esc + "\"}",
+       R"pin({"id":10,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r10","key":"@KEY@","analyzed":true,"locations":6,"ig_nodes":1,"main_out_pairs":3,"alias_pairs":4,"warnings":[],"degradations":[]})pin"},
+      {R"({"id":11,"method":"points_to","name":"p"})",
+       R"pin({"id":11,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r11","targets":[{"target":"x","definite":true}]})pin"},
+      {R"({"id":12,"method":"points_to","name":"p","strategy":"exhaustive"})",
+       R"pin({"id":12,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r12","strategy":"exhaustive","targets":[{"target":"x","definite":true}]})pin"},
+      {R"({"id":13,"method":"points_to","name":"p","strategy":"demand"})",
+       R"pin({"id":13,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r13","strategy":"demand","visited_stmts":4,"skipped_stmts":3,"targets":[{"target":"x","definite":true}]})pin"},
+      {R"({"id":14,"method":"alias","a":"*p","b":"*q"})",
+       R"pin({"id":14,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r14","aliased":true})pin"},
+      {R"({"id":15,"method":"alias","a":"*p","b":"*q","strategy":"exhaustive"})",
+       R"pin({"id":15,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r15","strategy":"exhaustive","aliased":true})pin"},
+      {R"({"id":16,"method":"alias","a":"*p","b":"*q","strategy":"demand"})",
+       R"pin({"id":16,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r16","strategy":"demand","visited_stmts":5,"skipped_stmts":2,"aliased":true})pin"},
+      {R"({"id":17,"method":"alias","a":"*p","b":"*g","strategy":"demand"})",
+       R"pin({"id":17,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r17","strategy":"demand","visited_stmts":5,"skipped_stmts":2,"aliased":false})pin"},
+      // Unknown names.
+      {R"({"id":18,"method":"points_to","name":"nosuch"})",
+       R"pin({"id":18,"ok":false,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r18","error":"unknown location 'nosuch'"})pin"},
+      {R"({"id":19,"method":"points_to","name":"nosuch","strategy":"exhaustive"})",
+       R"pin({"id":19,"ok":false,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r19","error":"unknown location 'nosuch'","strategy":"exhaustive"})pin"},
+      {R"({"id":20,"method":"points_to","name":"nosuch","strategy":"demand"})",
+       R"pin({"id":20,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r20","error":"unknown location 'nosuch'","fallback_reason":"unresolved-name"})pin"},
+      {R"({"id":21,"method":"alias","a":"*nosuch","b":"*p","strategy":"demand"})",
+       R"pin({"id":21,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r21","strategy":"exhaustive","fallback_reason":"unresolved-name","aliased":false})pin"},
+      // Missing members.
+      {R"({"id":22,"method":"points_to"})",
+       R"pin({"id":22,"ok":false,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r22","error":"points_to needs a \"name\" member"})pin"},
+      {R"({"id":23,"method":"points_to","strategy":"exhaustive"})",
+       R"pin({"id":23,"ok":false,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r23","error":"points_to needs a \"name\" member","strategy":"exhaustive"})pin"},
+      {R"({"id":24,"method":"points_to","strategy":"demand"})",
+       R"pin({"id":24,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r24","error":"points_to needs a \"name\" member"})pin"},
+      {R"({"id":25,"method":"alias","a":"*p"})",
+       R"pin({"id":25,"ok":false,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r25","error":"alias needs \"a\" and \"b\" access expressions"})pin"},
+      {R"({"id":26,"method":"alias","b":"*p","strategy":"exhaustive"})",
+       R"pin({"id":26,"ok":false,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r26","error":"alias needs \"a\" and \"b\" access expressions","strategy":"exhaustive"})pin"},
+      {R"({"id":27,"method":"alias","a":"*p","strategy":"demand"})",
+       R"pin({"id":27,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r27","error":"alias needs \"a\" and \"b\" access expressions"})pin"},
+      {R"({"id":28,"method":"alias"})",
+       R"pin({"id":28,"ok":false,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r28","error":"alias needs \"a\" and \"b\" access expressions"})pin"},
+      // Statement scope.
+      {R"({"id":29,"method":"points_to","name":"p","stmt":3})",
+       R"pin({"id":29,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r29","targets":[{"target":"x","definite":true}]})pin"},
+      {R"({"id":30,"method":"points_to","name":"p","stmt":3,"strategy":"exhaustive"})",
+       R"pin({"id":30,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r30","strategy":"exhaustive","targets":[{"target":"x","definite":true}]})pin"},
+      {R"({"id":31,"method":"points_to","name":"p","stmt":3,"strategy":"demand"})",
+       R"pin({"id":31,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r31","strategy":"exhaustive","fallback_reason":"stmt-scope","targets":[{"target":"x","definite":true}]})pin"},
+      // Key-addressed.
+      {R"({"id":32,"method":"points_to","name":"g","key":"@KEY@"})",
+       R"pin({"id":32,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r32","targets":[{"target":"y","definite":true}]})pin"},
+      {R"({"id":33,"method":"alias","a":"*p","b":"*q","key":"@KEY@","strategy":"exhaustive"})",
+       R"pin({"id":33,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r33","strategy":"exhaustive","aliased":true})pin"},
+      {R"({"id":34,"method":"points_to","name":"g","key":"00000000000000000000000000000000"})",
+       R"pin({"id":34,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r34","error":"no cached result for key 00000000000000000000000000000000"})pin"},
+      {R"({"id":35,"method":"points_to","name":"g","key":"@KEY@","strategy":"demand"})",
+       R"pin({"id":35,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r35","strategy":"demand","visited_stmts":4,"skipped_stmts":3,"targets":[{"target":"y","definite":true}]})pin"},
+      // Unknown strategy after an analyze.
+      {R"({"id":36,"method":"points_to","name":"p","strategy":"psychic"})",
+       R"pin({"id":36,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r36","error":"unknown strategy 'psychic' (expected \"demand\" or \"exhaustive\")"})pin"},
+      // Demand on another source, then on the resident one again.
+      {R"({"id":37,"method":"points_to","name":"r","strategy":"demand","source":")" +
+           Other + "\"}",
+       R"pin({"id":37,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r37","strategy":"demand","visited_stmts":4,"skipped_stmts":0,"targets":[{"target":"a","definite":true}]})pin"},
+      {R"({"id":38,"method":"alias","a":"*r","b":"a","strategy":"demand","source":")" +
+           Other + "\"}",
+       R"pin({"id":38,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r38","strategy":"demand","visited_stmts":4,"skipped_stmts":0,"aliased":true})pin"},
+      {R"({"id":39,"method":"points_to","name":"g","strategy":"demand"})",
+       R"pin({"id":39,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r39","strategy":"demand","visited_stmts":4,"skipped_stmts":3,"targets":[{"target":"y","definite":true}]})pin"},
+      // A function-pointer program: demand falls back to exhaustive.
+      {R"({"id":40,"method":"analyze","source":")" + FnPtr + "\"}",
+       R"pin({"id":40,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r40","key":"@KEY@","analyzed":true,"locations":3,"ig_nodes":2,"main_out_pairs":1,"alias_pairs":1,"warnings":[],"degradations":[]})pin"},
+      {R"({"id":41,"method":"points_to","name":"fp","strategy":"demand"})",
+       R"pin({"id":41,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r41","strategy":"exhaustive","fallback_reason":"fnptr","targets":[{"target":"id","definite":true}]})pin"},
+      {R"({"id":42,"method":"points_to","name":"fp"})",
+       R"pin({"id":42,"ok":true,"degraded":false,"cached":true,"elapsed_ms":0,"cid":"r42","targets":[{"target":"id","definite":true}]})pin"},
+      {R"({"id":43,"method":"alias","a":"*fp","b":"id","strategy":"demand"})",
+       R"pin({"id":43,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r43","strategy":"exhaustive","fallback_reason":"fnptr","aliased":true})pin"},
+      {R"({"id":44,"method":"points_to","name":"nosuch","strategy":"demand"})",
+       R"pin({"id":44,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r44","error":"unknown location 'nosuch'","fallback_reason":"fnptr"})pin"},
+      // A degraded result on the snapshot path and the demand path.
+      {R"({"id":45,"method":"analyze","source":")" + FnPtr +
+           R"(","limits":{"max_ig_nodes":1}})",
+       R"pin({"id":45,"ok":true,"degraded":true,"cached":false,"elapsed_ms":0,"cid":"r45","key":"@KEY@","analyzed":true,"locations":3,"ig_nodes":2,"main_out_pairs":1,"alias_pairs":1,"warnings":["analysis degraded [ig_nodes] invocation-graph node cap reached: new contexts share one canonical invocation node per function; remaining calls use context-insensitive merged summaries"],"degradations":[{"kind":"ig_nodes","context":"invocation-graph node cap reached","action":"new contexts share one canonical invocation node per function; remaining calls use context-insensitive merged summaries"}]})pin"},
+      {R"({"id":46,"method":"points_to","name":"fp"})",
+       R"pin({"id":46,"ok":true,"degraded":true,"cached":true,"elapsed_ms":0,"cid":"r46","targets":[{"target":"id","definite":true}]})pin"},
+      {R"({"id":47,"method":"points_to","name":"fp","strategy":"demand"})",
+       R"pin({"id":47,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r47","strategy":"exhaustive","fallback_reason":"fnptr","targets":[{"target":"id","definite":true}]})pin"},
+      // After invalidate.
+      {R"({"id":48,"method":"invalidate"})",
+       R"pin({"id":48,"ok":true,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r48","removed_blobs":3})pin"},
+      {R"({"id":49,"method":"points_to","name":"fp"})",
+       R"pin({"id":49,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r49","error":"no result to query: analyze first or pass a \"key\""})pin"},
+      {R"({"id":50,"method":"alias","a":"*p","b":"*q","strategy":"demand"})",
+       R"pin({"id":50,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r50","error":"demand strategy needs a \"source\" or \"corpus\" member, or a prior analyze"})pin"},
+      {R"({"id":51,"method":"points_to","name":"fp","strategy":"exhaustive"})",
+       R"pin({"id":51,"ok":false,"degraded":false,"cached":false,"elapsed_ms":0,"cid":"r51","error":"no result to query: analyze first or pass a \"key\""})pin"},
+  };
+  ServerFixture F;
+  std::string Key;
+  for (const auto &[Line, Want] : Table) {
+    std::string Req = Line;
+    for (size_t Pos; (Pos = Req.find("@KEY@")) != std::string::npos;)
+      Req.replace(Pos, 5, Key);
+    bool Shut = false;
+    std::string Got = F.S.handleLine(Req, Shut, F.Log);
+    JsonValue R = parseResponse(Got);
+    if (!R.getString("key", "").empty())
+      Key = R.getString("key", "");
+    EXPECT_EQ(maskResponse(Got, Key), Want) << Line;
   }
 }
 

@@ -241,6 +241,27 @@ TEST(ToolTest, StrictModeExitsZeroWhenClean) {
   std::remove(Path.c_str());
 }
 
+TEST(ToolTest, StrictQueryExitsTwoOnADegradedAnswerOnBothStrategies) {
+  // Under the visit budget the demand strategy falls back to the
+  // exhaustive answer, degraded like the exhaustive strategy's own:
+  // --strict exits 2 on both, and both print the same answer.
+  ToolRun Gen = runTool("--gen-stress=6");
+  ASSERT_EQ(Gen.ExitCode, 0);
+  std::string Path = writeTemp(Gen.Output);
+  const std::string Query = "--max-stmt-visits=50 --points-to=gp ";
+  ToolRun Demand = runTool("--strict " + Query + "--strategy=demand " + Path);
+  ToolRun Exh = runTool("--strict " + Query + "--strategy=exhaustive " + Path);
+  EXPECT_EQ(Demand.ExitCode, 2) << Demand.Output;
+  EXPECT_EQ(Exh.ExitCode, 2) << Exh.Output;
+  size_t DemandAnswer = Demand.Output.find("points_to(gp):");
+  size_t ExhAnswer = Exh.Output.find("points_to(gp):");
+  ASSERT_NE(DemandAnswer, std::string::npos) << Demand.Output;
+  ASSERT_NE(ExhAnswer, std::string::npos) << Exh.Output;
+  EXPECT_EQ(Demand.Output.substr(DemandAnswer), Exh.Output.substr(ExhAnswer));
+  EXPECT_EQ(runTool(Query + "--strategy=demand " + Path).ExitCode, 0);
+  std::remove(Path.c_str());
+}
+
 TEST(ToolTest, IGNodeCapDegrades) {
   ToolRun Gen = runTool("--gen-stress=6");
   ASSERT_EQ(Gen.ExitCode, 0);
