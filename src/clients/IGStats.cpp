@@ -18,9 +18,9 @@ IGStats IGStats::compute(const simple::Program &Prog,
   Out.Functions = Res.IG->numFunctionsCovered();
 
   // Static call sites in the simplified program (reachable or not).
-  std::vector<const CallInfo *> Calls;
+  size_t CallSites = 0;
   for (const FunctionIR &F : Prog.functions())
-    collectCallInfos(F.Body, Calls);
-  Out.CallSites = static_cast<unsigned>(Calls.size());
+    CallSites += F.Calls.size();
+  Out.CallSites = static_cast<unsigned>(CallSites);
   return Out;
 }

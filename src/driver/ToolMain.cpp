@@ -642,13 +642,10 @@ int runQuery(const std::string &Source, const ToolConfig &Cfg,
                                   : demand::Query::pointsTo(PointsToName);
   demand::Answer A;
   if (Strategy == "exhaustive") {
-    const serve::ResultSnapshot &S = Engine.exhaustiveSnapshot();
-    if (!S.Analyzed) {
-      std::fprintf(stderr, "error: analysis failed\n");
-      return 1;
-    }
+    // A program without main answers from its unanalyzed snapshot, as
+    // the demand strategy's no-main fallback does.
     std::printf("strategy: exhaustive\n");
-    A = demand::answerFrom(Q, S);
+    A = demand::answerFrom(Q, Engine.exhaustiveSnapshot());
   } else {
     A = Engine.query(Q);
   }

@@ -37,19 +37,6 @@ std::string IGNode::str(unsigned Indent) const {
   return Out;
 }
 
-void mcpta::pta::collectCallInfos(const Stmt *S,
-                                  std::vector<const CallInfo *> &Out) {
-  forEachStmt(S, [&](const Stmt *St) {
-    if (const CallInfo *CI = callOf(St))
-      Out.push_back(CI);
-  });
-}
-
-void InvocationGraph::collectCalls(const Stmt *S,
-                                   std::vector<const CallInfo *> &Out) const {
-  collectCallInfos(S, Out);
-}
-
 IGNode *InvocationGraph::makeNode(const FunctionDecl *F, IGNode *Parent,
                                   unsigned CallSiteId) {
   Nodes.push_back(std::unique_ptr<IGNode>(new IGNode(F, Parent, CallSiteId)));
@@ -82,9 +69,7 @@ void InvocationGraph::expandDirectCalls(IGNode *Node) {
   const FunctionIR *FIR = Prog->findFunction(Node->F);
   if (!FIR)
     return; // extern function: no body to expand
-  std::vector<const CallInfo *> Calls;
-  collectCalls(FIR->Body, Calls);
-  for (const CallInfo *CI : Calls) {
+  for (const CallInfo *CI : FIR->Calls) {
     if (CI->isIndirect())
       continue; // left open; grown during points-to analysis (Sec. 5)
     if (!Prog->findFunction(CI->Callee))

@@ -239,8 +239,6 @@ private:
   IGNode *makeNode(const cfront::FunctionDecl *F, IGNode *Parent,
                    unsigned CallSiteId);
   void expandDirectCalls(IGNode *Node);
-  void collectCalls(const simple::Stmt *S,
-                    std::vector<const simple::CallInfo *> &Out) const;
 
   template <typename Fn> void forEachNodeImpl(IGNode *N, Fn &F) const {
     if (!N)
@@ -259,11 +257,6 @@ private:
   /// Shared per-function nodes handed out after the budget tripped.
   std::map<const cfront::FunctionDecl *, IGNode *> CanonicalNodes;
 };
-
-/// Collects the call sites appearing in a statement tree, in program
-/// order (exposed for clients computing Table 6's call-site column).
-void collectCallInfos(const simple::Stmt *S,
-                      std::vector<const simple::CallInfo *> &Out);
 
 } // namespace pta
 } // namespace mcpta

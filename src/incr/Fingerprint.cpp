@@ -2,8 +2,6 @@
 
 #include "incr/Fingerprint.h"
 
-#include "ig/InvocationGraph.h"
-
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -65,44 +63,6 @@ std::string incr::canonicalizeBody(const std::string &Print) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// Visits every Operand of a statement tree in a fixed order.
-template <typename Fn> void walkOperands(const Stmt *Root, Fn F) {
-  forEachStmt(Root, [&](const Stmt *S) {
-    switch (S->kind()) {
-    case Stmt::Kind::Assign: {
-      const auto *A = castStmt<AssignStmt>(S);
-      if (A->RK == AssignStmt::RhsKind::Call) {
-        for (const Operand &Arg : A->Call.Args)
-          F(Arg);
-        return;
-      }
-      F(A->A);
-      if (A->RK == AssignStmt::RhsKind::Binary)
-        F(A->B);
-      return;
-    }
-    case Stmt::Kind::Call:
-      for (const Operand &Arg : castStmt<CallStmt>(S)->Call.Args)
-        F(Arg);
-      return;
-    case Stmt::Kind::Return: {
-      const auto *R = castStmt<ReturnStmt>(S);
-      if (R->Value)
-        F(*R->Value);
-      return;
-    }
-    case Stmt::Kind::If:
-      F(castStmt<IfStmt>(S)->Cond);
-      return;
-    case Stmt::Kind::Switch:
-      F(castStmt<SwitchStmt>(S)->Cond);
-      return;
-    default:
-      return;
-    }
-  });
-}
 
 /// Visits every variable a statement tree references (reference bases,
 /// runtime subscripts, loop condition variables).
@@ -225,10 +185,8 @@ ProgramMeta incr::computeMeta(const Program &Prog) {
     forEachStmt(FIR->Body,
               [&](const Stmt *S) { FM.StmtIds.push_back(S->id()); });
 
-    std::vector<const CallInfo *> Calls;
-    pta::collectCallInfos(FIR->Body, Calls);
     std::set<std::string> SeenCallees;
-    for (const CallInfo *CI : Calls) {
+    for (const CallInfo *CI : FIR->Calls) {
       FM.CallSiteIds.push_back(CI->CallSiteId);
       if (CI->isIndirect())
         FM.HasIndirectCalls = 1;

@@ -71,7 +71,7 @@ struct FunctionMeta {
   std::vector<std::string> GlobalRefs;
   /// Statement ids of the body in preorder walk order.
   std::vector<uint32_t> StmtIds;
-  /// Call-site ids in collectCallInfos (program) order.
+  /// Call-site ids in FunctionIR::Calls (program) order.
   std::vector<uint32_t> CallSiteIds;
   /// String-literal ids in operand walk order (duplicates preserved).
   std::vector<uint32_t> StringIds;

@@ -48,13 +48,13 @@
 // counters that can shift under a clean function: `str$N` literals and
 // the function's own `$tN` temporaries (a temp no row names, e.g. an
 // int one, still appears in the sets). So the baseline's entries are
-// reused only while the string remap is the identity and the
-// function's locals, temps included, have the baseline's names at
-// every index; otherwise the rows are materialized as live sets and
-// the client recomputes them, as for a function that also has live
-// rows. (Today the fingerprint hashes raw local names, so a clean
-// function's temps never move; the check keeps the reuse from
-// depending on that.)
+// reused only while the remap fixes every literal id the function's
+// rows and entries name and the function's locals, temps included,
+// have the baseline's names at every index; otherwise the rows are
+// materialized as live sets and the client recomputes them, as for a
+// function that also has live rows. (Today the fingerprint hashes raw
+// local names, so a clean function's temps never move; the check keeps
+// the reuse from depending on that.)
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,11 +62,14 @@
 
 #include "driver/Pipeline.h"
 #include "ig/InvocationGraph.h"
+#include "incr/CanonKeys.h"
 #include "pointsto/Location.h"
 
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -191,10 +194,12 @@ incr::computeDirtySet(const serve::ResultSnapshot &Baseline,
 
 namespace {
 
+constexpr uint32_t NoId = UINT32_MAX;
+
 class IncrSession : public pta::MemoSeeder {
 public:
-  IncrSession(const serve::ResultSnapshot &Baseline, const ProgramMeta &LiveMeta,
-              const std::set<std::string> &Dirty)
+  IncrSession(const serve::ResultSnapshot &Baseline,
+              const ProgramMeta &LiveMeta, const std::set<std::string> &Dirty)
       : Baseline(Baseline), LiveMeta(LiveMeta), Dirty(Dirty) {}
 
   void begin(const simple::Program &P, pta::InvocationGraph &G,
@@ -213,60 +218,93 @@ public:
   /// Brings the skipped evaluations' per-statement rows and warnings
   /// back into the run. A restored function none of whose statements has
   /// a live set keeps its baseline rows in canonical form (\p Carried,
-  /// for capture), as long as no string-literal id moved and its local
-  /// names are the baseline's; every other
-  /// restored row is built as a live set and merged into \p Res. Returns
-  /// false when some baseline row cannot be mapped into the live program
-  /// (full re-analysis required).
+  /// for capture), as long as its local names are the baseline's and no
+  /// literal id its rows or its read/write entries use has moved; every
+  /// other restored row is built as a live set and merged into \p Res.
+  /// Returns false when some baseline row cannot be mapped into the live
+  /// program (full re-analysis required).
   bool restore(pta::Analyzer::Result &Res, serve::CarriedRows &Carried);
   uint64_t rowsCarried() const { return RowsCarried; }
   uint64_t rowsMaterialized() const { return RowsMaterialized; }
 
 private:
+  /// A donor root, found by its function and the hash of its canonical
+  /// input.
+  struct Donor {
+    uint64_t Hash;
+    uint32_t Node;
+    bool operator<(const Donor &O) const {
+      return Hash != O.Hash ? Hash < O.Hash : Node < O.Node;
+    }
+  };
+
   bool applyGraft(pta::IGNode *LiveRoot, uint32_t D,
                   const pta::PointsToSet &Input);
+  const std::vector<Donor> &donorsOf(uint32_t F);
+  uint32_t fnNamed(std::string_view Name) const;
+  uint32_t fnOf(const cf::FunctionDecl *F) const;
+  std::optional<uint32_t> liveString(uint32_t B) const;
+  bool literalMoved(uint32_t Bid);
+  bool usesMovedLiteral(uint32_t F,
+                        const std::vector<std::pair<uint32_t, uint32_t>> &Rows,
+                        size_t First);
   const pta::Location *resolveLive(uint32_t Bid);
   const pta::Location *resolveRecord(const serve::LocationRecord &R);
   std::optional<pta::PointsToSet> resolveSet(const serve::PackedSet &Ws);
-  const std::string &rk(uint32_t Bid);
-  std::optional<std::string> canonBaselineSet(const serve::PackedSet &Ws);
-  std::string canonLiveSet(const pta::PointsToSet &S);
-  const std::string *donorCanon(uint32_t D);
-  void collectStringTypes(const simple::Stmt *S);
 
   const serve::ResultSnapshot &Baseline;
   const ProgramMeta &LiveMeta;
   const std::set<std::string> &Dirty;
 
-  const simple::Program *Prog = nullptr;
   pta::InvocationGraph *IG = nullptr;
   pta::LocationTable *Locs = nullptr;
   const cf::TranslationUnit *Unit = nullptr;
 
-  std::map<std::string, const FunctionMeta *> BaseFns, LiveFns;
-  std::set<std::string> Clean;
-  std::map<std::string, std::map<uint32_t, uint32_t>> CallSiteRemap, StmtRemap;
+  // Functions are indexed by their position in LiveMeta.Functions; a
+  // name names its first position, as TranslationUnit::findFunction
+  // finds its first declaration.
+  std::unordered_map<std::string_view, uint32_t> FnByName;
+  std::unordered_map<const cf::FunctionDecl *, uint32_t> FnByDecl;
+  std::vector<const cf::FunctionDecl *> DeclOf;
+  std::vector<const FunctionMeta *> BaseFm; ///< same-named baseline meta
+  /// Live function indices in name order: restore walks the restored
+  /// functions in it, and resolveLive mints locations in that order.
+  std::vector<uint32_t> ByName;
+  std::vector<uint8_t> Clean, Restored, OnChain;
+  /// Params then locals of each live function: the LocalIndex vocabulary.
+  std::vector<std::vector<const cf::VarDecl *>> Vars;
+  std::unordered_map<std::string_view, const cf::VarDecl *> LiveGlobalVars;
+
+  /// Per baseline statement id: its index in Baseline.StmtIn, or -1.
+  std::vector<int32_t> RowOf;
   std::map<uint32_t, uint32_t> StringRemap;
-  std::map<unsigned, const cf::Type *> LiveStringTy;
-  std::map<std::string, const cf::VarDecl *> LiveGlobalVars;
-  std::map<std::string, std::vector<const cf::VarDecl *>> LiveFnVars;
-  std::optional<serve::StructuralKeys> LiveKeys;
+  bool StringsMoved = false;
+  std::unordered_map<uint32_t, const cf::Type *> LiveStringTy;
+  std::optional<CanonKeys> Keys;
 
-  std::vector<uint32_t> Size; ///< preorder subtree sizes of Baseline.IG
-  std::map<std::string, std::vector<uint32_t>> DonorsByFn;
-  std::map<uint32_t, size_t> StmtRowById;
+  // The baseline graph, indexed by preorder position.
+  std::vector<uint32_t> Size;   ///< subtree sizes
+  std::vector<uint32_t> NodeFn; ///< live function index, or NoId
+  std::vector<uint8_t> Grafted; ///< inside a fired graft
+  /// Donor roots per live function, in node order; donorsOf() keys them
+  /// by input hash on the function's first seeding attempt.
+  struct FnDonors {
+    std::vector<uint32_t> Nodes;
+    std::vector<Donor> Keyed;
+    bool IsKeyed = false;
+  };
+  std::vector<FnDonors> Donors;
+  std::vector<CanonSet> DonorCanon; ///< by node, for keyed donors
+  CanonSet LiveCanon;
 
-  // Memoized baseline-record keys ("" = unmappable) and minted live
-  // locations, each with a 0/1/2 visit status for cycle protection
-  // (SymParent indices are range-checked, not topology-checked).
-  std::vector<std::string> RkMemo;
-  std::vector<uint8_t> RkStatus;
+  // Minted live locations per baseline record, with a 0/1/2 visit
+  // status for cycle protection (SymParent indices are range-checked,
+  // not topology-checked), and literal-move verdicts (0 unknown, 1
+  // visiting, 2 fixed, 3 moved).
   std::vector<const pta::Location *> RMemo;
   std::vector<uint8_t> RStatus;
-  std::map<uint32_t, std::optional<std::string>> DonorCanonMemo;
+  std::vector<uint8_t> MovedMemo;
 
-  std::vector<std::pair<uint32_t, uint32_t>> FiredSpans;
-  std::set<std::string> RestoredFns;
   bool Failed = false;
   uint64_t SeedHits = 0;
   uint64_t MemoReuse = 0;
@@ -274,101 +312,85 @@ private:
   uint64_t RowsMaterialized = 0;
 };
 
-void IncrSession::collectStringTypes(const simple::Stmt *S) {
-  using namespace mcpta::simple;
-  if (!S)
-    return;
-  auto Op = [&](const Operand &O) {
-    if (O.K == Operand::Kind::StringConst)
-      LiveStringTy.emplace(O.StringId, O.Ty);
-  };
-  switch (S->kind()) {
-  case Stmt::Kind::Block:
-    for (const Stmt *C : castStmt<BlockStmt>(S)->Body)
-      collectStringTypes(C);
-    return;
-  case Stmt::Kind::If: {
-    const auto *I = castStmt<IfStmt>(S);
-    Op(I->Cond);
-    collectStringTypes(I->Then);
-    collectStringTypes(I->Else);
-    return;
-  }
-  case Stmt::Kind::Loop: {
-    const auto *L = castStmt<LoopStmt>(S);
-    collectStringTypes(L->Body);
-    collectStringTypes(L->Trailer);
-    return;
-  }
-  case Stmt::Kind::Switch: {
-    const auto *Sw = castStmt<SwitchStmt>(S);
-    Op(Sw->Cond);
-    for (const SwitchStmt::Case &C : Sw->Cases)
-      for (const Stmt *B : C.Body)
-        collectStringTypes(B);
-    return;
-  }
-  case Stmt::Kind::Assign: {
-    const auto *A = castStmt<AssignStmt>(S);
-    if (A->RK == AssignStmt::RhsKind::Call) {
-      for (const Operand &Arg : A->Call.Args)
-        Op(Arg);
-      return;
-    }
-    Op(A->A);
-    if (A->RK == AssignStmt::RhsKind::Binary)
-      Op(A->B);
-    return;
-  }
-  case Stmt::Kind::Call:
-    for (const Operand &Arg : castStmt<CallStmt>(S)->Call.Args)
-      Op(Arg);
-    return;
-  case Stmt::Kind::Return: {
-    const auto *R = castStmt<ReturnStmt>(S);
-    if (R->Value)
-      Op(*R->Value);
-    return;
-  }
-  default:
-    return;
-  }
+uint32_t IncrSession::fnNamed(std::string_view Name) const {
+  auto It = FnByName.find(Name);
+  return It == FnByName.end() ? NoId : It->second;
+}
+
+uint32_t IncrSession::fnOf(const cf::FunctionDecl *F) const {
+  auto It = FnByDecl.find(F);
+  return It == FnByDecl.end() ? NoId : It->second;
+}
+
+std::optional<uint32_t> IncrSession::liveString(uint32_t B) const {
+  auto It = StringRemap.find(B);
+  if (It == StringRemap.end())
+    return std::nullopt;
+  return It->second;
 }
 
 void IncrSession::begin(const simple::Program &P, pta::InvocationGraph &G,
                         pta::LocationTable &L) {
-  Prog = &P;
   IG = &G;
   Locs = &L;
   Unit = &P.unit();
 
+  const std::vector<FunctionMeta> &LF = LiveMeta.Functions;
+  const size_t NF = LF.size();
+  FnByName.reserve(NF);
+  for (size_t I = 0; I < NF; ++I)
+    FnByName.emplace(LF[I].Name, static_cast<uint32_t>(I));
+  std::unordered_map<std::string_view, const FunctionMeta *> BaseByName;
   for (const FunctionMeta &F : Baseline.Meta.Functions)
-    BaseFns.emplace(F.Name, &F);
-  for (const FunctionMeta &F : LiveMeta.Functions)
-    LiveFns.emplace(F.Name, &F);
+    BaseByName.emplace(F.Name, &F);
+  BaseFm.assign(NF, nullptr);
+  for (const auto &[Name, I] : FnByName) {
+    auto It = BaseByName.find(Name);
+    if (It != BaseByName.end())
+      BaseFm[I] = It->second;
+  }
+  ByName.clear();
+  for (const auto &[Name, I] : FnByName)
+    ByName.push_back(I);
+  std::sort(ByName.begin(), ByName.end(),
+            [&](uint32_t A, uint32_t B) { return LF[A].Name < LF[B].Name; });
+
+  DeclOf.assign(NF, nullptr);
+  Vars.assign(NF, {});
+  for (const cf::FunctionDecl *F : Unit->functions()) {
+    uint32_t I = fnNamed(F->name());
+    if (I == NoId)
+      continue;
+    FnByDecl.emplace(F, I);
+    if (!DeclOf[I])
+      DeclOf[I] = F;
+    for (const cf::VarDecl *Pv : F->params())
+      Vars[I].push_back(Pv);
+    if (const simple::FunctionIR *FIR = P.findFunction(F))
+      for (const cf::VarDecl *V : FIR->Locals)
+        Vars[I].push_back(V);
+  }
+  for (const cf::VarDecl *V : P.globals())
+    LiveGlobalVars.emplace(V->name(), V);
 
   // Clean = defined on both sides, fingerprint-equal, outside the dirty
   // closure. The id-list length checks guard against the (astronomically
-  // unlikely) hash collision that would break positional remapping.
-  for (const auto &[Name, LFm] : LiveFns) {
-    auto BIt = BaseFns.find(Name);
-    if (BIt == BaseFns.end())
-      continue;
-    const FunctionMeta *BFm = BIt->second;
-    if (!LFm->Defined || !BFm->Defined ||
-        BFm->Fingerprint != LFm->Fingerprint || Dirty.count(Name))
+  // unlikely) hash collision that would break positional remapping: a
+  // clean function's k-th statement, call site and literal in the
+  // baseline are its k-th in the live program.
+  Clean.assign(NF, 0);
+  Restored.assign(NF, 0);
+  OnChain.assign(NF, 0);
+  for (const auto &[Name, I] : FnByName) {
+    const FunctionMeta *BFm = BaseFm[I], *LFm = &LF[I];
+    if (!BFm || !LFm->Defined || !BFm->Defined ||
+        BFm->Fingerprint != LFm->Fingerprint || Dirty.count(LFm->Name))
       continue;
     if (BFm->CallSiteIds.size() != LFm->CallSiteIds.size() ||
         BFm->StmtIds.size() != LFm->StmtIds.size() ||
         BFm->StringIds.size() != LFm->StringIds.size())
       continue;
-    Clean.insert(Name);
-    auto &CS = CallSiteRemap[Name];
-    for (size_t K = 0; K < BFm->CallSiteIds.size(); ++K)
-      CS[BFm->CallSiteIds[K]] = LFm->CallSiteIds[K];
-    auto &SM = StmtRemap[Name];
-    for (size_t K = 0; K < BFm->StmtIds.size(); ++K)
-      SM[BFm->StmtIds[K]] = LFm->StmtIds[K];
+    Clean[I] = 1;
   }
 
   // Positional string-literal remap over clean functions (plus the
@@ -384,33 +406,28 @@ void IncrSession::begin(const simple::Program &P, pta::InvocationGraph &G,
       Conflicts.insert(B);
     }
   };
-  for (const std::string &Name : Clean) {
-    const FunctionMeta *BFm = BaseFns.at(Name), *LFm = LiveFns.at(Name);
-    for (size_t K = 0; K < BFm->StringIds.size(); ++K)
-      AddPair(BFm->StringIds[K], LFm->StringIds[K]);
-  }
+  for (uint32_t I : ByName)
+    if (Clean[I])
+      for (size_t K = 0; K < BaseFm[I]->StringIds.size(); ++K)
+        AddPair(BaseFm[I]->StringIds[K], LF[I].StringIds[K]);
   if (Baseline.Meta.GlobalInitFingerprint == LiveMeta.GlobalInitFingerprint &&
       Baseline.Meta.GlobalInitStringIds.size() ==
           LiveMeta.GlobalInitStringIds.size())
     for (size_t K = 0; K < Baseline.Meta.GlobalInitStringIds.size(); ++K)
       AddPair(Baseline.Meta.GlobalInitStringIds[K],
               LiveMeta.GlobalInitStringIds[K]);
+  StringsMoved =
+      !Conflicts.empty() ||
+      std::any_of(StringRemap.begin(), StringRemap.end(),
+                  [](const auto &Pr) { return Pr.first != Pr.second; });
 
-  for (const cf::VarDecl *V : P.globals())
-    LiveGlobalVars.emplace(V->name(), V);
-  for (const cf::FunctionDecl *F : Unit->functions()) {
-    auto &Vec = LiveFnVars[F->name()];
-    for (const cf::VarDecl *Pv : F->params())
-      Vec.push_back(Pv);
-    if (const simple::FunctionIR *FIR = P.findFunction(F)) {
-      for (const cf::VarDecl *V : FIR->Locals)
-        Vec.push_back(V);
-      collectStringTypes(FIR->Body);
-    }
-  }
-  collectStringTypes(P.globalInit());
-
-  LiveKeys.emplace(serve::localIndexMap(P));
+  Keys.emplace(
+      Baseline, P, L,
+      [this](const std::string &Owner) {
+        uint32_t I = fnNamed(Owner);
+        return I != NoId && Clean[I];
+      },
+      [this](uint32_t B) { return liveString(B); });
 
   // Preorder subtree spans of the baseline graph: children carry larger
   // indices than their parent, so a reverse sweep accumulates final
@@ -423,10 +440,15 @@ void IncrSession::begin(const simple::Program &P, pta::InvocationGraph &G,
     if (Par >= 0 && (size_t)Par < I)
       Size[Par] += Size[I];
   }
-
+  NodeFn.assign(BIG.size(), NoId);
   std::vector<uint8_t> NodeClean(BIG.size(), 0);
-  for (size_t I = 0; I < BIG.size(); ++I)
-    NodeClean[I] = Clean.count(BIG[I].Function) ? 1 : 0;
+  for (size_t I = 0; I < BIG.size(); ++I) {
+    NodeFn[I] = fnNamed(BIG[I].Function);
+    NodeClean[I] = NodeFn[I] != NoId && Clean[NodeFn[I]];
+  }
+  Grafted.assign(BIG.size(), 0);
+  Donors.assign(NF, {});
+  DonorCanon.assign(BIG.size(), {});
   for (size_t D = 0; D < BIG.size(); ++D) {
     const serve::IGNodeRecord &R = BIG[D];
     if (R.Kind == (uint8_t)pta::IGNode::Kind::Approximate)
@@ -446,135 +468,27 @@ void IncrSession::begin(const simple::Program &P, pta::InvocationGraph &G,
         Ok = false; // malformed preorder
     }
     if (Ok)
-      DonorsByFn[R.Function].push_back((uint32_t)D);
+      Donors[NodeFn[D]].Nodes.push_back((uint32_t)D);
   }
 
+  // Statement ids are dense program-wide counters. A snapshot whose rows
+  // are far sparser than that (a corrupt one) gets no index, and the
+  // session fails rather than allocate by its claims.
+  uint32_t MaxRowId = 0;
+  for (const serve::StmtSetRecord &R : Baseline.StmtIn)
+    MaxRowId = std::max(MaxRowId, R.StmtId);
+  if (MaxRowId / 16 > Baseline.StmtIn.size() + (1u << 16)) {
+    Failed = true;
+    return;
+  }
+  RowOf.assign(Baseline.StmtIn.empty() ? 0 : size_t(MaxRowId) + 1, -1);
   for (size_t I = 0; I < Baseline.StmtIn.size(); ++I)
-    StmtRowById.emplace(Baseline.StmtIn[I].StmtId, I);
+    if (RowOf[Baseline.StmtIn[I].StmtId] < 0)
+      RowOf[Baseline.StmtIn[I].StmtId] = static_cast<int32_t>(I);
 
-  RkMemo.assign(Baseline.Locations.size(), std::string());
-  RkStatus.assign(Baseline.Locations.size(), 0);
   RMemo.assign(Baseline.Locations.size(), nullptr);
   RStatus.assign(Baseline.Locations.size(), 0);
-}
-
-//===----------------------------------------------------------------------===//
-// Structural keys of baseline records
-//===----------------------------------------------------------------------===//
-
-const std::string &IncrSession::rk(uint32_t Bid) {
-  static const std::string Empty;
-  if (Bid >= Baseline.Locations.size())
-    return Empty;
-  if (RkStatus[Bid] == 2)
-    return RkMemo[Bid];
-  if (RkStatus[Bid] == 1)
-    return Empty; // SymParent cycle in a corrupt snapshot
-  RkStatus[Bid] = 1;
-
-  const serve::LocationRecord &R = Baseline.Locations[Bid];
-  std::string K;
-  switch ((pta::Entity::Kind)R.EntityKind) {
-  case pta::Entity::Kind::Variable:
-    if (R.Owner.empty()) {
-      K = "v||" + R.RootName + "|-1";
-    } else if (Clean.count(R.Owner) && R.LocalIndex >= 0) {
-      // Frame locals are only comparable when the frame is clean: the
-      // LocalIndex vocabulary of a dirty function may have shifted.
-      K = "v|" + R.Owner + "|" + R.RootName + "|" +
-          std::to_string(R.LocalIndex);
-    }
-    break;
-  case pta::Entity::Kind::Retval:
-    K = "r|" + R.Owner;
-    break;
-  case pta::Entity::Kind::Function:
-    K = "f|" + R.RootName;
-    break;
-  case pta::Entity::Kind::String: {
-    auto It = StringRemap.find(R.StringId);
-    if (It != StringRemap.end())
-      K = "s|" + std::to_string(It->second);
-    break;
-  }
-  case pta::Entity::Kind::Heap:
-    K = "h";
-    break;
-  case pta::Entity::Kind::Null:
-    K = "n";
-    break;
-  case pta::Entity::Kind::Symbolic:
-    if (R.SymParent >= 0) {
-      const std::string &PK = rk((uint32_t)R.SymParent);
-      if (!PK.empty())
-        K = "y|" + R.Owner + "|" + PK + "|";
-    }
-    break;
-  }
-  if (!K.empty()) {
-    size_t FieldCursor = 0;
-    for (uint8_t PK : R.PathKinds) {
-      if (PK == 0) {
-        if (FieldCursor >= R.FieldNames.size()) {
-          K.clear();
-          break;
-        }
-        K += ".f:" + R.FieldNames[FieldCursor++];
-      } else if (PK == 1) {
-        K += "[0]";
-      } else {
-        K += "[1..]";
-      }
-    }
-  }
-  RkStatus[Bid] = 2;
-  RkMemo[Bid] = std::move(K);
-  return RkMemo[Bid];
-}
-
-std::optional<std::string>
-IncrSession::canonBaselineSet(const serve::PackedSet &Ws) {
-  std::vector<std::string> Lines;
-  Lines.reserve(Ws.size());
-  for (uint64_t W : Ws) {
-    const std::string &A = rk(serve::tripleSrc(W));
-    const std::string &B = rk(serve::tripleDst(W));
-    if (A.empty() || B.empty())
-      return std::nullopt;
-    Lines.push_back(A + ">" + B + (serve::tripleDefinite(W) ? ":D" : ":P"));
-  }
-  std::sort(Lines.begin(), Lines.end());
-  std::string Out;
-  for (const std::string &Ln : Lines) {
-    Out += Ln;
-    Out += '\n';
-  }
-  return Out;
-}
-
-std::string IncrSession::canonLiveSet(const pta::PointsToSet &S) {
-  std::vector<std::string> Lines;
-  Lines.reserve(S.size());
-  S.forEach(*Locs, [&](const pta::Location *A, const pta::Location *B,
-                       pta::Def D) {
-    Lines.push_back(LiveKeys->key(A) + ">" + LiveKeys->key(B) +
-                    (D == pta::Def::D ? ":D" : ":P"));
-  });
-  std::sort(Lines.begin(), Lines.end());
-  std::string Out;
-  for (const std::string &Ln : Lines) {
-    Out += Ln;
-    Out += '\n';
-  }
-  return Out;
-}
-
-const std::string *IncrSession::donorCanon(uint32_t D) {
-  auto It = DonorCanonMemo.find(D);
-  if (It == DonorCanonMemo.end())
-    It = DonorCanonMemo.emplace(D, canonBaselineSet(Baseline.IG[D].Input))
-             .first;
-  return It->second ? &*It->second : nullptr;
+  MovedMemo.assign(Baseline.Locations.size(), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -606,38 +520,48 @@ IncrSession::resolveRecord(const serve::LocationRecord &R) {
         return nullptr;
       E = Locs->variable(It->second);
     } else {
-      auto FIt = LiveFnVars.find(R.Owner);
-      if (FIt == LiveFnVars.end() || R.LocalIndex < 0 ||
-          (size_t)R.LocalIndex >= FIt->second.size())
+      uint32_t F = fnNamed(R.Owner);
+      if (F == NoId || R.LocalIndex < 0 ||
+          (size_t)R.LocalIndex >= Vars[F].size())
         return nullptr;
-      const cf::VarDecl *V = FIt->second[R.LocalIndex];
+      const cf::VarDecl *V = Vars[F][R.LocalIndex];
       if (V->name() != R.RootName)
         return nullptr;
       E = Locs->variable(V);
     }
     break;
   case pta::Entity::Kind::Retval: {
-    const cf::FunctionDecl *F = Unit->findFunction(R.Owner);
-    if (!F)
+    uint32_t F = fnNamed(R.Owner);
+    if (F == NoId)
       return nullptr;
-    E = Locs->retval(F);
+    E = Locs->retval(DeclOf[F]);
     break;
   }
   case pta::Entity::Kind::Function: {
-    const cf::FunctionDecl *F = Unit->findFunction(R.RootName);
-    if (!F)
+    uint32_t F = fnNamed(R.RootName);
+    if (F == NoId)
       return nullptr;
-    E = Locs->function(F);
+    E = Locs->function(DeclOf[F]);
     break;
   }
   case pta::Entity::Kind::String: {
-    auto It = StringRemap.find(R.StringId);
-    if (It == StringRemap.end())
+    std::optional<uint32_t> Id = liveString(R.StringId);
+    if (!Id)
       return nullptr;
-    auto TIt = LiveStringTy.find(It->second);
+    if (LiveStringTy.empty()) {
+      // Literal types, collected on the first literal resolved.
+      auto Note = [this](const simple::Operand &O) {
+        if (O.K == simple::Operand::Kind::StringConst)
+          LiveStringTy.emplace(O.StringId, O.Ty);
+      };
+      for (const simple::FunctionIR &F : IG->program().functions())
+        simple::walkOperands(F.Body, Note);
+      simple::walkOperands(IG->program().globalInit(), Note);
+    }
+    auto TIt = LiveStringTy.find(*Id);
     if (TIt == LiveStringTy.end())
       return nullptr;
-    E = Locs->stringLit(It->second, TIt->second);
+    E = Locs->stringLit(*Id, TIt->second);
     break;
   }
   case pta::Entity::Kind::Heap:
@@ -652,9 +576,10 @@ IncrSession::resolveRecord(const serve::LocationRecord &R) {
     const pta::Location *Parent = resolveLive((uint32_t)R.SymParent);
     if (!Parent || R.Owner.empty())
       return nullptr;
-    const cf::FunctionDecl *Frame = Unit->findFunction(R.Owner);
-    if (!Frame)
+    uint32_t F = fnNamed(R.Owner);
+    if (F == NoId)
       return nullptr;
+    const cf::FunctionDecl *Frame = DeclOf[F];
     const pta::Entity *SE = Locs->symbolic(Frame, Parent);
     if (SE->symbolicLevel() != R.SymbolicLevel)
       return nullptr;
@@ -737,47 +662,72 @@ IncrSession::resolveSet(const serve::PackedSet &Ws) {
 // Seeding
 //===----------------------------------------------------------------------===//
 
+const std::vector<IncrSession::Donor> &IncrSession::donorsOf(uint32_t F) {
+  FnDonors &FD = Donors[F];
+  if (!FD.IsKeyed) {
+    FD.IsKeyed = true;
+    for (uint32_t D : FD.Nodes)
+      if (Keys->baseline(Baseline.IG[D].Input, DonorCanon[D]))
+        FD.Keyed.push_back({CanonKeys::hash(DonorCanon[D]), D});
+    std::sort(FD.Keyed.begin(), FD.Keyed.end());
+  }
+  return FD.Keyed;
+}
+
 bool IncrSession::trySeed(pta::IGNode *Node, const pta::PointsToSet &Input) {
   if (Failed)
     return false;
-  const std::string &FnName = Node->function()->name();
-  auto DIt = DonorsByFn.find(FnName);
-  if (DIt == DonorsByFn.end())
+  const uint32_t F = fnOf(Node->function());
+  if (F == NoId)
+    return false;
+  const std::vector<Donor> &Cands = donorsOf(F);
+  if (Cands.empty())
     return false;
 
-  std::string LiveCanon = canonLiveSet(Input);
-  std::set<std::string> AncestorFns;
-  for (pta::IGNode *A = Node->parent(); A; A = A->parent())
-    AncestorFns.insert(A->function()->name());
-
-  for (uint32_t D : DIt->second) {
-    const std::string *DC = donorCanon(D);
-    if (!DC || *DC != LiveCanon)
+  Keys->live(Input, LiveCanon);
+  const uint64_t H = CanonKeys::hash(LiveCanon);
+  // Candidates with this hash, in ascending node order: the first equal
+  // donor without a clash fires.
+  auto It = std::lower_bound(Cands.begin(), Cands.end(), Donor{H, 0});
+  std::vector<uint32_t> Chain;
+  bool Fired = false;
+  for (; It != Cands.end() && It->Hash == H && !Fired; ++It) {
+    const uint32_t D = It->Node;
+    if (DonorCanon[D] != LiveCanon)
       continue;
+    if (Chain.empty())
+      for (pta::IGNode *A = Node->parent(); A; A = A->parent()) {
+        uint32_t AF = fnOf(A->function());
+        if (AF != NoId && !OnChain[AF]) {
+          OnChain[AF] = 1;
+          Chain.push_back(AF);
+        }
+      }
     // If any function of the donor subtree sits on the live ancestor
     // chain, grafting would splice in recursion the analyzer never
     // detected; skip the donor (a fresh evaluation handles it).
     bool Clash = false;
     for (uint32_t J = D; J < D + Size[D] && !Clash; ++J)
-      if (AncestorFns.count(Baseline.IG[J].Function))
-        Clash = true;
+      Clash = OnChain[NodeFn[J]];
     if (Clash)
       continue;
     if (!applyGraft(Node, D, Input)) {
       // A partially applied graft cannot be unwound; poison the session
       // so the engine discards this run entirely.
       Failed = true;
-      return false;
+      break;
     }
     ++SeedHits;
     for (uint32_t J = D; J < D + Size[D]; ++J) {
       MemoReuse += Baseline.IG[J].EvalCount;
-      RestoredFns.insert(Baseline.IG[J].Function);
+      Restored[NodeFn[J]] = 1;
+      Grafted[J] = 1;
     }
-    FiredSpans.emplace_back(D, D + Size[D]);
-    return true;
+    Fired = true;
   }
-  return false;
+  for (uint32_t AF : Chain)
+    OnChain[AF] = 0;
+  return Fired;
 }
 
 bool IncrSession::applyGraft(pta::IGNode *LiveRoot, uint32_t D,
@@ -792,7 +742,8 @@ bool IncrSession::applyGraft(pta::IGNode *LiveRoot, uint32_t D,
   if (!RootIn || !(*RootIn == Input))
     return false;
 
-  std::map<uint32_t, pta::IGNode *> LiveOf;
+  // Live node of each span position (D + k at index k).
+  std::vector<pta::IGNode *> LiveOf(Size[D], nullptr);
   for (uint32_t J = D; J < D + Size[D]; ++J) {
     const serve::IGNodeRecord &R = BIG[J];
     pta::IGNode *N;
@@ -804,26 +755,22 @@ bool IncrSession::applyGraft(pta::IGNode *LiveRoot, uint32_t D,
       if ((uint8_t)N->kind() != R.Kind)
         return false;
     } else {
-      auto PIt = LiveOf.find((uint32_t)R.Parent);
-      if (PIt == LiveOf.end())
+      // Preorder (checked at donor selection): D <= Parent < J. The
+      // call site remaps positionally within the parent's function.
+      pta::IGNode *ParentLive = LiveOf[R.Parent - D];
+      const uint32_t PF = NodeFn[R.Parent];
+      const std::vector<uint32_t> &BaseCS = BaseFm[PF]->CallSiteIds;
+      auto CSIt = std::find(BaseCS.begin(), BaseCS.end(), R.CallSiteId);
+      if (CSIt == BaseCS.end())
         return false;
-      pta::IGNode *ParentLive = PIt->second;
-      auto CSIt = CallSiteRemap.find(BIG[R.Parent].Function);
-      if (CSIt == CallSiteRemap.end())
-        return false;
-      auto MIt = CSIt->second.find(R.CallSiteId);
-      if (MIt == CSIt->second.end())
-        return false;
-      unsigned LiveCS = MIt->second;
-      const cf::FunctionDecl *Callee = Unit->findFunction(R.Function);
-      if (!Callee)
-        return false;
+      unsigned LiveCS =
+          LiveMeta.Functions[PF].CallSiteIds[CSIt - BaseCS.begin()];
+      const cf::FunctionDecl *Callee = DeclOf[NodeFn[J]];
       pta::IGNode *RecLive = nullptr;
       if (R.RecEdge >= 0) {
-        auto RIt = LiveOf.find((uint32_t)R.RecEdge);
-        if (RIt == LiveOf.end())
+        if ((uint32_t)R.RecEdge < D || (uint32_t)R.RecEdge >= J)
           return false;
-        RecLive = RIt->second;
+        RecLive = LiveOf[R.RecEdge - D];
       }
       auto Kind = static_cast<pta::IGNode::Kind>(R.Kind);
       if (pta::IGNode *Existing = ParentLive->findChild(LiveCS, Callee)) {
@@ -846,7 +793,7 @@ bool IncrSession::applyGraft(pta::IGNode *LiveRoot, uint32_t D,
           return false;
       }
     }
-    LiveOf[J] = N;
+    LiveOf[J - D] = N;
 
     if (R.HasInput) {
       std::optional<pta::PointsToSet> In = resolveSet(R.Input);
@@ -885,31 +832,39 @@ bool IncrSession::applyGraft(pta::IGNode *LiveRoot, uint32_t D,
 //===----------------------------------------------------------------------===//
 
 bool IncrSession::checkCoverage(const pta::Analyzer::Result &Res) {
-  if (RestoredFns.empty())
+  if (std::find(Restored.begin(), Restored.end(), 1) == Restored.end())
     return true;
 
-  auto InFired = [&](uint32_t I) {
-    for (const auto &[B, E] : FiredSpans)
-      if (I >= B && I < E)
-        return true;
-    return false;
+  // Live evaluations of restored functions, by (function, input hash).
+  struct LiveEval {
+    uint32_t Fn;
+    uint64_t Hash;
+    uint8_t Kind;
+    CanonSet Input;
   };
-
-  // Live evaluations per function: (kind, canonical input).
-  std::map<std::string, std::vector<std::pair<uint8_t, std::string>>> LiveIdx;
+  std::vector<LiveEval> Live;
   Res.IG->forEachNode([&](const pta::IGNode *N) {
-    if (N->EvalCount >= 1 && N->StoredInput &&
-        RestoredFns.count(N->function()->name()))
-      LiveIdx[N->function()->name()].emplace_back(
-          (uint8_t)N->kind(), canonLiveSet(*N->StoredInput));
+    if (N->EvalCount < 1 || !N->StoredInput)
+      return;
+    uint32_t F = fnOf(N->function());
+    if (F == NoId || !Restored[F])
+      return;
+    LiveEval E{F, 0, (uint8_t)N->kind(), {}};
+    Keys->live(*N->StoredInput, E.Input);
+    E.Hash = CanonKeys::hash(E.Input);
+    Live.push_back(std::move(E));
   });
+  auto Less = [](const LiveEval &A, const LiveEval &B) {
+    return A.Fn != B.Fn ? A.Fn < B.Fn : A.Hash < B.Hash;
+  };
+  std::sort(Live.begin(), Live.end(), Less);
 
   const auto &BIG = Baseline.IG;
+  CanonSet C;
   for (uint32_t I = 0; I < BIG.size(); ++I) {
     const serve::IGNodeRecord &R = BIG[I];
-    if (R.EvalCount == 0 || !RestoredFns.count(R.Function))
-      continue;
-    if (InFired(I))
+    if (R.EvalCount == 0 || NodeFn[I] == NoId || !Restored[NodeFn[I]] ||
+        Grafted[I])
       continue;
     // This baseline evaluation was not grafted: its per-statement rows
     // ride along in the wholesale function restore, so an equal live
@@ -921,62 +876,99 @@ bool IncrSession::checkCoverage(const pta::Analyzer::Result &Res) {
     for (uint32_t J = I; J < I + Size[I]; ++J)
       if (BIG[J].RecEdge >= 0 && (uint32_t)BIG[J].RecEdge < I)
         return false; // depended on an ancestor summary; not comparable
-    std::optional<std::string> C = canonBaselineSet(R.Input);
-    if (!C)
+    if (!Keys->baseline(R.Input, C))
       return false;
-    auto LIt = LiveIdx.find(R.Function);
-    if (LIt == LiveIdx.end())
-      return false;
-    bool Found = false;
-    for (const auto &[K, LC] : LIt->second)
-      if (K == R.Kind && LC == *C) {
-        Found = true;
-        break;
-      }
-    if (!Found)
+    LiveEval Probe{NodeFn[I], CanonKeys::hash(C), 0, {}};
+    auto [B, E] = std::equal_range(Live.begin(), Live.end(), Probe, Less);
+    if (std::none_of(B, E, [&](const LiveEval &L) {
+          return L.Kind == R.Kind && L.Input == C;
+        }))
       return false;
   }
   return true;
 }
 
+bool IncrSession::literalMoved(uint32_t Bid) {
+  if (Bid >= Baseline.Locations.size() || MovedMemo[Bid] == 1)
+    return true; // out of range, or a SymParent cycle
+  if (MovedMemo[Bid])
+    return MovedMemo[Bid] == 3;
+  MovedMemo[Bid] = 1;
+  const serve::LocationRecord &R = Baseline.Locations[Bid];
+  bool Moved = false;
+  if (R.EntityKind == (uint8_t)pta::Entity::Kind::String)
+    Moved = liveString(R.StringId) != std::optional<uint32_t>(R.StringId);
+  else if (R.EntityKind == (uint8_t)pta::Entity::Kind::Symbolic &&
+           R.SymParent >= 0)
+    Moved = literalMoved((uint32_t)R.SymParent);
+  MovedMemo[Bid] = Moved ? 3 : 2;
+  return Moved;
+}
+
+bool IncrSession::usesMovedLiteral(
+    uint32_t F, const std::vector<std::pair<uint32_t, uint32_t>> &Rows,
+    size_t First) {
+  for (size_t K = First; K < Rows.size(); ++K)
+    for (uint64_t W : Baseline.StmtIn[Rows[K].second].Set)
+      if (literalMoved(serve::tripleSrc(W)) ||
+          literalMoved(serve::tripleDst(W)))
+        return true;
+  // Read/write entries name literals "str$N"; '$' appears in no source
+  // identifier, so every occurrence is a literal id.
+  const std::string &Name = LiveMeta.Functions[F].Name;
+  for (const auto *M : {&Baseline.Reads, &Baseline.Writes})
+    for (const std::string &Entry : M->at(Name))
+      for (size_t P = Entry.find("str$"); P != std::string::npos;
+           P = Entry.find("str$", P + 4)) {
+        uint32_t Id = 0;
+        size_t E = P + 4;
+        for (; E < Entry.size() && Entry[E] >= '0' && Entry[E] <= '9'; ++E)
+          Id = Id * 10 + static_cast<uint32_t>(Entry[E] - '0');
+        if (E > P + 4 && liveString(Id) != std::optional<uint32_t>(Id))
+          return true;
+      }
+  return false;
+}
+
 bool IncrSession::restore(pta::Analyzer::Result &Res,
                           serve::CarriedRows &Carried) {
-  // String-literal ids are program-wide counters that shift under clean
-  // functions, and read/write entries name literals by them ("str$N").
-  const bool StringsStay =
-      std::all_of(StringRemap.begin(), StringRemap.end(),
-                  [](const auto &P) { return P.first == P.second; });
-
   // Every restored row as (live statement id, baseline row index), split
   // by whether its function's rows are carried or built as live sets.
   std::vector<std::pair<uint32_t, uint32_t>> Carry, Materialize;
-  for (const std::string &Fn : RestoredFns) {
-    auto BIt = BaseFns.find(Fn);
-    auto LIt = LiveFns.find(Fn);
-    auto SIt = StmtRemap.find(Fn);
-    if (BIt == BaseFns.end() || LIt == LiveFns.end() ||
-        SIt == StmtRemap.end())
+  for (uint32_t F : ByName) {
+    if (!Restored[F])
+      continue;
+    const FunctionMeta *BFm = BaseFm[F], *LFm = &LiveMeta.Functions[F];
+    if (!BFm || !Clean[F])
       return false;
     // Read/write entries also name the function's own locals, `$tN`
     // temporaries included, which are program-wide counters too.
-    bool CarryFn = StringsStay &&
-                   BIt->second->LocalNames == LIt->second->LocalNames &&
-                   Baseline.Reads.count(Fn) && Baseline.Writes.count(Fn);
-    for (uint32_t LS : LIt->second->StmtIds)
+    bool CarryFn = BFm->LocalNames == LFm->LocalNames &&
+                   Baseline.Reads.count(LFm->Name) &&
+                   Baseline.Writes.count(LFm->Name);
+    for (uint32_t LS : LFm->StmtIds)
       if (LS < Res.StmtIn.size() && Res.StmtIn[LS])
         CarryFn = false; // a live row: the function's client sets change
     auto &Rows = CarryFn ? Carry : Materialize;
-    for (uint32_t BS : BIt->second->StmtIds) {
-      auto RowIt = StmtRowById.find(BS);
-      if (RowIt == StmtRowById.end())
+    const size_t First = Rows.size();
+    for (size_t K = 0; K < BFm->StmtIds.size(); ++K) {
+      uint32_t BS = BFm->StmtIds[K];
+      if (BS >= RowOf.size() || RowOf[BS] < 0)
         continue; // statement never reached in the baseline
-      auto MIt = SIt->second.find(BS);
-      if (MIt == SIt->second.end() || MIt->second >= Res.StmtIn.size())
+      if (LFm->StmtIds[K] >= Res.StmtIn.size())
         return false;
-      Rows.emplace_back(MIt->second, static_cast<uint32_t>(RowIt->second));
+      Rows.emplace_back(LFm->StmtIds[K], static_cast<uint32_t>(RowOf[BS]));
+    }
+    // String-literal ids are program-wide counters that shift under
+    // clean functions, and read/write entries name literals by them.
+    if (CarryFn && StringsMoved && usesMovedLiteral(F, Carry, First)) {
+      Materialize.insert(Materialize.end(), Carry.begin() + First,
+                         Carry.end());
+      Carry.resize(First);
+      CarryFn = false;
     }
     if (CarryFn)
-      Carried.BaselineRW.push_back(Fn);
+      Carried.BaselineRW.push_back(LFm->Name);
   }
 
   // Carried rows stay in baseline canonical ids. Each id they use is
@@ -1021,22 +1013,17 @@ bool IncrSession::restore(pta::Analyzer::Result &Res,
   RowsCarried = Carry.size();
   RowsMaterialized = Materialize.size();
 
-  // The live warning log is keyed by FunctionDecl; resolve the baseline's
-  // function names against the live program before re-attributing.
-  std::map<std::string, const cfront::FunctionDecl *> DeclByName;
-  for (const simple::FunctionIR &F : Res.IG->program().functions())
-    DeclByName[F.Decl->name()] = F.Decl;
-
+  // The live warning log is keyed by FunctionDecl; a restored function
+  // is clean, so defined in the live program.
   std::set<std::string> Seen(Res.Warnings.begin(), Res.Warnings.end());
-  for (const std::string &Fn : RestoredFns) {
-    auto It = Baseline.WarningsByFn.find(Fn);
+  for (uint32_t F : ByName) {
+    if (!Restored[F])
+      continue;
+    auto It = Baseline.WarningsByFn.find(LiveMeta.Functions[F].Name);
     if (It == Baseline.WarningsByFn.end())
       continue;
-    auto DIt = DeclByName.find(Fn);
-    if (DIt == DeclByName.end())
-      return false; // a restored function must exist in the live program
     for (const std::string &Msg : It->second) {
-      Res.WarningsByFn.add(DIt->second, Msg);
+      Res.WarningsByFn.add(DeclOf[F], Msg);
       if (Seen.insert(Msg).second)
         Res.Warnings.push_back(Msg);
     }
@@ -1054,6 +1041,16 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
                                         const std::string &Source,
                                         const pta::Analyzer::Options &Opts,
                                         support::Telemetry *Telem) {
+  IncrOutput O = analyze(Baseline, Source, Opts, Telem);
+  if (O.Ok)
+    O.Blob = serve::serialize(O.Snapshot);
+  return O;
+}
+
+IncrOutput IncrementalEngine::analyze(const serve::ResultSnapshot *Baseline,
+                                      const std::string &Source,
+                                      const pta::Analyzer::Options &Opts,
+                                      support::Telemetry *Telem) {
   IncrOutput O;
   std::string OptsFP = serve::optionsFingerprint(Opts);
   // The program is parsed into O.Frontend at most once; every path that
@@ -1073,7 +1070,6 @@ IncrOutput IncrementalEngine::reanalyze(const serve::ResultSnapshot *Baseline,
                     const serve::CarriedRows *Carried) {
     O.Snapshot =
         serve::ResultSnapshot::capture(*FE.Prog, Res, OptsFP, O.Meta, Carried);
-    O.Blob = serve::serialize(O.Snapshot);
     O.Ok = true;
   };
 

@@ -81,7 +81,9 @@ struct IncrStats {
 
 struct IncrOutput {
   serve::ResultSnapshot Snapshot;
-  std::string Blob; ///< Snapshot serialized (current mcpta-result format)
+  /// Snapshot serialized (current mcpta-result format); reanalyze()
+  /// fills it, analyze() does not.
+  std::string Blob;
   IncrStats Stats;
   /// False only when the source fails to parse or lower. A program
   /// without main() is Ok: its snapshot is captured with Analyzed false.
@@ -108,16 +110,24 @@ std::set<std::string> computeDirtySet(const serve::ResultSnapshot &Baseline,
 class IncrementalEngine {
 public:
   /// Analyzes \p Source, re-using \p Baseline when one is given: the
-  /// one place that turns a source text into a snapshot and its blob for
-  /// the serve and incremental surfaces. Always produces a complete
-  /// snapshot (incremental when every gate holds, a full analysis
-  /// otherwise — see IncrStats); a null \p Baseline is a full analysis
-  /// with FallbackReason "no-baseline". The source is parsed at most
-  /// once: a fallback after the frontend ran analyzes that program. Ok
-  /// is false only when the source does not parse or lower. \p Telem
-  /// (optional) receives incr.dirty_functions / incr.memo_reuse /
-  /// incr.seed_hits / incr.rows_carried / incr.rows_materialized /
-  /// incr.fallback.* counters and is forwarded to the analyzer.
+  /// one place that turns a source text into a snapshot for the serve
+  /// and incremental surfaces. Always produces a complete snapshot
+  /// (incremental when every gate holds, a full analysis otherwise —
+  /// see IncrStats); a null \p Baseline is a full analysis with
+  /// FallbackReason "no-baseline". The source is parsed at most once: a
+  /// fallback after the frontend ran analyzes that program. Ok is false
+  /// only when the source does not parse or lower. \p Telem (optional)
+  /// receives incr.dirty_functions / incr.memo_reuse / incr.seed_hits /
+  /// incr.rows_carried / incr.rows_materialized / incr.fallback.*
+  /// counters and is forwarded to the analyzer. Leaves Blob empty: a
+  /// caller that stores the snapshot (SummaryCache::store) serializes it
+  /// only if it persists it.
+  static IncrOutput analyze(const serve::ResultSnapshot *Baseline,
+                            const std::string &Source,
+                            const pta::Analyzer::Options &Opts,
+                            support::Telemetry *Telem = nullptr);
+  /// analyze(), plus Blob = serialize(Snapshot) when Ok: for callers
+  /// that write or compare the bytes.
   static IncrOutput reanalyze(const serve::ResultSnapshot *Baseline,
                               const std::string &Source,
                               const pta::Analyzer::Options &Opts,

@@ -691,20 +691,32 @@ void writeBody(Writer &Body, StringInterner &Strings, const ResultSnapshot &S) {
   }
 }
 
-} // namespace
-
-std::string serve::serialize(const ResultSnapshot &S) {
-  // Counting the body's bytes also fills the string table, so the
-  // header, the table and the body are then written once into a buffer
-  // of exactly their size. A blob of a large program is tens of MB: one
-  // buffer, written once, is both faster and smaller at its peak than a
-  // body buffer that grows and is then copied behind the table.
-  StringInterner Strings;
+/// The counting pass: the blob's exact size. Counting the body also
+/// fills \p Strings, the table the header carries.
+size_t countBlob(const ResultSnapshot &S, StringInterner &Strings) {
   ByteCounter Counted;
   writeBody(Counted, Strings, S);
   size_t Bytes = 16 + S.OptionsFingerprint.size() + Counted.size();
   for (const std::string &Str : Strings.table())
     Bytes += 4 + Str.size();
+  return Bytes;
+}
+
+} // namespace
+
+size_t serve::serializedSize(const ResultSnapshot &S) {
+  StringInterner Strings;
+  return countBlob(S, Strings);
+}
+
+std::string serve::serialize(const ResultSnapshot &S) {
+  // The counting pass sizes the blob and fills the string table, so the
+  // header, the table and the body are then written once into a buffer
+  // of exactly their size. A blob of a large program is tens of MB: one
+  // buffer, written once, is both faster and smaller at its peak than a
+  // body buffer that grows and is then copied behind the table.
+  StringInterner Strings;
+  const size_t Bytes = countBlob(S, Strings);
 
   ByteWriter Out;
   Out.reserve(Bytes);

@@ -323,6 +323,10 @@ std::string optionsFingerprint(const pta::Analyzer::Options &Opts);
 /// equal snapshots yield equal bytes.
 std::string serialize(const ResultSnapshot &S);
 
+/// serialize(S).size(), from the writer's counting pass alone: no blob
+/// is built.
+size_t serializedSize(const ResultSnapshot &S);
+
 /// Parses a blob produced by serialize() in the current format version.
 /// Returns false with an error message on any malformed input (wrong
 /// magic, unknown format version, truncation, out-of-range indices);

@@ -870,22 +870,12 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
                      "point=alloc.pressure max=" + std::to_string(Cap));
   }
 
-  // The per-request deadline budget folds into TimeoutMs along the
-  // quantized ladder: level 0 gets the full deadline, each level halves
-  // it. BaseOpts (level 0) keeps a fallback cache key so a tightened
-  // request can still serve an already-computed full-budget result.
-  auto ApplyDeadline = [this](support::AnalysisLimits &Lim, unsigned Level) {
-    if (!Cfg.RequestDeadlineMs)
-      return;
-    uint64_t Effective = Cfg.RequestDeadlineMs >> Level;
-    if (!Effective)
-      Effective = 1;
-    Lim.TimeoutMs =
-        Lim.TimeoutMs ? std::min(Lim.TimeoutMs, Effective) : Effective;
-  };
+  // The per-request deadline budget folds into TimeoutMs. BaseOpts
+  // (level 0) keeps a fallback cache key so a tightened request can
+  // still serve an already-computed full-budget result.
   pta::Analyzer::Options BaseOpts = Opts;
-  ApplyDeadline(BaseOpts.Limits, 0);
-  ApplyDeadline(Opts.Limits, Ctx.LadderLevel);
+  applyDeadline(BaseOpts.Limits, 0);
+  applyDeadline(Opts.Limits, Ctx.LadderLevel);
   if (Ctx.LadderLevel) {
     Telem->add("serve.admission.tightened", 1);
     Telem->add("serve.admission.tightened.l" +
@@ -1001,7 +991,7 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
       Resp.member("fallback_reason", quoted("cache-hit"));
     }
   } else {
-    incr::IncrOutput O = incr::IncrementalEngine::reanalyze(
+    incr::IncrOutput O = incr::IncrementalEngine::analyze(
         Baseline.get(), Source, Opts, Ctx.Telem);
     if (!O.Ok) {
       // Frontend failures are not cached: the response carries the
@@ -1021,8 +1011,7 @@ void Server::handleAnalyze(const JsonValue &Req, Response &Resp,
       Ctx.Telem->add("serve.watchdog.uncached_results", 1);
     } else {
       std::string StoreWarning;
-      Snap = Cache->store(Key, std::move(O.Snapshot), O.Blob, &StoreWarning,
-                          Scope);
+      Snap = Cache->store(Key, std::move(O.Snapshot), &StoreWarning, Scope);
       if (!StoreWarning.empty()) {
         std::lock_guard<std::mutex> LogLock(LogMu);
         Log << "warning: " << StoreWarning << "\n";
@@ -1172,6 +1161,17 @@ static std::string parseQuery(const JsonValue &Req, demand::Query::Kind K,
   return "";
 }
 
+void Server::applyDeadline(support::AnalysisLimits &Lim,
+                           unsigned Level) const {
+  if (!Cfg.RequestDeadlineMs)
+    return;
+  uint64_t Effective = Cfg.RequestDeadlineMs >> Level;
+  if (!Effective)
+    Effective = 1;
+  Lim.TimeoutMs =
+      Lim.TimeoutMs ? std::min(Lim.TimeoutMs, Effective) : Effective;
+}
+
 void Server::handleQuery(const JsonValue &Req, Response &Resp,
                          const RequestCtx &Ctx, demand::Query::Kind K) {
   const std::string Strategy = Req.getString("strategy");
@@ -1247,9 +1247,13 @@ void Server::handleQuery(const JsonValue &Req, Response &Resp,
         }
       }
       if (!Program->Engine) {
+        // The options a default analyze of this text runs under (the
+        // level-0 deadline included), so a fallback can answer from its
+        // snapshot.
         demand::DemandOptions DO;
         DO.Analyzer = Cfg.DefaultOpts;
         DO.Analyzer.Telem = nullptr;
+        applyDeadline(DO.Analyzer.Limits, 0);
         Program->Engine = std::make_unique<demand::DemandEngine>(
             *Program->FE.Prog, DO, Program->Meta ? &*Program->Meta : nullptr);
       }

@@ -185,6 +185,10 @@ private:
   /// One analyzed program kept resident between requests (Resident).
   struct ResidentProgram;
 
+  /// Folds the per-request deadline into \p Lim along the quantized
+  /// ladder: level 0 gets the full Config::RequestDeadlineMs, each level
+  /// halves it. No-op without a deadline.
+  void applyDeadline(support::AnalysisLimits &Lim, unsigned Level) const;
   void handleAnalyze(const JsonValue &Req, Response &Resp, std::ostream &Log,
                      RequestCtx &Ctx);
   /// alias and points_to: one handler for both strategies. Reads the

@@ -6,7 +6,6 @@
 #include "support/Hash.h"
 #include "support/Version.h"
 
-#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -276,22 +275,21 @@ SummaryCache::lookup(const std::string &Key, std::string *Warning,
 std::shared_ptr<const ResultSnapshot>
 SummaryCache::store(const std::string &Key, ResultSnapshot Snapshot,
                     std::string *Warning, RequestScope Req) {
-  std::string Blob = serialize(Snapshot);
-  return store(Key, std::move(Snapshot), Blob, Warning, Req);
-}
-
-std::shared_ptr<const ResultSnapshot>
-SummaryCache::store(const std::string &Key, ResultSnapshot Snapshot,
-                    std::string_view Blob, std::string *Warning,
-                    RequestScope Req) {
-  assert(Blob == serialize(Snapshot) && "blob must be serialize(Snapshot)");
-  // Disk IO runs lock-free; only the shard-map mutations below take a
-  // mutex.
-  S.BytesStored.fetch_add(Blob.size(), std::memory_order_relaxed);
-  bump("cache.bytes", Blob.size(), Req);
+  // Only the disk tier needs the bytes; the memory tier keeps the
+  // snapshot and counts the blob it would be (the same number). Disk IO
+  // runs lock-free; only the shard-map mutations below take a mutex.
+  std::string Blob;
+  uint64_t Bytes;
+  if (Cfg.Dir.empty()) {
+    Bytes = serializedSize(Snapshot);
+  } else {
+    Blob = serialize(Snapshot);
+    Bytes = Blob.size();
+  }
+  S.BytesStored.fetch_add(Bytes, std::memory_order_relaxed);
+  bump("cache.bytes", Bytes, Req);
   bump("cache.stores", 1, Req);
-  event("cache.store", Req,
-        "key=" + Key + " bytes=" + std::to_string(Blob.size()));
+  event("cache.store", Req, "key=" + Key + " bytes=" + std::to_string(Bytes));
   // A fresh blob under this key lifts any quarantine: the key is
   // addressable again.
   {
@@ -353,7 +351,7 @@ SummaryCache::store(const std::string &Key, ResultSnapshot Snapshot,
   }
 
   auto Shared = std::make_shared<const ResultSnapshot>(std::move(Snapshot));
-  insertMem(Key, Shared, Blob.size(), Req);
+  insertMem(Key, Shared, Bytes, Req);
   return Shared;
 }
 

@@ -90,7 +90,7 @@ public:
     uint64_t MemHits = 0;    ///< subset of Hits answered from the LRU
     uint64_t Misses = 0;     ///< lookups that found nothing usable
     uint64_t Evictions = 0;  ///< LRU entries dropped to respect bounds
-    uint64_t BytesStored = 0;///< cumulative serialized bytes written
+    uint64_t BytesStored = 0;///< cumulative blob bytes stored
     uint64_t MemBytes = 0;   ///< current LRU footprint (serialized size)
     uint64_t MemEntries = 0; ///< current LRU entry count
     uint64_t BadBlobs = 0;   ///< corrupt disk blobs tolerated as misses
@@ -154,20 +154,15 @@ public:
                                                std::string *Warning = nullptr,
                                                RequestScope Req = RequestScope());
 
-  /// Stores \p Snapshot under \p Key in both tiers (disk write is
-  /// atomic: temp file + rename) and returns the shared snapshot.
-  /// Disk-tier failures degrade to memory-only with a warning. Two forms:
-  /// this one serializes \p Snapshot itself; the one below takes a
-  /// caller that already holds the bytes (the incremental engine's
-  /// IncrOutput::Blob), so each stored result is serialized once.
+  /// Stores \p Snapshot under \p Key in both tiers and returns the
+  /// shared snapshot. With a disk tier the snapshot is serialized once
+  /// and the blob published atomically (temp file + rename); disk-tier
+  /// failures degrade to memory-only with a warning. A memory-only cache
+  /// builds no blob: it takes the size from the writer's counting pass
+  /// (serializedSize). Either way cache.bytes, the cache.store event and
+  /// the LRU byte bound count exactly serialize(Snapshot).size().
   std::shared_ptr<const ResultSnapshot>
   store(const std::string &Key, ResultSnapshot Snapshot,
-        std::string *Warning = nullptr, RequestScope Req = RequestScope());
-  /// \p Blob must be exactly serialize(Snapshot): it is what lands on
-  /// disk and what the byte accounting (cache.bytes, the LRU bound)
-  /// counts. Debug builds assert it.
-  std::shared_ptr<const ResultSnapshot>
-  store(const std::string &Key, ResultSnapshot Snapshot, std::string_view Blob,
         std::string *Warning = nullptr, RequestScope Req = RequestScope());
 
   /// Drops every entry: the whole LRU, every *.mcpta blob in the disk

@@ -382,6 +382,9 @@ struct FunctionIR {
   BlockStmt *Body = nullptr;
   /// All locals, including simplifier temporaries, in declaration order.
   std::vector<const cfront::VarDecl *> Locals;
+  /// The body's call sites in program order (preorder statement walk),
+  /// collected once at lowering.
+  std::vector<const CallInfo *> Calls;
 };
 
 /// A whole simplified program. Owns all SIMPLE statements and any
@@ -490,6 +493,44 @@ inline const CallInfo *callOf(const Stmt *S) {
     if (A->RK == AssignStmt::RhsKind::Call)
       return &A->Call;
   return nullptr;
+}
+
+/// Visits every Operand of a statement tree in a fixed order.
+template <typename Fn> void walkOperands(const Stmt *Root, Fn F) {
+  forEachStmt(Root, [&](const Stmt *S) {
+    switch (S->kind()) {
+    case Stmt::Kind::Assign: {
+      const auto *A = castStmt<AssignStmt>(S);
+      if (A->RK == AssignStmt::RhsKind::Call) {
+        for (const Operand &Arg : A->Call.Args)
+          F(Arg);
+        return;
+      }
+      F(A->A);
+      if (A->RK == AssignStmt::RhsKind::Binary)
+        F(A->B);
+      return;
+    }
+    case Stmt::Kind::Call:
+      for (const Operand &Arg : castStmt<CallStmt>(S)->Call.Args)
+        F(Arg);
+      return;
+    case Stmt::Kind::Return: {
+      const auto *R = castStmt<ReturnStmt>(S);
+      if (R->Value)
+        F(*R->Value);
+      return;
+    }
+    case Stmt::Kind::If:
+      F(castStmt<IfStmt>(S)->Cond);
+      return;
+    case Stmt::Kind::Switch:
+      F(castStmt<SwitchStmt>(S)->Cond);
+      return;
+    default:
+      return;
+    }
+  });
 }
 
 /// main's SIMPLE form, or null when the program defines no main.

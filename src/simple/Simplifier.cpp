@@ -858,6 +858,10 @@ struct Simplifier::Impl {
     pushBlock(FD->loc());
     lowerStmt(FD->body());
     FIR.Body = popBlock();
+    forEachStmt(FIR.Body, [&FIR](const Stmt *S) {
+      if (const CallInfo *CI = callOf(S))
+        FIR.Calls.push_back(CI);
+    });
     CurFunction = nullptr;
     CurIR = nullptr;
   }

@@ -260,8 +260,10 @@ std::string readFile(const std::string &Path) {
   return std::string(std::istreambuf_iterator<char>(In), {});
 }
 
-TEST(SummaryCacheTest, StoreWithBlobWritesTheSerializedSnapshot) {
-  TempCacheDir DirA("blob_a"), DirB("blob_b");
+TEST(SummaryCacheTest, StoredBytesAreTheSerializedSnapshotOnBothTiers) {
+  // A disk store writes exactly serialize(snapshot); a memory-only store
+  // writes nothing and counts the same bytes from the counting pass.
+  TempCacheDir Dir("bytes");
   const corpus::CorpusProgram *CP = corpus::find("hash");
   ASSERT_NE(CP, nullptr);
   pta::Analyzer::Options Opts;
@@ -269,32 +271,43 @@ TEST(SummaryCacheTest, StoreWithBlobWritesTheSerializedSnapshot) {
   ResultSnapshot Snap = analyzeToSnapshot(CP->Source, Opts);
   const std::string Blob = serialize(Snap);
 
-  support::Telemetry TA, TB;
-  SummaryCache Serializing({DirA.Path}, &TA);
-  SummaryCache WithBlob({DirB.Path}, &TB);
-  Serializing.store(Key, Snap);
-  auto Stored = WithBlob.store(Key, Snap, Blob);
+  support::Telemetry TD, TM;
+  SummaryCache Disk({Dir.Path}, &TD);
+  SummaryCache Mem(SummaryCache::Config{}, &TM);
+  Disk.store(Key, Snap);
+  auto Stored = Mem.store(Key, Snap);
   ASSERT_NE(Stored, nullptr);
   EXPECT_TRUE(*Stored == Snap);
+  EXPECT_EQ(readFile(Dir.Path + "/" + Key + ".mcpta"), Blob);
 
-  // The disk tier holds exactly serialize(snapshot) either way.
-  EXPECT_EQ(readFile(DirB.Path + "/" + Key + ".mcpta"), Blob);
-  EXPECT_EQ(readFile(DirA.Path + "/" + Key + ".mcpta"), Blob);
-
-  // Byte accounting reads the same through both forms.
-  EXPECT_EQ(WithBlob.stats().BytesStored, Serializing.stats().BytesStored);
-  EXPECT_EQ(WithBlob.stats().MemBytes, Serializing.stats().MemBytes);
-  auto CA = TA.countersSnapshot(), CB = TB.countersSnapshot();
-  EXPECT_EQ(CB["cache.bytes"], Blob.size());
-  EXPECT_EQ(CB["cache.bytes"], CA["cache.bytes"]);
-  EXPECT_EQ(CB["cache.stores"], 1u);
-  EXPECT_EQ(CB["cache.stores"], CA["cache.stores"]);
+  for (const SummaryCache *C : {&Disk, &Mem}) {
+    EXPECT_EQ(C->stats().BytesStored, Blob.size());
+    EXPECT_EQ(C->stats().MemBytes, Blob.size());
+  }
+  for (support::Telemetry *T : {&TD, &TM}) {
+    auto Counters = T->countersSnapshot();
+    EXPECT_EQ(Counters["cache.bytes"], Blob.size());
+    EXPECT_EQ(Counters["cache.stores"], 1u);
+  }
 
   // And the stored blob answers a fresh instance's lookup.
-  SummaryCache Reader({DirB.Path});
+  SummaryCache Reader({Dir.Path});
   auto Hit = Reader.lookup(Key);
   ASSERT_NE(Hit, nullptr);
   EXPECT_TRUE(*Hit == Snap);
+}
+
+TEST(SummaryCacheTest, CountingPassSizesEveryCorpusBlob) {
+  // The count a memory-only store records is serialize(S).size() on
+  // every corpus program, with and without context sensitivity.
+  for (const corpus::CorpusProgram &CP : corpus::corpus())
+    for (bool CS : {true, false}) {
+      pta::Analyzer::Options Opts;
+      Opts.ContextSensitive = CS;
+      ResultSnapshot Snap = analyzeToSnapshot(CP.Source, Opts);
+      EXPECT_EQ(serializedSize(Snap), serialize(Snap).size())
+          << CP.Name << (CS ? "" : " (context-insensitive)");
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -1488,6 +1501,34 @@ TEST(ServerTest, RepeatedDemandFallbacksRunTheExhaustiveAnalysisOnce) {
   auto Counters = F.S.telemetry().countersSnapshot();
   EXPECT_EQ(Counters["demand.fallback.fnptr"], 2u);
   EXPECT_EQ(Counters["demand.program_reuse"], 2u);
+}
+
+TEST(ServerTest, DemandFallbackUnderADeadlineReusesTheAnalyze) {
+  // With a request deadline every analyze runs under it (level 0); the
+  // demand engine runs under the same options, so a fallback answers
+  // from the analyze's snapshot instead of analyzing again.
+  for (uint64_t DeadlineMs : {uint64_t(0), uint64_t(10000)}) {
+    Server::Config Cfg;
+    Cfg.RequestDeadlineMs = DeadlineMs;
+    Server S(Cfg);
+    std::ostringstream Log;
+    bool Shut = false;
+    auto Request = [&](const std::string &Line) {
+      return parseResponse(S.handleLine(Line, Shut, Log));
+    };
+    auto BodyAnalyses = [&] {
+      return S.telemetry().countersSnapshot()["pta.body_analyses"];
+    };
+    ASSERT_TRUE(
+        Request("{\"id\":1,\"method\":\"analyze\",\"corpus\":\"config\"}")
+            .getBool("ok", false));
+    const uint64_t Before = BodyAnalyses();
+    EXPECT_EQ(Before, 43u) << DeadlineMs;
+    JsonValue Q = Request(pointsToLine(2, "c", "demand"));
+    EXPECT_TRUE(Q.getBool("ok", false)) << DeadlineMs;
+    EXPECT_EQ(Q.getString("fallback_reason", ""), "fnptr") << DeadlineMs;
+    EXPECT_EQ(BodyAnalyses(), Before) << DeadlineMs;
+  }
 }
 
 TEST(ServerTest, DemandFallbackRunsItsOwnAnalysisUnderOtherOptions) {

@@ -262,6 +262,27 @@ TEST(ToolTest, StrictQueryExitsTwoOnADegradedAnswerOnBothStrategies) {
   std::remove(Path.c_str());
 }
 
+TEST(ToolTest, QueryOnAProgramWithoutMainAnswersOnBothStrategies) {
+  // Without main both strategies answer from the unanalyzed snapshot:
+  // the demand strategy through its no-main fallback, the exhaustive one
+  // directly. Neither is an error.
+  std::string Path = writeTemp("int x; int *p; void f(void) { p = &x; }\n");
+  ToolRun Demand = runTool("--alias='*p:x' --strategy=demand " + Path);
+  ToolRun Exh = runTool("--alias='*p:x' --strategy=exhaustive " + Path);
+  EXPECT_EQ(Demand.ExitCode, 0) << Demand.Output;
+  EXPECT_EQ(Exh.ExitCode, 0) << Exh.Output;
+  EXPECT_NE(Demand.Output.find("fallback_reason: no-main"), std::string::npos)
+      << Demand.Output;
+  EXPECT_NE(Exh.Output.find("strategy: exhaustive"), std::string::npos)
+      << Exh.Output;
+  size_t DemandAnswer = Demand.Output.find("alias(*p, x): no");
+  size_t ExhAnswer = Exh.Output.find("alias(*p, x): no");
+  ASSERT_NE(DemandAnswer, std::string::npos) << Demand.Output;
+  ASSERT_NE(ExhAnswer, std::string::npos) << Exh.Output;
+  EXPECT_EQ(Demand.Output.substr(DemandAnswer), Exh.Output.substr(ExhAnswer));
+  std::remove(Path.c_str());
+}
+
 TEST(ToolTest, IGNodeCapDegrades) {
   ToolRun Gen = runTool("--gen-stress=6");
   ASSERT_EQ(Gen.ExitCode, 0);

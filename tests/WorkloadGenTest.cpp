@@ -150,12 +150,10 @@ TEST(WorkloadGenTest, LivcShapeMatchesPaperDescription) {
   EXPECT_EQ(AddressTaken, 72u);
 
   unsigned IndirectSites = 0;
-  std::vector<const simple::CallInfo *> Calls;
   for (const auto &F : P.Prog->functions())
-    pta::collectCallInfos(F.Body, Calls);
-  for (const auto *CI : Calls)
-    if (CI->isIndirect())
-      ++IndirectSites;
+    for (const simple::CallInfo *CI : F.Calls)
+      if (CI->isIndirect())
+        ++IndirectSites;
   EXPECT_EQ(IndirectSites, 3u);
 }
 
